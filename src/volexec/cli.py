@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -70,21 +71,50 @@ class RunConfig:
         return isinstance(self.volume, GbmVolumeModel)
 
 
-def _require(mapping, key, kind, where):
-    if key not in mapping:
-        raise ConfigError(f"missing {where}.{key}")
-    value = mapping[key]
+_MISSING = object()
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               list: "a list", dict: "an object"}
+
+
+def _value(value, kind, name):
+    """A config value checked against its type.
+
+    float takes a finite JSON number, int an integral one; bool, list and
+    dict take JSON true/false, arrays and objects.
+    """
+    wrong = ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind in (bool, list, dict):
+        if not isinstance(value, kind):
+            raise wrong
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise wrong
+    if kind is int and isinstance(value, int):
+        return value
     try:
-        if kind is float:
-            return float(value)
-        if kind is int:
-            out = int(value)
-            if out != value:
-                raise ValueError
-            return out
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}.{key} must be a {kind.__name__}, got {value!r}") from None
-    return value
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if kind is int:
+        if not out.is_integer():
+            raise wrong
+        return int(out)
+    return out
+
+
+def _require(mapping, key, kind, where, default=_MISSING):
+    if key not in mapping:
+        if default is _MISSING:
+            raise ConfigError(f"missing {where}.{key}")
+        return default
+    return _value(mapping[key], kind, f"{where}.{key}")
+
+
+def _require_list(mapping, key, kind, where, default=_MISSING):
+    values = _require(mapping, key, list, where, default)
+    return [_value(x, kind, f"{where}.{key}[{i}]") for i, x in enumerate(values)]
 
 
 def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig:
@@ -138,12 +168,12 @@ def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig
         elif vtype == "constant":
             volume = constant_profile(grid, _require(vdoc, "level", float, "volume"))
         elif vtype == "samples":
-            values = vdoc.get("values")
-            if not isinstance(values, list) or len(values) != grid_n + 1:
+            values = _require_list(vdoc, "values", float, "volume")
+            if len(values) != grid_n + 1:
                 raise ConfigError(
                     f"volume.values must hold grid_n + 1 = {grid_n + 1} samples"
                 )
-            volume = profile_from_samples(grid, np.asarray(values, dtype=float))
+            volume = profile_from_samples(grid, np.asarray(values))
         elif vtype == "gbm":
             volume = GbmVolumeModel(
                 v0=_require(vdoc, "v0", float, "volume"),
@@ -159,28 +189,25 @@ def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig
     Phi = _require(doc, "phi", float, "config")
     if Phi <= 0.0:
         raise ConfigError(f"phi must be positive, got {Phi}")
-    lambdas = doc.get("lambdas")
-    if not isinstance(lambdas, list) or not lambdas:
+    lambdas = _require_list(doc, "lambdas", float, "config")
+    if not lambdas:
         raise ConfigError("lambdas must be a non-empty list")
-    lambdas = [float(x) for x in lambdas]
     if any(x < 0 for x in lambdas):
         raise ConfigError("lambdas must be nonnegative")
-    rhos = doc.get("rhos", [])
-    if not isinstance(rhos, list):
-        raise ConfigError("rhos must be a list")
-    rhos = [float(x) for x in rhos]
+    rhos = _require_list(doc, "rhos", float, "config", default=[])
     if rhos and not isinstance(volume, GbmVolumeModel):
         raise ConfigError("rhos only applies to a gbm volume model")
     if any(abs(r) > 1.0 for r in rhos):
         raise ConfigError("rhos must lie in [-1, 1]")
 
-    mc = doc.get("mc", {})
-    if not isinstance(mc, dict):
-        raise ConfigError("mc must be an object")
-    n_paths = int(mc.get("n_paths", 20_000))
+    mc = _require(doc, "mc", dict, "config", default={})
+    n_paths = _require(mc, "n_paths", int, "mc", default=20_000)
     if n_paths < 2:
         raise ConfigError("mc.n_paths must be at least 2")
-    seed = seed_override if seed_override is not None else int(mc.get("seed", 0))
+    seed = seed_override if seed_override is not None else _require(mc, "seed", int, "mc", default=0)
+    out_dir = doc.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
     return RunConfig(
         volume=volume,
         market=market,
@@ -190,9 +217,9 @@ def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig
         rhos=rhos,
         n_paths=n_paths,
         seed=seed,
-        antithetic=bool(mc.get("antithetic", False)),
-        dump_paths=bool(mc.get("dump_paths", False)),
-        out_dir=doc.get("out_dir"),
+        antithetic=_require(mc, "antithetic", bool, "mc", default=False),
+        dump_paths=_require(mc, "dump_paths", bool, "mc", default=False),
+        out_dir=out_dir,
     )
 
 
@@ -229,11 +256,11 @@ def _fmt(x: float) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
 def _solve_sweep(run: RunConfig):

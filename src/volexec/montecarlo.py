@@ -1,17 +1,21 @@
 """Monte Carlo validation: joint price/turnover simulation, cost-moment
 estimation, and the optimality-ordering tournament.
 
-Paths are keyed per (seed, path index, driver stream) with a counter-based
-generator, so any path is reproducible in isolation and results do not depend
-on batch size.  The price is arithmetic with volatility sigma_tilde; under a
-lognormal turnover model its driver is correlated with the turnover driver
-through rho.
+Draws are keyed per block of paths (the volume layer's _BLOCK) and driver
+stream with a counter-based generator, so any path is rebuilt by drawing its
+block up to that row and slicing, and results do not depend on batch size.
+Every estimate runs one pass over batches of _DEFAULT_BATCH paths: each batch
+is drawn once, antithetic twins flip the signs of the normals already drawn,
+and the cost rows of all schedules read the same batch (common random
+numbers), so batch size bounds memory.  The price is arithmetic with
+volatility sigma_tilde; under a lognormal turnover model its driver is
+correlated with the turnover driver through rho.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,7 +24,7 @@ from .grids import TimeGrid, require_same_grid, trapz_weights
 from .strategies import Strategy, expected_vwap_strategy
 from .volume import GbmVolumeModel, VolumeProfile, _gbm_block, _normal_block
 
-_DEFAULT_BATCH = 20_000
+_DEFAULT_BATCH = 2048  # paths per batch: bounds memory; a multiple of _BLOCK
 ANTICIPATING_LABEL = "anticipating-vwap"
 EXPECTED_VWAP_LABEL = "expected-vwap"
 
@@ -82,32 +86,40 @@ class MomentEstimate:
         }
 
 
-def _joint_block(cfg: SimulationConfig, first: int, last: int, negate: bool = False):
-    """Price and turnover paths for path indices [first, last).
+def _joint_block(cfg: SimulationConfig, first: int, last: int, mirror: bool = False):
+    """Price and turnover paths for path indices [first, last), drawn once.
 
-    Turnover draws come from driver stream 0 and price-specific noise from
-    stream 1, combined as rho * dB + sqrt(1 - rho^2) * dW, so the turnover
-    paths are bit-identical with and without a correlated price leg.
+    Returns a list of (price, vol) batches: the drawn paths and, with
+    mirror=True, their antithetic twins, built from the same normals with
+    flipped signs.  Turnover draws come from driver stream 0 and
+    price-specific noise from stream 1, combined as
+    rho * dB + sqrt(1 - rho^2) * dW, so the turnover paths are bit-identical
+    with and without a correlated price leg.
     """
     grid, market = cfg.grid, cfg.market
     n = grid.n_steps
-    if isinstance(cfg.volume, GbmVolumeModel):
-        vol, db = _gbm_block(cfg.volume, grid, cfg.seed, first, last, negate=negate)
-        zw = _normal_block(cfg.seed, first, last, stream=1, n=n)
-        if negate:
-            zw = -zw
+    z = _normal_block(cfg.seed, first, last, stream=0, n=n)
+    stochastic = isinstance(cfg.volume, GbmVolumeModel)
+    if stochastic:
+        zw = math.sqrt(grid.tau) * _normal_block(cfg.seed, first, last, stream=1, n=n)
         rho = cfg.effective_rho
-        dprice = rho * db + math.sqrt(max(0.0, 1.0 - rho**2)) * (math.sqrt(grid.tau) * zw)
-    else:
-        vol = np.broadcast_to(cfg.volume.v, (last - first, n + 1))
-        zw = _normal_block(cfg.seed, first, last, stream=0, n=n)
-        if negate:
-            zw = -zw
-        dprice = math.sqrt(grid.tau) * zw
-    price = np.empty((last - first, n + 1))
-    price[:, 0] = market.s0
-    price[:, 1:] = market.s0 + market.sigma_tilde * np.cumsum(dprice, axis=1)
-    return price, vol
+        mix = math.sqrt(max(0.0, 1.0 - rho**2))
+    draws = [(z, zw if stochastic else None)]
+    if mirror:
+        draws.append((-z, -zw if stochastic else None))
+    out = []
+    for zs, zws in draws:
+        if stochastic:
+            vol, db = _gbm_block(cfg.volume, grid, zs)
+            dprice = rho * db + mix * zws
+        else:
+            vol = np.broadcast_to(cfg.volume.v, (last - first, n + 1))
+            dprice = math.sqrt(grid.tau) * zs
+        price = np.empty((last - first, n + 1))
+        price[:, 0] = market.s0
+        price[:, 1:] = market.s0 + market.sigma_tilde * np.cumsum(dprice, axis=1)
+        out.append((price, vol))
+    return out
 
 
 def simulate_joint_paths(cfg: SimulationConfig):
@@ -116,12 +128,82 @@ def simulate_joint_paths(cfg: SimulationConfig):
     For deterministic turnover the turnover rows are a broadcast (read-only)
     view of the profile.
     """
-    return _joint_block(cfg, 0, cfg.n_paths)
+    return _joint_block(cfg, 0, cfg.n_paths)[0]
 
 
 def _batches(n: int, size: int):
     for first in range(0, n, size):
         yield first, min(first + size, n)
+
+
+def _cost_rows(
+    cfg: SimulationConfig,
+    statics: Sequence[Strategy],
+    anticipating_phi: Optional[float] = None,
+    antithetic: bool = False,
+    batch_size: int = _DEFAULT_BATCH,
+) -> np.ndarray:
+    """Realized cost of every static schedule on every path, one pass.
+
+    Each batch of paths is drawn once and every row reads it.  With
+    `anticipating_phi` set, row 0 is the anticipating turnover-proportional
+    schedule for that order size (rebuilt per path) and the static schedules
+    follow.  With antithetic=True (n_paths must be even) the first n_paths/2
+    columns are the drawn paths and column n_paths/2 + i is the mirror of
+    column i.  Returns an array of shape (rows, n_paths).
+    """
+    for s in statics:
+        require_same_grid(s.grid, cfg.grid, "strategy")
+    n = cfg.n_paths
+    if antithetic and n % 2:
+        raise ValueError(f"antithetic pairing needs an even n_paths, got {n}")
+    lead = int(anticipating_phi is not None)
+    costs = np.empty((lead + len(statics), n))
+    drawn = n // 2 if antithetic else n
+    offsets = (0, drawn) if antithetic else (0,)
+    step = max(1, batch_size // len(offsets))
+    tau = cfg.grid.tau
+    w = trapz_weights(cfg.grid.n_steps, tau)
+    for first, last in _batches(drawn, step):
+        batches = _joint_block(cfg, first, last, mirror=antithetic)
+        for offset, (price, vol) in zip(offsets, batches):
+            cols = slice(offset + first, offset + last)
+            if lead:
+                zeta_paths = vol * (anticipating_phi / (vol @ w))[:, None]
+                costs[0, cols] = _decompose(
+                    price, vol, zeta_paths, anticipating_phi, tau, cfg.market
+                )[0]
+            for k, s in enumerate(statics, start=lead):
+                costs[k, cols] = realized_is_cost_paths(price, vol, s, cfg.market)
+    return costs
+
+
+def moment_estimate(costs: np.ndarray, antithetic: bool = False) -> MomentEstimate:
+    """Sample mean/variance of one cost row, as laid out by `_cost_rows`.
+
+    With antithetic=True the mean's standard error comes from the pair means,
+    while the variance estimate pools all paths (its reported standard error
+    keeps the independent-sample formula, a mild approximation).
+    """
+    n = costs.size
+    if antithetic:
+        half = n // 2
+        pair_means = 0.5 * (costs[:half] + costs[half:])
+        se_mean = float(pair_means.std(ddof=1) / math.sqrt(half))
+        mean = float(pair_means.mean())
+    else:
+        mean = float(costs.mean())
+        se_mean = float(costs.std(ddof=1) / math.sqrt(n))
+    variance = float(costs.var(ddof=1))
+    m4 = float(np.mean((costs - costs.mean()) ** 4))
+    se_var = math.sqrt(max(m4 - variance**2, 0.0) / n)
+    return MomentEstimate(
+        mean=mean,
+        variance=variance,
+        std_error_mean=se_mean,
+        std_error_variance=se_var,
+        n_paths=n,
+    )
 
 
 def estimate_cost_moments(
@@ -133,48 +215,19 @@ def estimate_cost_moments(
 ):
     """Sample mean/variance of the realized cost of `s` under the configuration.
 
-    With antithetic=True (n_paths must be even) each base path is paired with
-    its sign-flipped twin; the mean's standard error then comes from the pair
-    means, while the variance estimate pools all paths (its reported standard
-    error keeps the independent-sample formula, a mild approximation).
+    With antithetic=True (n_paths must be even) each drawn path is paired
+    with its sign-flipped twin; see `moment_estimate` for the standard
+    errors.  `batch_size` only bounds memory: the draws, and so the result,
+    do not depend on it.
     """
-    require_same_grid(s.grid, cfg.grid, "strategy")
-    n = cfg.n_paths
-    if antithetic and n % 2:
-        raise ValueError(f"antithetic pairing needs an even n_paths, got {n}")
-    costs = np.empty(n)
-    if antithetic:
-        half = n // 2
-        for first, last in _batches(half, max(1, batch_size // 2)):
-            price, vol = _joint_block(cfg, first, last)
-            costs[first:last] = realized_is_cost_paths(price, vol, s, cfg.market)
-            price, vol = _joint_block(cfg, first, last, negate=True)
-            costs[half + first : half + last] = realized_is_cost_paths(
-                price, vol, s, cfg.market
-            )
-        pair_means = 0.5 * (costs[:half] + costs[half:])
-        se_mean = float(pair_means.std(ddof=1) / math.sqrt(half))
-        mean = float(pair_means.mean())
-    else:
-        for first, last in _batches(n, batch_size):
-            price, vol = _joint_block(cfg, first, last)
-            costs[first:last] = realized_is_cost_paths(price, vol, s, cfg.market)
-        mean = float(costs.mean())
-        se_mean = float(costs.std(ddof=1) / math.sqrt(n))
-    variance = float(costs.var(ddof=1))
-    m4 = float(np.mean((costs - costs.mean()) ** 4))
-    se_var = math.sqrt(max(m4 - variance**2, 0.0) / n)
-    est = MomentEstimate(
-        mean=mean,
-        variance=variance,
-        std_error_mean=se_mean,
-        std_error_variance=se_var,
-        n_paths=n,
-    )
+    costs = _cost_rows(cfg, [s], antithetic=antithetic, batch_size=batch_size)[0]
+    est = moment_estimate(costs, antithetic)
     return (est, costs) if return_costs else est
 
 
-def validate_theorem_orderings(cfg: SimulationConfig, candidates: Dict[str, Strategy]) -> dict:
+def validate_theorem_orderings(
+    cfg: SimulationConfig, candidates: Dict[str, Strategy], return_costs: bool = False
+):
     """Paired-sample tournament checking the model's optimality orderings.
 
     Two families of inequalities are tested on common paths:
@@ -185,7 +238,8 @@ def validate_theorem_orderings(cfg: SimulationConfig, candidates: Dict[str, Stra
         harmonic-mean turnover curve beats every submitted static candidate.
 
     An ordering is confirmed when mean(better - worse) <= 3 standard errors
-    of the paired difference.  Returns a plain-dict report.
+    of the paired difference.  Returns a plain-dict report and, with
+    return_costs=True, also the cost row of every schedule by name.
     """
     if not candidates:
         raise ValueError("need at least one candidate strategy")
@@ -210,23 +264,14 @@ def validate_theorem_orderings(cfg: SimulationConfig, candidates: Dict[str, Stra
     static.update(candidates)
 
     n = cfg.n_paths
-    tau = cfg.grid.tau
-    w = trapz_weights(cfg.grid.n_steps, tau)
-    costs = np.empty((len(rows), n))
-    for first, last in _batches(n, _DEFAULT_BATCH):
-        price, vol = _joint_block(cfg, first, last)
-        turnover_mass = vol @ w
-        zeta_paths = vol * (Phi / turnover_mass)[:, None]
-        costs[0, first:last] = _decompose(price, vol, zeta_paths, Phi, tau, cfg.market)[0]
-        for k, name in enumerate(rows[1:], start=1):
-            costs[k, first:last] = realized_is_cost_paths(price, vol, static[name], cfg.market)
-
+    matrix = _cost_rows(cfg, [static[name] for name in rows[1:]], anticipating_phi=Phi)
+    costs = dict(zip(rows, matrix))
     by_name = {
         name: {
-            "mean": float(costs[k].mean()),
-            "se_mean": float(costs[k].std(ddof=1) / math.sqrt(n)),
+            "mean": float(costs[name].mean()),
+            "se_mean": float(costs[name].std(ddof=1) / math.sqrt(n)),
         }
-        for k, name in enumerate(rows)
+        for name in rows
     }
     pairs = [(ANTICIPATING_LABEL, other) for other in rows[1:]]
     if stochastic:
@@ -237,7 +282,7 @@ def validate_theorem_orderings(cfg: SimulationConfig, candidates: Dict[str, Stra
     tie_slack = 1e-12 * max(1.0, cfg.market.s0 * Phi)
     orderings = []
     for better, worse in pairs:
-        diff = costs[rows.index(better)] - costs[rows.index(worse)]
+        diff = costs[better] - costs[worse]
         mean_diff = float(diff.mean())
         se_diff = float(diff.std(ddof=1) / math.sqrt(n))
         orderings.append(
@@ -249,7 +294,7 @@ def validate_theorem_orderings(cfg: SimulationConfig, candidates: Dict[str, Stra
                 "confirmed": bool(mean_diff <= 3.0 * se_diff + tie_slack),
             }
         )
-    return {
+    report = {
         "n_paths": n,
         "seed": cfg.seed,
         "phi": Phi,
@@ -257,3 +302,4 @@ def validate_theorem_orderings(cfg: SimulationConfig, candidates: Dict[str, Stra
         "orderings": orderings,
         "all_confirmed": all(o["confirmed"] for o in orderings),
     }
+    return (report, costs) if return_costs else report

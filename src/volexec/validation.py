@@ -27,7 +27,7 @@ from .cost import (
 from .grids import TimeGrid, build_grid, trapz_weights
 from .montecarlo import (
     SimulationConfig,
-    estimate_cost_moments,
+    moment_estimate,
     simulate_joint_paths,
     validate_theorem_orderings,
 )
@@ -102,17 +102,22 @@ def run_validation(
     else:
         probes["vwap"] = vwap_strategy(volume, Phi)
 
-    # --- moment matching ------------------------------------------------
     corrupted = MarketParams(
         kappa=market.kappa,
         kappa_tilde=market.kappa_tilde * _corrupt_kappa_tilde,
         sigma_tilde=market.sigma_tilde,
         s0=market.s0,
     )
+    # --- moment matching and optimality orderings on common paths --------
+    # one pass draws every path once; the tournament builds its own
+    # anticipating and harmonic-mean rows, so only probes that do not shadow
+    # those reserved names enter, and the moment checks read the same rows
+    entrants = {k: v for k, v in probes.items() if k not in ("expected-vwap",)}
+    tournament, rows = validate_theorem_orderings(cfg, entrants, return_costs=True)
     mean_detail, var_detail = {}, {}
     mean_ok = var_ok = True
     for name, s in probes.items():
-        est = estimate_cost_moments(s, cfg)
+        est = moment_estimate(rows[name])
         ec = expected_cost(s, volume_eff, market)
         zm = (est.mean - ec) / est.std_error_mean
         if stochastic:
@@ -127,11 +132,6 @@ def run_validation(
     checks.append(_check("mean_matches_expected_cost", mean_ok, **mean_detail))
     checks.append(_check("variance_matches_mv", var_ok, **var_detail))
 
-    # --- optimality orderings on common paths ---------------------------
-    # the tournament builds its own anticipating and harmonic-mean rows, so
-    # only pass probes that do not shadow those reserved names
-    entrants = {k: v for k, v in probes.items() if k not in ("expected-vwap",)}
-    tournament = validate_theorem_orderings(cfg, entrants)
     anticipating = [o for o in tournament["orderings"] if o["better"] == "anticipating-vwap"]
     checks.append(
         _check(

@@ -4,6 +4,10 @@ A profile stores the instantaneous turnover v together with the cumulative
 quantities the optimizers consume: V_t = int_0^t v, calV_t = int_0^t V and
 int_0^t V^2.  Closed forms are used where the profile family has them;
 sampled profiles fall back to composite-trapezoid integration.
+
+Random draws are keyed per block of _BLOCK consecutive paths: one Philox
+generator per (seed, block, stream) fills the block's rows in path order, so
+a path's draws never depend on how the paths are batched.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import numpy as np
 from .grids import TimeGrid, _frozen, build_grid, cumtrapz
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 256  # paths per keyed generator
 
 
 @dataclass(frozen=True)
@@ -172,37 +177,47 @@ def gbm_harmonic_mean(model: GbmVolumeModel, grid: TimeGrid) -> VolumeProfile:
     return VolumeProfile(grid=grid, v=u, V=U, calV=calU, V2int=U2int)
 
 
-def path_rng(seed: int, path_index: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based per-path RNG: a Philox stream keyed by (seed, path, stream).
+def path_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
+    """Counter-based RNG of one block of paths: a Philox stream keyed by
+    (seed, 2*block + stream).
 
     Draws depend only on the key, so batching/partitioning paths across
     workers cannot change the sampled values.
     """
-    key = (int(seed) & _MASK64) + (((2 * int(path_index) + int(stream)) & _MASK64) << 64)
+    key = (int(seed) & _MASK64) + (((2 * int(block) + int(stream)) & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _normal_block(seed: int, first: int, last: int, stream: int, n: int) -> np.ndarray:
-    """Standard-normal draws for paths first..last-1, one keyed stream per path."""
+    """Standard-normal draws for paths first..last-1, shape (last - first, n).
+
+    Path k is row k % _BLOCK of block k // _BLOCK.  A block's generator fills
+    its rows in order with one standard_normal call, so the leading rows of a
+    block never depend on how many rows are drawn, and any path is rebuilt
+    by drawing its block up to that row and slicing.  A range that starts
+    partway into a block draws that block from row 0: the ziggurat sampler
+    consumes a variable number of words per normal, so the generator cannot
+    skip ahead to a row.
+    """
     z = np.empty((last - first, n))
-    for j, k in enumerate(range(first, last)):
-        z[j] = path_rng(seed, k, stream=stream).standard_normal(n)
+    for block in range(first // _BLOCK, -(-last // _BLOCK)):
+        lo = block * _BLOCK
+        hi = min(lo + _BLOCK, last)
+        rng = path_rng(seed, block, stream=stream)
+        if first <= lo:
+            rng.standard_normal(out=z[lo - first : hi - first])
+        else:
+            z[: hi - first] = rng.standard_normal((hi - lo, n))[first - lo :]
     return z
 
 
-def _gbm_block(model, grid, seed, first, last, negate=False):
-    """Lognormal paths for indices first..last-1; returns (paths, driver increments).
-
-    Batching over index ranges reproduces exactly what a single full-range
-    call produces, because every path owns its keyed stream.
-    """
-    z = _normal_block(seed, first, last, stream=0, n=grid.n_steps)
-    if negate:
-        z = -z
+def _gbm_block(model: GbmVolumeModel, grid: TimeGrid, z: np.ndarray):
+    """Lognormal paths driven by standard normals z (one row per path);
+    returns (paths, driver increments)."""
     increments = math.sqrt(grid.tau) * z
     drift = (model.mu - 0.5 * model.sigma**2) * grid.tau
     logv = np.cumsum(drift + model.sigma * increments, axis=1)
-    paths = np.empty((last - first, grid.n_steps + 1))
+    paths = np.empty((z.shape[0], grid.n_steps + 1))
     paths[:, 0] = model.v0
     paths[:, 1:] = model.v0 * np.exp(logv)
     return paths, increments
@@ -214,7 +229,8 @@ def simulate_gbm_paths(
     """Exact lognormal stepping v_{t+tau} = v_t * exp((mu - sigma^2/2) tau + sigma dB)."""
     if n_paths < 1:
         raise ValueError(f"need at least one path, got {n_paths}")
-    paths, increments = _gbm_block(model, grid, seed, 0, n_paths)
+    z = _normal_block(seed, 0, n_paths, stream=0, n=grid.n_steps)
+    paths, increments = _gbm_block(model, grid, z)
     return VolumePathSet(grid=grid, paths=paths, seed=int(seed), driver_increments=increments)
 
 

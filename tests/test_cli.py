@@ -1,17 +1,28 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import make_twap
 
+import volexec
 from volexec.grids import trapz
 from volexec.strategies import strategy_from_csv
 
+# the CLI runs in a child process: point it at the package the tests import
+_SRC = str(Path(volexec.__file__).resolve().parents[1])
+
 
 def run_cli(*args):
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "volexec", *args], capture_output=True, text=True
+        [sys.executable, "-m", "volexec", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -182,9 +193,24 @@ def test_validate_catches_seeded_defect(market, gbm_model, grid200):
     assert not bad["all_passed"]
     failed = [c["name"] for c in bad["checks"] if not c["passed"] and not c.get("skipped")]
     assert failed == ["variance_matches_mv"]
+    # the moment checks read the tournament's pass, the same paths a
+    # standalone estimate draws
+    from volexec.montecarlo import SimulationConfig, estimate_cost_moments
+    from volexec.strategies import expected_vwap_strategy
+
+    cfg = SimulationConfig(n_paths=600, seed=3, grid=grid200, market=market, volume=gbm_model)
+    checks = {c["name"]: c["detail"] for c in good["checks"]}
+    probes = {
+        "twap": make_twap(grid200),
+        "expected-vwap": expected_vwap_strategy(gbm_model, grid200, 1.0),
+    }
+    for name, s in probes.items():
+        est = estimate_cost_moments(s, cfg)
+        assert checks["mean_matches_expected_cost"][name]["mc"] == est.mean
+        assert checks["variance_matches_mv"][name]["mc"] == est.variance
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     r = run_cli("solve", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path))
     assert r.returncode == 2
     bad = tmp_path / "bad.json"
@@ -195,6 +221,29 @@ def test_config_errors_exit_2(tmp_path):
     del doc["market"]
     r = run_cli("solve", "--config", write_config(tmp_path, doc, "nm.json"), "--out", str(tmp_path))
     assert r.returncode == 2
+    # one malformed number each: a message and exit 2, never a traceback, a
+    # bare NaN in an artifact, or a silent coercion
+    from volexec.cli import main
+
+    for section, key, value in (
+        (None, "lambdas", ["a"]),
+        (None, "lambdas", [float("inf")]),
+        (None, "lambdas", [float("nan")]),
+        (None, "phi", float("inf")),
+        ("mc", "n_paths", "x"),
+        ("mc", "n_paths", 2.5),
+        ("mc", "seed", "x"),
+        ("mc", "antithetic", "no"),
+        (None, "out_dir", 5),
+    ):
+        out = tmp_path / "bad_out"
+        doc = dict(det_config(), out_dir=str(out))
+        (doc[section] if section else doc)[key] = value
+        rc = main(["simulate", "--config", write_config(tmp_path, doc, "case.json")])
+        err = capsys.readouterr().err
+        assert rc == 2, (key, value)
+        assert err.startswith("config error:"), err
+        assert not (out / "simulate.json").exists()
 
 
 def test_config_and_preset_conflict(tmp_path):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from volexec.cost import mv_gbm
-from volexec.grids import build_grid, trapz_weights
+from volexec.grids import build_grid, trapz
 from volexec.montecarlo import (
     SimulationConfig,
     estimate_cost_moments,
@@ -10,7 +12,13 @@ from volexec.montecarlo import (
     validate_theorem_orderings,
 )
 from volexec.strategies import Strategy, expected_vwap_strategy, vwap_strategy
-from volexec.volume import GbmVolumeModel, arcsine_profile, constant_profile, simulate_gbm_paths
+from volexec.volume import (
+    GbmVolumeModel,
+    arcsine_profile,
+    constant_profile,
+    gbm_harmonic_mean,
+    simulate_gbm_paths,
+)
 
 from conftest import make_twap
 
@@ -80,12 +88,19 @@ def test_deterministic_volume_is_broadcast(market, grid200):
 
 
 def test_batching_is_invisible(market, gbm_model, grid200, twap200):
-    cfg = _cfg(gbm_model, market, grid200, n_paths=64, seed=4)
-    a = estimate_cost_moments(twap200, cfg, batch_size=7)
-    b = estimate_cost_moments(twap200, cfg, batch_size=64)
-    assert a.mean == b.mean
-    assert a.variance == b.variance
-    assert a.n_paths == 64
+    # 600 paths span three keyed blocks, and batches of 7 start mid-block
+    cfg = _cfg(gbm_model, market, grid200, n_paths=600, seed=4)
+    for antithetic in (False, True):
+        a, ca = estimate_cost_moments(
+            twap200, cfg, antithetic=antithetic, batch_size=7, return_costs=True
+        )
+        b, cb = estimate_cost_moments(
+            twap200, cfg, antithetic=antithetic, batch_size=600, return_costs=True
+        )
+        assert np.array_equal(ca, cb)
+        assert a.mean == b.mean
+        assert a.variance == b.variance
+        assert a.n_paths == 600
 
 
 def test_repeat_runs_are_bitwise_equal(market, gbm_model, grid200, twap200):
@@ -118,6 +133,44 @@ def test_antithetic_needs_even_paths(market, gbm_model, grid200, twap200):
     cfg = _cfg(gbm_model, market, grid200, n_paths=65, seed=7)
     with pytest.raises(ValueError):
         estimate_cost_moments(twap200, cfg, antithetic=True)
+
+
+def test_antithetic_mean_matches_discrete_expectation(market_hi, gbm_model, grid200):
+    """Antithetic pairs cancel the price-risk term, so the standard error of
+    the mean shrinks until it resolves the O(tau) gap between
+    expected_cost's trapz(zeta^2/u) and the cost kernel's interval-average
+    products.  Against the kernel's exact discrete expectation, built here
+    from the harmonic-mean curve u at the nodes, the mean sits within 3 SE."""
+    g = grid200
+    z = 3.0 * (1.0 - g.nodes) ** 2 + 1e-3  # front-loaded, far from proportional
+    s = Strategy(grid=g, zeta=z / trapz(z, g.tau), Phi=1.0)
+    cfg = _cfg(gbm_model, market_hi, g, n_paths=20_000, seed=13)
+    est = estimate_cost_moments(s, cfg, antithetic=True)
+    u = gbm_harmonic_mean(gbm_model, g).v
+    zbar = 0.5 * (s.zeta[1:] + s.zeta[:-1])
+    a = s.zeta / u
+    psi_n = g.tau * zbar.sum()
+    exact = (
+        market_hi.kappa * psi_n**2 / 2.0
+        + market_hi.kappa_tilde * g.tau * np.sum(0.5 * (a[1:] + a[:-1]) * zbar)
+        + market_hi.s0 * (s.Phi - psi_n)
+    )
+    assert abs(est.mean - exact) <= 3.0 * est.std_error_mean
+
+
+def test_memory_is_bounded_by_batch(market_hi, grid500):
+    """A 20k-path, n=500 estimate holds a few batches, not every path: drawn
+    all at once, the same call peaked near 480 MB."""
+    model = GbmVolumeModel(1.0, -0.02, 0.2, rho=0.4)
+    cfg = _cfg(model, market_hi, grid500, n_paths=20_000, seed=14)
+    s = expected_vwap_strategy(model, grid500, 1.0)
+    tracemalloc.start()
+    try:
+        estimate_cost_moments(s, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120e6
 
 
 def test_antithetic_reduces_error(market, gbm_model, grid200, twap200):

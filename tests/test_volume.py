@@ -7,6 +7,7 @@ from volexec.volume import (
     arcsine_profile,
     constant_profile,
     gbm_harmonic_mean,
+    _normal_block,
     path_rng,
     profile_from_csv,
     profile_from_samples,
@@ -130,11 +131,16 @@ def test_simulation_determinism_and_path_keying(gbm_model):
     a = simulate_gbm_paths(gbm_model, g, n_paths=6, seed=5)
     b = simulate_gbm_paths(gbm_model, g, n_paths=6, seed=5)
     assert np.array_equal(a.paths, b.paths)
-    # per-path keying: a shorter run reproduces the leading paths bitwise
+    # keyed draws: a shorter run reproduces the leading paths bitwise
     c = simulate_gbm_paths(gbm_model, g, n_paths=3, seed=5)
     assert np.array_equal(c.paths, a.paths[:3])
     d = simulate_gbm_paths(gbm_model, g, n_paths=6, seed=6)
     assert not np.array_equal(a.paths, d.paths)
+    # any range, inside one block of paths or across a block boundary, is
+    # the slice of a full draw
+    full = _normal_block(5, 0, 512, stream=0, n=8)
+    for first, last in ((300, 301), (250, 270), (0, 1), (255, 512), (511, 512)):
+        assert np.array_equal(_normal_block(5, first, last, stream=0, n=8), full[first:last])
 
 
 def test_path_rng_streams_are_distinct():
