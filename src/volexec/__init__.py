@@ -38,7 +38,6 @@ from .montecarlo import (
     validate_theorem_orderings,
 )
 from .optimizer import (
-    DiscretizedProblem,
     SolveReport,
     solve_qp_deterministic,
     solve_sqp_gbm,
@@ -111,7 +110,6 @@ __all__ = [
     "LinearBvpSpec",
     "solve_linear_bvp",
     "optimal_inventory_ode",
-    "DiscretizedProblem",
     "SolveReport",
     "solve_qp_deterministic",
     "solve_sqp_gbm",

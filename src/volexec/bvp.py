@@ -64,8 +64,6 @@ def solve_linear_bvp(spec: LinearBvpSpec) -> np.ndarray:
     back-substituted solution fails the scaled residual check.
     """
     g = spec.grid
-    if g.n_steps < 3:
-        raise ValueError(f"boundary solve needs at least 3 steps, got {g.n_steps}")
     tau = g.tau
     inv2 = 1.0 / tau**2
     ai, ci = spec.a[1:-1], spec.c[1:-1]
@@ -144,6 +142,25 @@ def matched_log_derivative(v: np.ndarray, tau: float):
     return a, h
 
 
+def _matched_inventory(profile, lam, market, Phi) -> np.ndarray:
+    """Node inventory solving the divergence-matched stationarity equation
+    for any lam >= 0 (volume-proportional at lam = 0)."""
+    Phi = float(Phi)
+    if Phi <= 0.0:
+        raise ValueError(f"Phi must be positive, got {Phi}")
+    g = profile.grid
+    a, h = matched_log_derivative(profile.v, g.tau)
+    spec = LinearBvpSpec(
+        grid=g,
+        a=a,
+        c=(market.sigma_tilde**2 * lam / market.kappa_tilde) * h,
+        rhs=np.zeros(len(g)),
+        left_value=Phi,
+        right_value=0.0,
+    )
+    return solve_linear_bvp(spec)
+
+
 def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:
     """Risk-adjusted inventory from the stationarity equation of the schedule cost.
 
@@ -165,23 +182,11 @@ def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:
             "volume-proportional schedule"
         )
     Phi = float(Phi)
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
-    g = profile.grid
-    a, h = matched_log_derivative(profile.v, g.tau)
-    spec = LinearBvpSpec(
-        grid=g,
-        a=a,
-        c=(market.sigma_tilde**2 * lam / market.kappa_tilde) * h,
-        rhs=np.zeros(len(g)),
-        left_value=Phi,
-        right_value=0.0,
-    )
-    phi = solve_linear_bvp(spec)
+    phi = _matched_inventory(profile, lam, market, Phi)
     if np.any(np.diff(phi) > 1e-10 * max(1.0, Phi)):
         warnings.warn(
             "implied execution rate dips below zero; returning the unconstrained solution",
             RuntimeWarning,
             stacklevel=2,
         )
-    return InventoryCurve(grid=g, phi=phi, Phi=Phi)
+    return InventoryCurve(grid=profile.grid, phi=phi, Phi=Phi)

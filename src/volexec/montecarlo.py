@@ -181,22 +181,25 @@ def _cost_rows(
 def moment_estimate(costs: np.ndarray, antithetic: bool = False) -> MomentEstimate:
     """Sample mean/variance of one cost row, as laid out by `_cost_rows`.
 
-    With antithetic=True the mean's standard error comes from the pair means,
-    while the variance estimate pools all paths (its reported standard error
-    keeps the independent-sample formula, a mild approximation).
+    With antithetic=True the variance estimate still pools all paths, but
+    both standard errors come from the independent pairs: the mean's from the
+    pair means, the variance's from the pair means of the squared deviations,
+    since a path and its mirror carry nearly the same squared deviation.
     """
     n = costs.size
+    variance = float(costs.var(ddof=1))
     if antithetic:
         half = n // 2
         pair_means = 0.5 * (costs[:half] + costs[half:])
         se_mean = float(pair_means.std(ddof=1) / math.sqrt(half))
         mean = float(pair_means.mean())
+        sq = (costs - costs.mean()) ** 2
+        se_var = float((0.5 * (sq[:half] + sq[half:])).std(ddof=1) / math.sqrt(half))
     else:
         mean = float(costs.mean())
         se_mean = float(costs.std(ddof=1) / math.sqrt(n))
-    variance = float(costs.var(ddof=1))
-    m4 = float(np.mean((costs - costs.mean()) ** 4))
-    se_var = math.sqrt(max(m4 - variance**2, 0.0) / n)
+        m4 = float(np.mean((costs - costs.mean()) ** 4))
+        se_var = math.sqrt(max(m4 - variance**2, 0.0) / n)
     return MomentEstimate(
         mean=mean,
         variance=variance,

@@ -1,11 +1,12 @@
-"""Direct-discretization optimizers for the mean-variance schedule problem.
+"""Optimizers for the mean-variance schedule problem on per-interval rates.
 
 Decision variables are per-interval (piecewise-constant) execution rates, so
 the sell-off condition is a single exact linear constraint and the inventory
-map is lower-triangular.  The deterministic problem is a convex QP solved by
-a dense KKT factorization with an active set on the nonnegativity bounds;
-the lognormal-turnover problem is handled by damped sequential quadratic
-steps whose model Hessian keeps the exact curvature of the quadratic terms.
+map is lower-triangular.  Under deterministic turnover the optimum is one
+O(n) tridiagonal solve (the bvp module's kernel); a dense KKT active set on
+the nonnegativity bounds is its independent reference.  The lognormal-turnover
+problem is handled by damped sequential quadratic steps whose model Hessian
+keeps the exact curvature of the quadratic terms, each solved by that active set.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bvp import _matched_inventory
 from .cost import MarketParams, inverse_turnover_covariance
 from .errors import SolverFailureError
 from .grids import TimeGrid, _frozen, cumtrapz, interval_rates_to_nodes, trapz_weights
@@ -23,31 +25,6 @@ from .volume import GbmVolumeModel, VolumeProfile, gbm_harmonic_mean
 _KKT_TOL = 1e-8
 _OBJ_DECREASE_TOL = 1e-12
 _BOUND_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DiscretizedProblem:
-    """Piecewise-constant rates on the grid intervals with tau * sum = Phi."""
-
-    grid: TimeGrid
-    decision: np.ndarray
-    Phi: float
-    nonneg: bool = True
-
-    def __post_init__(self):
-        z = np.asarray(self.decision, dtype=float)
-        if z.shape != (self.grid.n_steps,):
-            raise ValueError(
-                f"decision must hold {self.grid.n_steps} interval rates, got shape {z.shape}"
-            )
-        Phi = float(self.Phi)
-        resid = abs(self.grid.tau * z.sum() - Phi)
-        if resid > 1e-10 * max(1.0, Phi):
-            raise ValueError(f"sell-off constraint violated by {resid!r}")
-        if self.nonneg and np.any(z < 0.0):
-            raise ValueError("decision violates the nonnegativity bounds")
-        object.__setattr__(self, "decision", _frozen(z))
-        object.__setattr__(self, "Phi", Phi)
 
 
 @dataclass(frozen=True)
@@ -90,8 +67,8 @@ def _solve_kkt(H, b, tau, Phi, fixed):
     return z, float(sol[nf])
 
 
-def _active_set_qp(H, b, tau, Phi, nonneg, max_iter):
-    """Minimize 1/2 z'Hz - b'z under the sell-off equality and optional z >= 0.
+def _active_set_qp(H, b, tau, Phi, max_iter):
+    """Minimize 1/2 z'Hz - b'z under the sell-off equality and z >= 0.
 
     Violating bounds are fixed and re-solved; active bounds with negative
     multipliers are released one at a time.  Returns (z, nu, iterations,
@@ -102,8 +79,6 @@ def _active_set_qp(H, b, tau, Phi, nonneg, max_iter):
     rate_scale = max(abs(Phi) / (tau * n), 1e-300)
     for it in range(1, max_iter + 1):
         z, nu = _solve_kkt(H, b, tau, Phi, fixed)
-        if not nonneg:
-            return z, nu, it, fixed, "converged"
         violating = z < -_BOUND_TOL * rate_scale
         if violating.any():
             fixed |= violating
@@ -121,11 +96,8 @@ def _active_set_qp(H, b, tau, Phi, nonneg, max_iter):
     return z, nu, max_iter, fixed, "max-iterations"
 
 
-def _kkt_residual(grad, z, tau, nonneg: bool = True):
-    """Scaled first-order residual of min f s.t. tau*sum(z)=Phi (and z >= 0)."""
-    if not nonneg:
-        nu = -float(grad.mean()) / tau
-        return float(np.abs(grad + tau * nu).max()) / max(1.0, float(np.abs(grad).max()))
+def _kkt_residual(grad, z, tau):
+    """Scaled first-order residual of min f s.t. tau*sum(z)=Phi and z >= 0."""
     at_bound = z <= 0.0
     free = ~at_bound
     if free.any():
@@ -141,62 +113,86 @@ def _kkt_residual(grad, z, tau, nonneg: bool = True):
     return r / max(1.0, float(np.abs(grad).max()))
 
 
-def _suffix_weight_matrix(w_nodes):
-    """S[i, j] = sum_{k >= max(i, j)} w_k over nodes 1..N: the exact Hessian
-    (up to the 2 tau^2 factor) of the inventory-variance term."""
-    cw = np.cumsum(w_nodes[1:][::-1])[::-1]
-    n = cw.size
-    idx = np.arange(n)
-    return cw[np.maximum(idx[:, None], idx[None, :])]
+def _quadratic_hessian(xbar, lam, market: MarketParams, w, tau):
+    """Hessian of kappa_tilde tau sum z^2/xbar + lam sigma_tilde^2 sum w phi^2
+    over interval rates: a diagonal plus 2 lam sigma_tilde^2 tau^2 S with
+    S[i, j] = sum_{k >= max(i, j)} w_k over nodes 1..N."""
+    H = 2.0 * market.kappa_tilde * tau * np.diag(1.0 / xbar)
+    if lam > 0.0:
+        cw = np.cumsum(w[1:][::-1])[::-1]
+        idx = np.arange(cw.size)
+        S = cw[np.maximum(idx[:, None], idx[None, :])]
+        H += 2.0 * lam * market.sigma_tilde**2 * tau**2 * S
+    return H
 
 
-def solve_qp_deterministic(
-    profile: VolumeProfile, lam, market: MarketParams, Phi, nonneg: bool = True
-):
-    """Optimal schedule under deterministic turnover by direct KKT solve.
+def _price_variance_gradient(phi, market: MarketParams, w, tau):
+    """Gradient of sigma_tilde^2 sum w phi^2 in the interval rates: each rate
+    lowers the inventory at every later node, hence a suffix sum."""
+    return -2.0 * market.sigma_tilde**2 * tau * np.cumsum((w[1:] * phi[1:])[::-1])[::-1]
+
+
+def _dense_qp_rates(profile: VolumeProfile, lam, market: MarketParams, Phi):
+    """Interval rates of the deterministic optimum from the dense KKT active
+    set: O(n^2) memory and O(n^3) time, the independent reference for
+    solve_qp_deterministic."""
+    grid = profile.grid
+    n, tau = grid.n_steps, grid.tau
+    vbar = 0.5 * (profile.v[1:] + profile.v[:-1])
+    w = trapz_weights(n, tau)
+    H = _quadratic_hessian(vbar, lam, market, w, tau)
+    # minus the objective's gradient at z = 0, where the inventory stays at Phi
+    b = -lam * _price_variance_gradient(np.full(n + 1, Phi), market, w, tau)
+    z, _, _, _, status = _active_set_qp(H, b, tau, Phi, max_iter=max(n, 8))
+    if status != "converged":
+        raise SolverFailureError(f"dense reference QP ended with status {status!r}")
+    return z * (Phi / (tau * z.sum()))
+
+
+def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Phi):
+    """Optimal schedule under deterministic turnover, in O(n).
 
     Discretizes kappa Phi^2/2 + lam sigma_tilde^2 int phi^2 + kappa_tilde
     int zeta^2/v over interval rates (interval turnover = mean of the two
-    node samples) and solves the convex QP exactly.  Returns the node-sampled
-    Strategy and a SolveReport carrying the raw interval rates.
+    node samples).  The stationarity system is the bvp module's tridiagonal
+    matched boundary problem, so the rates are interval differences of one
+    solve; positive turnover keeps them positive.  Rates that underflow at
+    extreme lam are clipped at zero and reported as active bounds.  The
+    status is "converged" when the KKT residual is within tolerance and
+    "stalled" otherwise.  Returns the node-sampled Strategy and a
+    SolveReport carrying the raw interval rates.
     """
     lam = float(lam)
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     Phi = float(Phi)
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
     grid = profile.grid
-    n = grid.n_steps
     tau = grid.tau
+    phi = _matched_inventory(profile, lam, market, Phi)
+    z = np.clip((phi[:-1] - phi[1:]) / tau, 0.0, None)
+    z *= Phi / (tau * z.sum())
     vbar = 0.5 * (profile.v[1:] + profile.v[:-1])
-    w = trapz_weights(n, tau)
+    w = trapz_weights(grid.n_steps, tau)
 
-    H = 2.0 * market.kappa_tilde * tau * np.diag(1.0 / vbar)
-    b = np.zeros(n)
-    if lam > 0.0:
-        c1 = lam * market.sigma_tilde**2
-        H = H + 2.0 * c1 * tau**2 * _suffix_weight_matrix(w)
-        b = 2.0 * c1 * tau * Phi * np.cumsum(w[1:][::-1])[::-1]
-
-    z, _, iterations, fixed, status = _active_set_qp(H, b, tau, Phi, nonneg, max_iter=max(n, 8))
-    z = z * (Phi / (tau * z.sum()))
-    problem = DiscretizedProblem(grid=grid, decision=z, Phi=Phi, nonneg=nonneg)
-
-    phi = np.concatenate([[Phi], Phi - tau * np.cumsum(z)])
+    # inventory as the tail sums of the rates still to sell: Phi - tau*cumsum(z)
+    # would leave rounding residue where the inventory is tiny, and at large
+    # lam that residue dominates the price-risk gradient
+    phi = np.append(tau * np.cumsum(z[::-1])[::-1], 0.0)
     objective = float(
         market.kappa * Phi**2 / 2.0
         + market.kappa_tilde * tau * np.sum(z**2 / vbar)
         + lam * market.sigma_tilde**2 * np.sum(w * phi**2)
     )
-    grad = H @ z - b
+    grad = 2.0 * market.kappa_tilde * tau * z / vbar
+    grad += lam * _price_variance_gradient(phi, market, w, tau)
+    kkt = _kkt_residual(grad, z, tau)
     report = SolveReport(
         objective=objective,
-        iterations=iterations,
-        kkt_residual=_kkt_residual(grad, z, tau, nonneg=nonneg),
-        active_bounds=tuple(int(i) for i in np.where(fixed)[0]),
-        status=status,
-        zeta_intervals=problem.decision,
+        iterations=1,
+        kkt_residual=kkt,
+        active_bounds=tuple(int(i) for i in np.where(z == 0.0)[0]),
+        status="converged" if kkt <= _KKT_TOL else "stalled",
+        zeta_intervals=_frozen(z),
     )
     strategy = Strategy(grid=grid, zeta=interval_rates_to_nodes(z), Phi=Phi)
     return strategy, report
@@ -261,8 +257,7 @@ class GbmObjective:
         expect, variance, phi, q, bmid = self._pieces(z)
         g = 2.0 * mk.kappa_tilde * tau * z / self.ubar
         if self.lam > 0.0:
-            suffix = np.cumsum((self.w[1:] * phi[1:])[::-1])[::-1]
-            g_price = -2.0 * mk.sigma_tilde**2 * tau * suffix
+            g_price = _price_variance_gradient(phi, mk, self.w, tau)
             g_quartic = 4.0 * mk.kappa_tilde**2 * tau**2 * z * (self.cov_mid @ q)
             if self.cross_coef != 0.0:
                 qe = q * self.emid
@@ -280,16 +275,7 @@ class GbmObjective:
     def model_hessian(self):
         """Exact Hessian of the quadratic terms (temporary cost + inventory
         variance); constant and positive definite, so steps stay well-posed."""
-        H = 2.0 * self.market.kappa_tilde * self.tau * np.diag(1.0 / self.ubar)
-        if self.lam > 0.0:
-            H = H + (
-                2.0
-                * self.lam
-                * self.market.sigma_tilde**2
-                * self.tau**2
-                * _suffix_weight_matrix(self.w)
-            )
-        return H
+        return _quadratic_hessian(self.ubar, self.lam, self.market, self.w, self.tau)
 
 
 def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: TimeGrid,
@@ -298,9 +284,11 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
 
     Damped sequential quadratic steps: the step subproblem keeps the exact
     curvature of the quadratic terms plus a Levenberg shift mu adapted by a
-    ratio test, and is solved with the same active-set machinery as the
-    deterministic QP.  Starts from the harmonic-mean-proportional schedule,
-    which is already optimal at lam = 0.
+    ratio test, and is solved by the dense active set.  Starts from the
+    harmonic-mean-proportional schedule, which is already optimal at lam = 0.
+    The status is "converged" only when the KKT residual is within
+    tolerance, "max-iterations" when the iteration budget runs out, and
+    "stalled" when no step lowers the objective any more.
     """
     lam = float(lam)
     if lam < 0.0:
@@ -322,14 +310,13 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
 
     for it in range(1, max_iter + 1):
         if kkt <= _KKT_TOL:
-            status = "converged"
             break
         iterations = it
-        stepped = False
+        decrease = None
         while mu < 1e12:
             Hd = H + mu * np.eye(n) if mu > 0.0 else H
             b = Hd @ z - g
-            z_new, _, _, _, sub_status = _active_set_qp(Hd, b, tau, Phi, True, max_iter=max(n, 8))
+            z_new, _, _, _, sub_status = _active_set_qp(Hd, b, tau, Phi, max_iter=max(n, 8))
             if sub_status != "converged":
                 mu = max(4.0 * mu, 1e-8)
                 continue
@@ -355,28 +342,22 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
                 mu = 0.0 if mu < 1e-10 else mu / 3.0
             elif ratio < 0.25:
                 mu = max(4.0 * mu, 1e-8)
-            stepped = True
-            if decrease <= _OBJ_DECREASE_TOL * max(1.0, abs(f)):
-                status = "converged"
             break
-        if not stepped and status != "converged":
+        if decrease is None or decrease <= _OBJ_DECREASE_TOL * max(1.0, abs(f)):
+            # no step, or a step that no longer lowers the objective
+            status = "stalled"
             break
-        if status == "converged":
-            break
-    else:
-        status = "converged" if kkt <= _KKT_TOL else "max-iterations"
     if kkt <= _KKT_TOL:
         status = "converged"
 
-    z = z * (Phi / (tau * z.sum()))
-    problem = DiscretizedProblem(grid=grid, decision=np.clip(z, 0.0, None), Phi=Phi)
+    z = np.clip(z * (Phi / (tau * z.sum())), 0.0, None)
     report = SolveReport(
-        objective=float(obj.value(problem.decision)),
+        objective=float(obj.value(z)),
         iterations=iterations,
         kkt_residual=float(kkt),
-        active_bounds=tuple(int(i) for i in np.where(problem.decision == 0.0)[0]),
+        active_bounds=tuple(int(i) for i in np.where(z == 0.0)[0]),
         status=status,
-        zeta_intervals=problem.decision,
+        zeta_intervals=_frozen(z),
     )
-    strategy = Strategy(grid=grid, zeta=interval_rates_to_nodes(problem.decision), Phi=Phi)
+    strategy = Strategy(grid=grid, zeta=interval_rates_to_nodes(z), Phi=Phi)
     return strategy, report

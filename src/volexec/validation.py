@@ -15,7 +15,6 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .bvp import optimal_inventory_ode
 from .cost import (
     MarketParams,
     expected_cost,
@@ -31,7 +30,7 @@ from .montecarlo import (
     simulate_joint_paths,
     validate_theorem_orderings,
 )
-from .optimizer import solve_qp_deterministic, solve_sqp_gbm
+from .optimizer import _dense_qp_rates, solve_qp_deterministic, solve_sqp_gbm
 from .strategies import Strategy, asymptotic_expansion, expected_vwap_strategy, vwap_strategy
 from .volume import GbmVolumeModel, VolumeProfile, arcsine_profile, gbm_harmonic_mean
 
@@ -213,10 +212,10 @@ def run_validation(
     worst = 0.0
     bq = {}
     for lam in lambdas:
+        # the tridiagonal solver against the dense KKT reference, in inventory
         _, rep = solve_qp_deterministic(p1k, lam, _STRUCTURAL_MARKET, 1.0)
-        phi_qp = np.concatenate([[1.0], 1.0 - g1k.tau * np.cumsum(rep.zeta_intervals)])
-        phi_bvp = optimal_inventory_ode(p1k, lam, _STRUCTURAL_MARKET, 1.0).phi
-        gap = float(np.max(np.abs(phi_qp - phi_bvp)))
+        z_dense = _dense_qp_rates(p1k, lam, _STRUCTURAL_MARKET, 1.0)
+        gap = float(np.max(np.abs(g1k.tau * np.cumsum(rep.zeta_intervals - z_dense))))
         bq[f"lam_{lam}"] = gap
         worst = max(worst, gap)
     checks.append(_check("bvp_qp_agreement", worst <= 1e-4, **bq))

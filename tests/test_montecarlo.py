@@ -11,6 +11,7 @@ from volexec.montecarlo import (
     simulate_joint_paths,
     validate_theorem_orderings,
 )
+from volexec.optimizer import solve_sqp_gbm
 from volexec.strategies import Strategy, expected_vwap_strategy, vwap_strategy
 from volexec.volume import (
     GbmVolumeModel,
@@ -156,6 +157,18 @@ def test_antithetic_mean_matches_discrete_expectation(market_hi, gbm_model, grid
         + market_hi.s0 * (s.Phi - psi_n)
     )
     assert abs(est.mean - exact) <= 3.0 * est.std_error_mean
+
+
+def test_antithetic_variance_error_matches_spread(market_hi):
+    """The reported standard error of an antithetic variance estimate matches
+    the spread of that estimate across seeds."""
+    g = build_grid(1.0, 50)
+    model = GbmVolumeModel(1.0, -0.02, 0.3, rho=0.5)
+    s, _ = solve_sqp_gbm(model, 5.0, market_hi, 1.0, g)
+    cfgs = [_cfg(model, market_hi, g, n_paths=4000, seed=seed) for seed in range(40)]
+    ests = [estimate_cost_moments(s, cfg, antithetic=True) for cfg in cfgs]
+    spread = np.std([e.variance for e in ests], ddof=1)
+    assert 0.8 <= spread / np.mean([e.std_error_variance for e in ests]) <= 1.25
 
 
 def test_memory_is_bounded_by_batch(market_hi, grid500):
