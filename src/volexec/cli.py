@@ -32,7 +32,7 @@ import numpy as np
 from .cost import MarketParams
 from .errors import SolverFailureError
 from .grids import TimeGrid, build_grid
-from .montecarlo import SimulationConfig, estimate_cost_moments
+from .montecarlo import SimulationConfig, _cost_rows, moment_estimate
 from .optimizer import solve_qp_deterministic, solve_sqp_gbm
 from .strategies import asymptotic_expansion, strategy_to_csv, vwap_strategy
 from .validation import run_validation
@@ -356,19 +356,27 @@ def cmd_expand(args) -> int:
 def cmd_simulate(args) -> int:
     run = _build_run(_load_doc(args), args.seed, args.grid_n)
     out = _out_dir(args, run)
-    entries = []
-    for lam, rho, s, rep in _solve_sweep(run):
+    solved = list(_solve_sweep(run))
+    # schedules that share a correlation share their paths: one pass each
+    by_rho = {}
+    for i, (_, rho, _, _) in enumerate(solved):
+        by_rho.setdefault(rho, []).append(i)
+    costs = [None] * len(solved)
+    for rho, idx in by_rho.items():
         cfg = SimulationConfig(
             n_paths=run.n_paths,
             seed=run.seed,
             grid=run.grid,
             market=run.market,
             volume=run.volume,
-            rho=rho if (rho is not None and run.stochastic) else None,
+            rho=rho,
         )
-        est, costs = estimate_cost_moments(
-            s, cfg, antithetic=run.antithetic, return_costs=True
-        )
+        rows = _cost_rows(cfg, [solved[i][2] for i in idx], antithetic=run.antithetic)
+        for i, row in zip(idx, rows):
+            costs[i] = row
+    entries = []
+    for (lam, rho, _, rep), row in zip(solved, costs):
+        est = moment_estimate(row, run.antithetic)
         entry = {"lambda": lam, "objective": rep.objective, "status": rep.status,
                  "moments": est.as_dict()}
         if rho is not None:
@@ -377,7 +385,7 @@ def cmd_simulate(args) -> int:
             fname = _strategy_filename(lam, rho).replace("strategy_", "costs_")
             with open(out / fname, "w") as f:
                 f.write("path,cost\n")
-                for i, c in enumerate(costs):
+                for i, c in enumerate(row):
                     f.write(f"{i},{c:.17g}\n")
             entry["costs_file"] = fname
         entries.append(entry)

@@ -14,6 +14,7 @@ for deterministic turnover and for the lognormal turnover model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -150,6 +151,88 @@ def _decompose(price, vol, zeta, Phi, tau, market: MarketParams):
             f"direct cost and decomposition disagree by {gap.flat[i]!r} (path {i})"
         )
     return total, permanent, temporary, price_risk
+
+
+def _cost_weights(zeta, Phi, tau, market: MarketParams):
+    """A static schedule's realized cost, affine in the price path S and 1/v.
+
+    Returns (risk, direct, temporary, total0, direct0) such that
+
+        total  = S . risk   + (1/v) . temporary + total0
+        direct = S . direct + (1/v) . temporary + direct0
+
+    `risk` holds the price-risk weights: at node k, the mean inventory of the
+    interval after k minus that of the interval before it (zero outside the
+    horizon), plus phi_N at the last node; total0 is the permanent impact
+    kappa psi_N^2 / 2.  The direct form is built on its own from the node
+    weights c of the trapezoid proceeds, as direct = Phi e_0 - c and
+    direct0 = kappa psi . c.  `temporary` = kappa_tilde zeta c serves both.
+    Each side equals _decompose's on the same schedule.
+    """
+    sold = tau * 0.5 * (zeta[1:] + zeta[:-1])  # shares sold per interval
+    psi = np.concatenate([[0.0], np.cumsum(sold)])
+    c = np.zeros(zeta.size)  # node weights of the trapezoid proceeds
+    c[:-1] += 0.5 * sold
+    c[1:] += 0.5 * sold
+    direct = -c
+    direct[0] += Phi
+    phi = Phi - psi
+    phi_bar = 0.5 * (phi[1:] + phi[:-1])
+    risk = np.zeros(zeta.size)
+    risk[:-1] += phi_bar
+    risk[1:] -= phi_bar
+    risk[-1] += phi[-1]
+    total0 = market.kappa * psi[-1] ** 2 / 2.0
+    direct0 = market.kappa * float(psi @ c)
+    return risk, direct, market.kappa_tilde * zeta * c, total0, direct0
+
+
+class _StaticCosts:
+    """Realized cost of K static schedules on a batch of paths, one contraction.
+
+    Both weight vectors of every schedule are stacked into one C-contiguous
+    (2K, n+1) matrix and each batch is contracted once with
+    einsum("ij,kj->ik"), whose entries do not depend on the batch's row count
+    or offset nor on K (BLAS matmul does: its rows change bitwise with them).
+    Under deterministic turnover (`v` given) the 1/v terms are constants per
+    schedule; otherwise one more contraction of 1/vol prices them.  The
+    direct and decomposed totals must agree on every path as in _decompose.
+    """
+
+    def __init__(self, schedules: Sequence[Strategy], market: MarketParams, v=None):
+        risk, direct, temp, total0, direct0 = zip(
+            *(_cost_weights(s.zeta, s.Phi, s.grid.tau, market) for s in schedules)
+        )
+        self.k = len(risk)
+        self.price_w = np.array(risk + direct)
+        self.temp_w = np.array(temp)
+        self.total0 = np.array(total0)
+        self.direct0 = np.array(direct0)
+        if v is not None:
+            fixed = np.einsum("kj,j->k", self.temp_w, 1.0 / v)
+            self.total0 += fixed
+            self.direct0 += fixed
+            self.temp_w = None
+
+    def __call__(self, price, vol) -> np.ndarray:
+        """Totals of shape (K, paths); `vol` is read only under stochastic turnover."""
+        both = np.einsum("ij,kj->ik", price, self.price_w)
+        total = both[:, : self.k] + self.total0
+        direct = both[:, self.k :] + self.direct0
+        if self.temp_w is not None:
+            if np.any(vol <= 0.0):
+                raise ValueError("turnover path must be strictly positive")
+            temporary = np.einsum("ij,kj->ik", 1.0 / vol, self.temp_w)
+            total += temporary
+            direct += temporary
+        gap = np.abs(direct - total)
+        if np.any(gap > _DECOMP_RTOL * np.maximum(1.0, np.abs(direct))):
+            i, k = np.unravel_index(np.argmax(gap), gap.shape)
+            raise ConsistencyError(
+                f"direct cost and decomposition disagree by {gap[i, k]!r} "
+                f"(path {i}, schedule {k})"
+            )
+        return total.T
 
 
 def realized_is_cost(price_path, volume_path, s: Strategy, market: MarketParams) -> CostBreakdown:

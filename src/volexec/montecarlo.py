@@ -7,7 +7,13 @@ block up to that row and slicing, and results do not depend on batch size.
 Every estimate runs one pass over batches of _DEFAULT_BATCH paths: each batch
 is drawn once, antithetic twins flip the signs of the normals already drawn,
 and the cost rows of all schedules read the same batch (common random
-numbers), so batch size bounds memory.  The price is arithmetic with
+numbers), so batch size bounds memory.  A static schedule's cost is affine
+in the price path and in 1/v, so every static row is a pair of weight
+vectors (decomposed and direct form) and one einsum contraction per batch
+prices them all; einsum, unlike a BLAS matmul, gives each entry bits that do
+not depend on the batch's size, offset or schedule count, so results stay
+batch-invariant.  Under deterministic turnover the anticipating schedule is
+static too and joins that contraction.  The price is arithmetic with
 volatility sigma_tilde; under a lognormal turnover model its driver is
 correlated with the turnover driver through rho.
 """
@@ -19,9 +25,9 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from .cost import MarketParams, _decompose, realized_is_cost_paths
+from .cost import MarketParams, _decompose, _StaticCosts
 from .grids import TimeGrid, require_same_grid, trapz_weights
-from .strategies import Strategy, expected_vwap_strategy
+from .strategies import Strategy, expected_vwap_strategy, vwap_strategy
 from .volume import GbmVolumeModel, VolumeProfile, _gbm_block, _normal_block
 
 _DEFAULT_BATCH = 2048  # paths per batch: bounds memory; a multiple of _BLOCK
@@ -117,7 +123,10 @@ def _joint_block(cfg: SimulationConfig, first: int, last: int, mirror: bool = Fa
             dprice = math.sqrt(grid.tau) * zs
         price = np.empty((last - first, n + 1))
         price[:, 0] = market.s0
-        price[:, 1:] = market.s0 + market.sigma_tilde * np.cumsum(dprice, axis=1)
+        # s0 + sigma_tilde * cumsum(dprice), built in place
+        np.cumsum(dprice, axis=1, out=price[:, 1:])
+        price[:, 1:] *= market.sigma_tilde
+        price[:, 1:] += market.s0
         out.append((price, vol))
     return out
 
@@ -145,20 +154,30 @@ def _cost_rows(
 ) -> np.ndarray:
     """Realized cost of every static schedule on every path, one pass.
 
-    Each batch of paths is drawn once and every row reads it.  With
-    `anticipating_phi` set, row 0 is the anticipating turnover-proportional
-    schedule for that order size (rebuilt per path) and the static schedules
-    follow.  With antithetic=True (n_paths must be even) the first n_paths/2
-    columns are the drawn paths and column n_paths/2 + i is the mirror of
-    column i.  Returns an array of shape (rows, n_paths).
+    Each batch of paths is drawn once and every row reads it.  The static
+    rows come from weight vectors (see cost._StaticCosts): one row-stable
+    einsum contraction per batch prices all of them, direct and decomposed
+    form, and checks the two agree on every path, so no path-sized
+    temporary is made per schedule.  With `anticipating_phi` set, row 0 is
+    the anticipating turnover-proportional schedule for that order size and
+    the static schedules follow.  Under deterministic turnover that schedule
+    is itself static, the volume-proportional one, and joins the contraction;
+    under stochastic turnover it is rebuilt per path through _decompose.
+    With antithetic=True (n_paths must be even) the first n_paths/2 columns
+    are the drawn paths and column n_paths/2 + i is the mirror of column i.
+    Returns an array of shape (rows, n_paths).
     """
     for s in statics:
         require_same_grid(s.grid, cfg.grid, "strategy")
     n = cfg.n_paths
     if antithetic and n % 2:
         raise ValueError(f"antithetic pairing needs an even n_paths, got {n}")
-    lead = int(anticipating_phi is not None)
-    costs = np.empty((lead + len(statics), n))
+    stochastic = isinstance(cfg.volume, GbmVolumeModel)
+    per_path = int(anticipating_phi is not None and stochastic)
+    if anticipating_phi is not None and not stochastic:
+        statics = [vwap_strategy(cfg.volume, anticipating_phi), *statics]
+    kernel = _StaticCosts(statics, cfg.market, v=None if stochastic else cfg.volume.v)
+    costs = np.empty((per_path + len(statics), n))
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
     step = max(1, batch_size // len(offsets))
@@ -168,13 +187,13 @@ def _cost_rows(
         batches = _joint_block(cfg, first, last, mirror=antithetic)
         for offset, (price, vol) in zip(offsets, batches):
             cols = slice(offset + first, offset + last)
-            if lead:
-                zeta_paths = vol * (anticipating_phi / (vol @ w))[:, None]
+            costs[per_path:, cols] = kernel(price, vol)
+            if per_path:
+                mass = np.einsum("ij,j->i", vol, w)  # row-stable, unlike vol @ w
+                zeta_paths = vol * (anticipating_phi / mass)[:, None]
                 costs[0, cols] = _decompose(
                     price, vol, zeta_paths, anticipating_phi, tau, cfg.market
                 )[0]
-            for k, s in enumerate(statics, start=lead):
-                costs[k, cols] = realized_is_cost_paths(price, vol, s, cfg.market)
     return costs
 
 

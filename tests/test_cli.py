@@ -158,6 +158,42 @@ def test_simulate_seed_override_changes_draws(tmp_path):
     assert ja["results"][0]["moments"]["mean"] != jb["results"][0]["moments"]["mean"]
 
 
+def test_simulate_draws_once_per_rho(tmp_path, monkeypatch):
+    """Schedules that share a correlation are priced on one pass of draws,
+    and each entry still holds the moments of a pass of its own."""
+    from volexec import volume
+    from volexec.cli import _build_run, _solve_sweep, main
+    from volexec.montecarlo import SimulationConfig, estimate_cost_moments
+
+    doc = gbm_config(grid_n=40, rhos=(0.0, -0.5), dump=True)
+    doc["lambdas"] = [0.0, 0.5, 1.0, 2.0]
+    doc["mc"].update(n_paths=600, antithetic=True)
+    out = tmp_path / "out"
+    doc["out_dir"] = str(out)
+    calls = []
+    draw = volume.path_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(volume, "path_rng", counted)
+    assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
+    # 300 drawn paths span 2 blocks, on 2 driver streams, for each of 2 rhos
+    assert len(calls) == 2 * 2 * 2
+    sim = json.loads((out / "simulate.json").read_text())
+    run = _build_run(doc)
+    solved = list(_solve_sweep(run))
+    assert [(e["lambda"], e["rho"]) for e in sim["results"]] == [(l, r) for l, r, _, _ in solved]
+    for entry, (_, rho, s, _) in zip(sim["results"], solved):
+        cfg = SimulationConfig(n_paths=600, seed=7, grid=run.grid, market=run.market,
+                               volume=run.volume, rho=rho)
+        est, costs = estimate_cost_moments(s, cfg, antithetic=True, return_costs=True)
+        assert entry["moments"] == est.as_dict()
+        dumped = np.loadtxt(out / entry["costs_file"], delimiter=",", skiprows=1)[:, 1]
+        assert np.array_equal(dumped, costs)
+
+
 def test_validate_small_run(tmp_path):
     cfg = write_config(tmp_path, det_config(grid_n=80, n_paths=600))
     out = tmp_path / "out"

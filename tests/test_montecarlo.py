@@ -3,10 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from volexec.cost import mv_gbm
-from volexec.grids import build_grid, trapz
+from volexec import cost
+from volexec.cost import _decompose, mv_gbm, realized_is_cost_paths
+from volexec.errors import ConsistencyError
+from volexec.grids import build_grid, trapz, trapz_weights
 from volexec.montecarlo import (
     SimulationConfig,
+    _cost_rows,
+    _joint_block,
     estimate_cost_moments,
     simulate_joint_paths,
     validate_theorem_orderings,
@@ -18,6 +22,7 @@ from volexec.volume import (
     arcsine_profile,
     constant_profile,
     gbm_harmonic_mean,
+    profile_from_samples,
     simulate_gbm_paths,
 )
 
@@ -233,3 +238,119 @@ def test_tournament_deterministic_tie(market, grid200):
     cfg = _cfg(p, market, grid200, n_paths=500, seed=11)
     out = validate_theorem_orderings(cfg, {"vwap": vwap_strategy(p, 1.0)})
     assert out["all_confirmed"]
+
+
+def _shaped(grid, power, Phi=1.0):
+    z = (grid.nodes + 0.05) ** power
+    return Strategy(grid=grid, zeta=z * (Phi / trapz(z, grid.tau)), Phi=Phi)
+
+
+def _volume(kind, grid):
+    if kind == "arcsine":
+        return arcsine_profile(grid)
+    if kind == "samples":
+        v = 1.0 + 0.5 * np.random.default_rng(3).random(len(grid))
+        return profile_from_samples(grid, v)
+    return GbmVolumeModel(1.0, -0.02, 0.3, rho=0.0)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("kind", ["arcsine", "samples", "gbm"])
+def test_cost_rows_match_decompose(market_hi, grid200, kind, antithetic, k):
+    """Oracle: every weight-vector row, the anticipating one included, equals
+    the path-by-path decomposition on the same draws."""
+    volume = _volume(kind, grid200)
+    rho = -0.6 if kind == "gbm" else None
+    cfg = _cfg(volume, market_hi, grid200, n_paths=300, seed=21, rho=rho)
+    statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)[:k]]
+    rows = _cost_rows(cfg, statics, anticipating_phi=1.0, antithetic=antithetic)
+    drawn = cfg.n_paths // 2 if antithetic else cfg.n_paths
+    batches = _joint_block(cfg, 0, drawn, mirror=antithetic)
+    price = np.concatenate([b[0] for b in batches])
+    vol = np.concatenate([b[1] for b in batches])
+    w = trapz_weights(grid200.n_steps, grid200.tau)
+    zeta_paths = vol * (1.0 / (vol @ w))[:, None]
+    ref = [_decompose(price, vol, zeta_paths, 1.0, grid200.tau, market_hi)[0]]
+    ref += [realized_is_cost_paths(price, vol, s, market_hi) for s in statics]
+    tol = 1e-12 * max(1.0, market_hi.s0 * 1.0)
+    assert rows.shape == (k + 1, cfg.n_paths)
+    for row, expected in zip(rows, ref):
+        assert np.max(np.abs(row - expected)) <= tol
+
+
+@pytest.mark.parametrize("kind", ["arcsine", "gbm"])
+def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind):
+    """The direct form has its own weights: a small error in one of them
+    breaks the per-path identity and raises, as _decompose does."""
+    build = cost._cost_weights
+
+    def perturbed(zeta, Phi, tau, market):
+        risk, direct, *rest = build(zeta, Phi, tau, market)
+        direct = direct.copy()
+        direct[len(direct) // 2] += 1e-8 * Phi
+        return (risk, direct, *rest)
+
+    cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=64, seed=22)
+    _cost_rows(cfg, [twap200])
+    monkeypatch.setattr(cost, "_cost_weights", perturbed)
+    with pytest.raises(ConsistencyError):
+        _cost_rows(cfg, [twap200])
+
+
+def test_batching_is_invisible_deterministic_tournament(market, grid200, twap200):
+    # the tournament's rows on deterministic turnover: the anticipating row
+    # joins the static contraction, and no row depends on the batch size
+    p = arcsine_profile(grid200)
+    vwap = vwap_strategy(p, 1.0)
+    cfg = _cfg(p, market, grid200, n_paths=600, seed=4)
+    for antithetic in (False, True):
+        a = _cost_rows(cfg, [twap200, vwap], 1.0, antithetic=antithetic, batch_size=7)
+        b = _cost_rows(cfg, [twap200, vwap], 1.0, antithetic=antithetic, batch_size=600)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a[0], a[2])  # anticipating == volume-proportional
+    # and these are the tournament's own rows
+    _, rows = validate_theorem_orderings(cfg, {"twap": twap200, "vwap": vwap}, True)
+    plain = _cost_rows(cfg, [twap200, vwap], 1.0, batch_size=7)
+    for name, row in zip(("anticipating-vwap", "twap", "vwap"), plain):
+        assert np.array_equal(rows[name], row)
+
+
+def test_batching_is_invisible_stochastic_tournament(market, gbm_model, grid200, twap200):
+    # the per-path anticipating row too: its turnover mass is a row-stable
+    # contraction (a BLAS matrix-vector product changed with the batch size)
+    ev = expected_vwap_strategy(gbm_model, grid200, 1.0)
+    cfg = _cfg(gbm_model, market, grid200, n_paths=600, seed=4, rho=0.3)
+    for antithetic in (False, True):
+        a = _cost_rows(cfg, [ev, twap200], 1.0, antithetic=antithetic, batch_size=7)
+        b = _cost_rows(cfg, [ev, twap200], 1.0, antithetic=antithetic, batch_size=600)
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["arcsine", "gbm"])
+def test_rows_equal_one_schedule_passes(market, grid200, kind):
+    """A shared pass gives each schedule the row a pass of its own gives,
+    bit for bit, so simulate can price a whole sweep on one set of draws."""
+    statics = [_shaped(grid200, a) for a in (0.0, 0.7, 2.0, -0.3)]
+    cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=600, seed=23)
+    for antithetic in (False, True):
+        rows = _cost_rows(cfg, statics, antithetic=antithetic, batch_size=256)
+        for s, row in zip(statics, rows):
+            _, alone = estimate_cost_moments(s, cfg, antithetic=antithetic, return_costs=True)
+            assert np.array_equal(row, alone)
+
+
+def test_memory_does_not_grow_with_schedules(market_hi, grid500, arcsine500):
+    """Static rows are weight vectors: eight schedules hold the same batch
+    temporaries as one."""
+    cfg = _cfg(arcsine500, market_hi, grid500, n_paths=20_000, seed=24)
+    statics = [_shaped(grid500, a) for a in np.linspace(-0.5, 2.0, 8)]
+    peaks = []
+    for subset in (statics[:1], statics):
+        tracemalloc.start()
+        try:
+            _cost_rows(cfg, subset)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8e6
