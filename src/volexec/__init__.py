@@ -58,15 +58,11 @@ from .strategies import (
 from .validation import run_validation
 from .volume import (
     GbmVolumeModel,
-    VolumePathSet,
     VolumeProfile,
     arcsine_profile,
     constant_profile,
     gbm_harmonic_mean,
-    profile_from_csv,
     profile_from_samples,
-    profile_to_csv,
-    simulate_gbm_paths,
 )
 
 __version__ = "0.1.0"
@@ -76,14 +72,10 @@ __all__ = [
     "build_grid",
     "VolumeProfile",
     "GbmVolumeModel",
-    "VolumePathSet",
     "arcsine_profile",
     "constant_profile",
     "profile_from_samples",
-    "profile_to_csv",
-    "profile_from_csv",
     "gbm_harmonic_mean",
-    "simulate_gbm_paths",
     "Strategy",
     "InventoryCurve",
     "inventory_from_rate",

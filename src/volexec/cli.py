@@ -31,7 +31,7 @@ import numpy as np
 
 from .cost import MarketParams
 from .errors import SolverFailureError
-from .grids import TimeGrid, build_grid
+from .grids import TimeGrid, build_grid, write_csv
 from .montecarlo import SimulationConfig, _cost_rows, moment_estimate
 from .optimizer import solve_qp_deterministic, solve_sqp_gbm
 from .strategies import asymptotic_expansion, strategy_to_csv, vwap_strategy
@@ -345,10 +345,7 @@ def cmd_expand(args) -> int:
         columns[f"composite_lam{_fmt(lam)}"] = comp.zeta
     columns["zeta1"] = zeta1
     names = ["t", "zeta0", "zeta1"] + [k for k in columns if k.startswith("composite_")]
-    with open(out / "expansion.csv", "w") as f:
-        f.write(",".join(names) + "\n")
-        for row in zip(*(columns[k] for k in names)):
-            f.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    write_csv(out / "expansion.csv", names, [columns[k] for k in names])
     _emit({"command": "expand", "out_dir": str(out), "n_lambdas": len(run.lambdas)})
     return 0
 
@@ -383,10 +380,7 @@ def cmd_simulate(args) -> int:
             entry["rho"] = rho
         if run.dump_paths:
             fname = _strategy_filename(lam, rho).replace("strategy_", "costs_")
-            with open(out / fname, "w") as f:
-                f.write("path,cost\n")
-                for i, c in enumerate(row):
-                    f.write(f"{i},{c:.17g}\n")
+            write_csv(out / fname, ["path", "cost"], [range(len(row)), row])
             entry["costs_file"] = fname
         entries.append(entry)
     report = {"schema": SCHEMA_VERSION, "command": "simulate", "results": entries}

@@ -1,4 +1,4 @@
-"""Uniform time grids on [0, T]."""
+"""Uniform time grids on [0, T], node quadrature and the CSV writer."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -97,3 +97,12 @@ def derivative(y: np.ndarray, tau: float) -> np.ndarray:
     d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * tau)
     d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * tau)
     return d
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns under a header, one row per entry, every
+    value as %.17g (integers print as integers, doubles round-trip exactly)."""
+    row = ",".join(["{:.17g}"] * len(header)) + "\n"
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(row.format(*r) for r in zip(*(np.asarray(c).tolist() for c in columns)))

@@ -23,6 +23,7 @@ from .grids import (
     derivative,
     interval_rates_to_nodes,
     trapz,
+    write_csv,
 )
 from .volume import GbmVolumeModel, VolumeProfile, gbm_harmonic_mean
 
@@ -201,27 +202,6 @@ def ac_closed_form(lam, market, v, grid: TimeGrid, Phi) -> Strategy:
     return Strategy(grid=grid, zeta=zeta, Phi=Phi)
 
 
-def correction_closed_form(profile: VolumeProfile, market, Phi) -> np.ndarray:
-    """Quadrature form of the first-order inventory correction (diagnostic).
-
-    Integrating the correction equation twice against the profile's exact
-    cumulative fields gives, with s = sigma_tilde^2 Phi / kappa_tilde,
-
-        phi1(t) = s * [ t V_t - calV_t - (V_t calV_t - int_0^t V^2)/V_T + K V_t ],
-        K = 2 calV_T / V_T - T - (int_0^T V^2) / V_T^2.
-
-    This matches the boundary-value solve only as well as the profile's
-    closed-form cumulatives match the trapezoid integrals of its sampled v,
-    so it serves as an independent cross-check rather than the primary path.
-    """
-    t = profile.grid.nodes
-    V, calV, V2 = profile.V, profile.calV, profile.V2int
-    VT = V[-1]
-    s = market.sigma_tilde**2 * float(Phi) / market.kappa_tilde
-    K = 2.0 * calV[-1] / VT - profile.grid.T - V2[-1] / VT**2
-    return s * (t * V - calV - (V * calV - V2) / VT + K * V)
-
-
 def asymptotic_expansion(profile: VolumeProfile, market, lam, Phi):
     """First-order expansion of the optimal schedule around volume-proportional.
 
@@ -267,11 +247,7 @@ def asymptotic_expansion(profile: VolumeProfile, market, lam, Phi):
 # CSV serialization: columns t,zeta,phi at full double precision.
 
 def strategy_to_csv(s: Strategy, path: str) -> None:
-    phi = inventory_from_rate(s).phi
-    with open(path, "w") as f:
-        f.write("t,zeta,phi\n")
-        for row in zip(s.grid.nodes, s.zeta, phi):
-            f.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    write_csv(path, ["t", "zeta", "phi"], [s.grid.nodes, s.zeta, inventory_from_rate(s).phi])
 
 
 def strategy_from_csv(path: str) -> Strategy:
@@ -283,11 +259,13 @@ def strategy_from_csv(path: str) -> Strategy:
         it, iz = header.index("t"), header.index("zeta")
     except ValueError as e:
         raise ValueError(f"strategy CSV needs at least columns t,zeta; got {header}") from e
-    t, zeta = data[:, it], data[:, iz]
-    if len(t) < 3:
+    if len(data) < 3:
         raise ValueError("strategy CSV must contain at least 3 nodes")
+    t, zeta = data[:, it], data[:, iz]
     tau = t[1] - t[0]
-    if t[0] != 0.0 or tau <= 0.0 or np.max(np.abs(np.diff(t) - tau)) > 1e-12 * max(t[-1], 1.0):
+    gap = np.max(np.abs(np.diff(t) - tau))
+    # written as not(x <= tol) so that a NaN node fails the test
+    if t[0] != 0.0 or not (tau > 0.0) or not (gap <= 1e-12 * max(t[-1], 1.0)):
         raise ValueError("strategy CSV must carry a uniform grid starting at t = 0")
     grid = build_grid(T=t[-1], n_steps=len(t) - 1)
     return Strategy(grid=grid, zeta=zeta, Phi=trapz(zeta, grid.tau))

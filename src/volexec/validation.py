@@ -18,6 +18,7 @@ import numpy as np
 from .cost import (
     MarketParams,
     expected_cost,
+    market_vwap,
     mv_deterministic,
     mv_gbm,
     mv_gbm_quadrature_check,
@@ -164,12 +165,9 @@ def run_validation(
     gap = float(np.max(np.abs(totals - direct) / np.maximum(1.0, np.abs(direct))))
     checks.append(_check("cost_identity_pathwise", gap <= 1e-8, max_rel_gap=gap))
 
-    w = trapz_weights(grid.n_steps, grid.tau)
-    mass = vol @ w
-    zeta_paths = vol * (probe.Phi / mass)[:, None]
-    trader = np.sum(w * price * zeta_paths, axis=-1) / np.sum(w * zeta_paths, axis=-1)
-    mkt = np.sum(w * price * vol, axis=-1) / mass
-    slip = float(np.max(np.abs(trader - mkt)))
+    # the trader's VWAP of the per-path volume-proportional schedule
+    zeta_paths = vol * (probe.Phi / (vol @ trapz_weights(grid.n_steps, grid.tau)))[:, None]
+    slip = float(np.max(np.abs(market_vwap(price, zeta_paths) - market_vwap(price, vol))))
     checks.append(_check("vwap_slippage_zero", slip <= 1e-10, max_abs_slippage=slip))
 
     terminal = price[:, -1]

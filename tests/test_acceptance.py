@@ -31,7 +31,6 @@ from volexec.volume import (
     constant_profile,
     gbm_harmonic_mean,
     profile_from_samples,
-    simulate_gbm_paths,
 )
 
 MARKET_LO = MarketParams(kappa=0.1, kappa_tilde=0.02, sigma_tilde=0.1, s0=100.0)

@@ -19,11 +19,12 @@ from volexec.optimizer import solve_sqp_gbm
 from volexec.strategies import Strategy, expected_vwap_strategy, vwap_strategy
 from volexec.volume import (
     GbmVolumeModel,
+    _gbm_block,
+    _normal_block,
     arcsine_profile,
     constant_profile,
     gbm_harmonic_mean,
     profile_from_samples,
-    simulate_gbm_paths,
 )
 
 from conftest import make_twap
@@ -59,8 +60,9 @@ def test_effective_rho_resolution(market, grid200):
 def test_volume_paths_match_reference_sampler(market, gbm_model, grid200):
     cfg = _cfg(gbm_model, market, grid200, n_paths=16, seed=12)
     price, vol = simulate_joint_paths(cfg)
-    ref = simulate_gbm_paths(gbm_model, grid200, n_paths=16, seed=12)
-    assert np.array_equal(vol, ref.paths)
+    z = _normal_block(12, 0, 16, stream=0, n=grid200.n_steps)
+    ref, _ = _gbm_block(gbm_model, grid200, z)
+    assert np.array_equal(vol, ref)
     assert np.all(price[:, 0] == market.s0)
 
 
