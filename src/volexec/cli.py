@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .cost import MarketParams
-from .errors import SolverFailureError
+from .errors import ConsistencyError, SolverFailureError
 from .grids import TimeGrid, build_grid, write_csv
 from .montecarlo import SimulationConfig, _cost_rows, moment_estimate
 from .optimizer import solve_qp_deterministic, solve_sqp_gbm
@@ -41,6 +41,7 @@ from .volume import (
     VolumeProfile,
     arcsine_profile,
     constant_profile,
+    gbm_harmonic_mean,
     profile_from_samples,
 )
 
@@ -181,6 +182,7 @@ def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig
                 sigma=_require(vdoc, "sigma", float, "volume"),
                 rho=_require(vdoc, "rho", float, "volume"),
             )
+            gbm_harmonic_mean(volume, grid)  # rejects a curve that over- or underflows
         else:
             raise ConfigError(f"unknown volume.type {vtype!r}")
     except ValueError as e:
@@ -269,9 +271,7 @@ def _solve_sweep(run: RunConfig):
         rhos = run.rhos or [run.volume.rho]
         for lam in run.lambdas:
             for rho in rhos:
-                model = GbmVolumeModel(
-                    v0=run.volume.v0, mu=run.volume.mu, sigma=run.volume.sigma, rho=rho
-                )
+                model = replace(run.volume, rho=rho)
                 s, rep = solve_sqp_gbm(model, lam, run.market, run.Phi, run.grid)
                 yield lam, rho, s, rep
     else:
@@ -365,8 +365,7 @@ def cmd_simulate(args) -> int:
             seed=run.seed,
             grid=run.grid,
             market=run.market,
-            volume=run.volume,
-            rho=rho,
+            volume=run.volume if rho is None else replace(run.volume, rho=rho),
         )
         rows = _cost_rows(cfg, [solved[i][2] for i in idx], antithetic=run.antithetic)
         for i, row in zip(idx, rows):
@@ -420,6 +419,9 @@ def main(argv=None) -> int:
         return 2
     except SolverFailureError as e:
         print(f"solver failure: {e}", file=sys.stderr)
+        return 3
+    except (ValueError, ConsistencyError) as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 
 

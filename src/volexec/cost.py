@@ -6,8 +6,11 @@ turnover path v is
     C = S0_0 * Phi - int_0^T S_t zeta_t dt,
     S_t = S0_t - kappa * int_0^t zeta - kappa_tilde * zeta_t / v_t,
 
-and it decomposes exactly (by summation by parts, see realized_is_cost) into
+and it decomposes exactly (by summation by parts, see _cost_weights) into
 permanent impact, temporary impact, and a zero-mean price-risk term.  The
+cost is affine in the price path and in 1/v, so one kernel, _cost_weights,
+turns a schedule (or one schedule per path) into weight vectors, and every
+realized cost in the package is a contraction of paths with them.  The
 expected/variance formulas below reproduce that decomposition in closed form
 for deterministic turnover and for the lognormal turnover model.
 """
@@ -112,51 +115,11 @@ def _check_paths(price_path, volume_path, s: Strategy):
     return price, vol
 
 
-def _decompose(price, vol, zeta, Phi, tau, market: MarketParams):
-    """Exact discrete decomposition of the realized cost; broadcasts over paths
-    (zeta may itself carry a path axis, e.g. for anticipating schedules).
-
-    Interval quantities use products of interval averages (not averaged
-    products), which makes the discrete integration by parts exact:
-
-        sum Psi_bar dPsi = Psi_N^2 / 2,
-        S0_0 Phi - sum S0_bar dPsi = S0_N phi_N - sum phi_bar dS0,
-
-    so total == direct evaluation up to floating-point rounding, far inside
-    the 1e-8 cross-check tolerance.
-    """
-    zbar = 0.5 * (zeta[..., 1:] + zeta[..., :-1])
-    psi = np.concatenate(
-        [np.zeros(zbar.shape[:-1] + (1,)), np.cumsum(tau * zbar, axis=-1)], axis=-1
-    )
-    temp_node = market.kappa_tilde * zeta / vol
-    affected = price - market.kappa * psi - temp_node
-    direct = price[..., 0] * Phi - np.sum(
-        tau * 0.5 * (affected[..., 1:] + affected[..., :-1]) * zbar, axis=-1
-    )
-
-    permanent = market.kappa * psi[..., -1] ** 2 / 2.0
-    temporary = np.sum(tau * 0.5 * (temp_node[..., 1:] + temp_node[..., :-1]) * zbar, axis=-1)
-    phi_raw = Phi - psi
-    phi_bar = 0.5 * (phi_raw[..., 1:] + phi_raw[..., :-1])
-    price_risk = price[..., -1] * phi_raw[..., -1] - np.sum(
-        phi_bar * np.diff(price, axis=-1), axis=-1
-    )
-    total = permanent + temporary + price_risk
-    gap = np.abs(direct - total)
-    bad = gap > _DECOMP_RTOL * np.maximum(1.0, np.abs(direct))
-    if np.any(bad):
-        i = int(np.argmax(gap))
-        raise ConsistencyError(
-            f"direct cost and decomposition disagree by {gap.flat[i]!r} (path {i})"
-        )
-    return total, permanent, temporary, price_risk
-
-
 def _cost_weights(zeta, Phi, tau, market: MarketParams):
-    """A static schedule's realized cost, affine in the price path S and 1/v.
+    """A schedule's realized cost, affine in the price path S and 1/v.
 
-    Returns (risk, direct, temporary, total0, direct0) such that
+    `zeta` is one schedule or, with leading path axes, one per path.  Returns
+    (risk, direct, temporary, total0, direct0) such that
 
         total  = S . risk   + (1/v) . temporary + total0
         direct = S . direct + (1/v) . temporary + direct0
@@ -167,24 +130,50 @@ def _cost_weights(zeta, Phi, tau, market: MarketParams):
     kappa psi_N^2 / 2.  The direct form is built on its own from the node
     weights c of the trapezoid proceeds, as direct = Phi e_0 - c and
     direct0 = kappa psi . c.  `temporary` = kappa_tilde zeta c serves both.
-    Each side equals _decompose's on the same schedule.
+    Products of interval averages make the discrete integration by parts
+    exact (sum Psi_bar dPsi = Psi_N^2 / 2, and S0_0 Phi - sum S0_bar dPsi =
+    S0_N phi_N - sum phi_bar dS0), so the two forms agree to rounding.
     """
-    sold = tau * 0.5 * (zeta[1:] + zeta[:-1])  # shares sold per interval
-    psi = np.concatenate([[0.0], np.cumsum(sold)])
-    c = np.zeros(zeta.size)  # node weights of the trapezoid proceeds
-    c[:-1] += 0.5 * sold
-    c[1:] += 0.5 * sold
+    zero = np.zeros(zeta.shape[:-1] + (1,))
+    sold = tau * 0.5 * (zeta[..., 1:] + zeta[..., :-1])  # shares sold per interval
+    psi = np.concatenate([zero, np.cumsum(sold, axis=-1)], axis=-1)
+    padded = np.concatenate([zero, sold, zero], axis=-1)
+    c = 0.5 * (padded[..., 1:] + padded[..., :-1])  # node weights of the proceeds
     direct = -c
-    direct[0] += Phi
+    direct[..., 0] += Phi
     phi = Phi - psi
-    phi_bar = 0.5 * (phi[1:] + phi[:-1])
-    risk = np.zeros(zeta.size)
-    risk[:-1] += phi_bar
-    risk[1:] -= phi_bar
-    risk[-1] += phi[-1]
-    total0 = market.kappa * psi[-1] ** 2 / 2.0
-    direct0 = market.kappa * float(psi @ c)
+    phi_bar = 0.5 * (phi[..., 1:] + phi[..., :-1])
+    risk = np.diff(np.concatenate([zero, phi_bar, phi[..., -1:]], axis=-1), axis=-1)
+    total0 = market.kappa * psi[..., -1] ** 2 / 2.0
+    direct0 = market.kappa * _dot(psi, c)
     return risk, direct, market.kappa_tilde * zeta * c, total0, direct0
+
+
+def _dot(a, b):
+    """Row-wise dot product over the last axis, row-stable (unlike BLAS)."""
+    return np.einsum("...j,...j->...", a, b)
+
+
+def _require_agreement(direct, total):
+    """ConsistencyError unless the direct and decomposed totals agree to 1e-8."""
+    gap = np.abs(direct - total)
+    if np.any(gap > _DECOMP_RTOL * np.maximum(1.0, np.abs(direct))):
+        at = np.unravel_index(np.argmax(gap), gap.shape)
+        raise ConsistencyError(
+            f"direct cost and decomposition disagree by {gap[at]!r} at index {at}"
+        )
+
+
+def _path_costs(price, vol, zeta, Phi, tau, market: MarketParams):
+    """Realized cost on paths (rows) of one schedule, or of one schedule per
+    path: (total, permanent, temporary, price_risk), after the direct form is
+    checked against the total."""
+    risk, direct, temp, total0, direct0 = _cost_weights(zeta, Phi, tau, market)
+    temporary = _dot(1.0 / vol, temp)
+    price_risk = _dot(price, risk)
+    total = price_risk + total0 + temporary
+    _require_agreement(_dot(price, direct) + direct0 + temporary, total)
+    return total, total0, temporary, price_risk
 
 
 class _StaticCosts:
@@ -196,7 +185,7 @@ class _StaticCosts:
     or offset nor on K (BLAS matmul does: its rows change bitwise with them).
     Under deterministic turnover (`v` given) the 1/v terms are constants per
     schedule; otherwise one more contraction of 1/vol prices them.  The
-    direct and decomposed totals must agree on every path as in _decompose.
+    direct and decomposed totals must agree on every path, as in _path_costs.
     """
 
     def __init__(self, schedules: Sequence[Strategy], market: MarketParams, v=None):
@@ -225,42 +214,27 @@ class _StaticCosts:
             temporary = np.einsum("ij,kj->ik", 1.0 / vol, self.temp_w)
             total += temporary
             direct += temporary
-        gap = np.abs(direct - total)
-        if np.any(gap > _DECOMP_RTOL * np.maximum(1.0, np.abs(direct))):
-            i, k = np.unravel_index(np.argmax(gap), gap.shape)
-            raise ConsistencyError(
-                f"direct cost and decomposition disagree by {gap[i, k]!r} "
-                f"(path {i}, schedule {k})"
-            )
+        _require_agreement(direct, total)
         return total.T
 
 
 def realized_is_cost(price_path, volume_path, s: Strategy, market: MarketParams) -> CostBreakdown:
     """Realized shortfall of a schedule on one (price, turnover) path.
 
-    The direct evaluation and the permanent/temporary/price-risk decomposition
-    are both computed and must agree within 1e-8 relative (they agree to
-    rounding by construction); disagreement raises ConsistencyError.
+    The permanent/temporary/price-risk parts come from the schedule's cost
+    weights; the direct evaluation must agree with their total within 1e-8
+    relative (it does to rounding by construction), else ConsistencyError.
     """
     price, vol = _check_paths(price_path, volume_path, s)
     if price.ndim != 1:
         raise ValueError(f"expected a single path, got shape {price.shape}")
-    total, permanent, temporary, price_risk = _decompose(
-        price, vol, s.zeta, s.Phi, s.grid.tau, market
-    )
-    return CostBreakdown(
-        total=float(total),
-        permanent=float(permanent),
-        temporary=float(temporary),
-        price_risk=float(price_risk),
-    )
+    return CostBreakdown(*map(float, _path_costs(price, vol, s.zeta, s.Phi, s.grid.tau, market)))
 
 
 def realized_is_cost_paths(price_paths, volume_paths, s: Strategy, market: MarketParams):
     """Vectorized realized cost over a batch of paths (rows); returns totals."""
     price, vol = _check_paths(price_paths, volume_paths, s)
-    total, _, _, _ = _decompose(price, vol, s.zeta, s.Phi, s.grid.tau, market)
-    return np.asarray(total, dtype=float)
+    return _path_costs(price, vol, s.zeta, s.Phi, s.grid.tau, market)[0]
 
 
 def market_vwap(price_path, volume_path):

@@ -7,7 +7,8 @@ import numpy as np
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=float))
+    """A read-only contiguous float copy; the caller's array stays writeable."""
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 

@@ -13,9 +13,11 @@ vectors (decomposed and direct form) and one einsum contraction per batch
 prices them all; einsum, unlike a BLAS matmul, gives each entry bits that do
 not depend on the batch's size, offset or schedule count, so results stay
 batch-invariant.  Under deterministic turnover the anticipating schedule is
-static too and joins that contraction.  The price is arithmetic with
-volatility sigma_tilde; under a lognormal turnover model its driver is
-correlated with the turnover driver through rho.
+static too and joins that contraction; under stochastic turnover its
+per-path schedules get their weight vectors from the same kernel
+(cost._cost_weights) and are priced by row-wise einsum.  The price is
+arithmetic with volatility sigma_tilde; under a lognormal turnover model its
+driver is correlated with the turnover driver through the model's rho.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from .cost import MarketParams, _decompose, _StaticCosts
+from .cost import MarketParams, _path_costs, _StaticCosts
 from .grids import TimeGrid, require_same_grid, trapz_weights
 from .strategies import Strategy, expected_vwap_strategy, vwap_strategy
 from .volume import GbmVolumeModel, VolumeProfile, _gbm_block, _normal_block
@@ -37,15 +39,14 @@ EXPECTED_VWAP_LABEL = "expected-vwap"
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Inputs of a simulation run; rho overrides the turnover model's own
-    correlation when set (it must stay unset for deterministic turnover)."""
+    """Inputs of a simulation run; a stochastic turnover model carries the
+    price-turnover correlation rho."""
 
     n_paths: int
     seed: int
     grid: TimeGrid
     market: MarketParams
     volume: Union[VolumeProfile, GbmVolumeModel]
-    rho: Optional[float] = None
 
     def __post_init__(self):
         n = int(self.n_paths)
@@ -55,23 +56,8 @@ class SimulationConfig:
         object.__setattr__(self, "seed", int(self.seed))
         if isinstance(self.volume, VolumeProfile):
             require_same_grid(self.volume.grid, self.grid, "volume profile")
-            if self.rho is not None:
-                raise ValueError("rho only applies to a stochastic turnover model")
         elif not isinstance(self.volume, GbmVolumeModel):
             raise TypeError(f"unsupported volume input: {type(self.volume).__name__}")
-        if self.rho is not None:
-            r = float(self.rho)
-            if not -1.0 <= r <= 1.0:
-                raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
-            object.__setattr__(self, "rho", r)
-
-    @property
-    def effective_rho(self) -> float:
-        if self.rho is not None:
-            return self.rho
-        if isinstance(self.volume, GbmVolumeModel):
-            return self.volume.rho
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -108,7 +94,7 @@ def _joint_block(cfg: SimulationConfig, first: int, last: int, mirror: bool = Fa
     stochastic = isinstance(cfg.volume, GbmVolumeModel)
     if stochastic:
         zw = math.sqrt(grid.tau) * _normal_block(cfg.seed, first, last, stream=1, n=n)
-        rho = cfg.effective_rho
+        rho = cfg.volume.rho
         mix = math.sqrt(max(0.0, 1.0 - rho**2))
     draws = [(z, zw if stochastic else None)]
     if mirror:
@@ -162,7 +148,8 @@ def _cost_rows(
     the anticipating turnover-proportional schedule for that order size and
     the static schedules follow.  Under deterministic turnover that schedule
     is itself static, the volume-proportional one, and joins the contraction;
-    under stochastic turnover it is rebuilt per path through _decompose.
+    under stochastic turnover it is rebuilt per path as Phi v / (w . v) and
+    priced from its per-path weight vectors (cost._path_costs).
     With antithetic=True (n_paths must be even) the first n_paths/2 columns
     are the drawn paths and column n_paths/2 + i is the mirror of column i.
     Returns an array of shape (rows, n_paths).
@@ -176,7 +163,8 @@ def _cost_rows(
     per_path = int(anticipating_phi is not None and stochastic)
     if anticipating_phi is not None and not stochastic:
         statics = [vwap_strategy(cfg.volume, anticipating_phi), *statics]
-    kernel = _StaticCosts(statics, cfg.market, v=None if stochastic else cfg.volume.v)
+    if statics:
+        kernel = _StaticCosts(statics, cfg.market, v=None if stochastic else cfg.volume.v)
     costs = np.empty((per_path + len(statics), n))
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
@@ -187,11 +175,12 @@ def _cost_rows(
         batches = _joint_block(cfg, first, last, mirror=antithetic)
         for offset, (price, vol) in zip(offsets, batches):
             cols = slice(offset + first, offset + last)
-            costs[per_path:, cols] = kernel(price, vol)
+            if statics:
+                costs[per_path:, cols] = kernel(price, vol)
             if per_path:
                 mass = np.einsum("ij,j->i", vol, w)  # row-stable, unlike vol @ w
                 zeta_paths = vol * (anticipating_phi / mass)[:, None]
-                costs[0, cols] = _decompose(
+                costs[0, cols] = _path_costs(
                     price, vol, zeta_paths, anticipating_phi, tau, cfg.market
                 )[0]
     return costs

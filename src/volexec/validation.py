@@ -11,7 +11,7 @@ repeated runs with the same inputs serialize to identical bytes.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -73,7 +73,6 @@ def run_validation(
     n_paths: int = 20_000,
     seed: int = 0,
     lambdas=(0.5, 1.0, 2.0),
-    rho: Optional[float] = None,
     _corrupt_kappa_tilde: float = 1.0,
 ) -> dict:
     """Run every check and return the report dict.
@@ -86,19 +85,11 @@ def run_validation(
     checks = []
     stochastic = isinstance(volume, GbmVolumeModel)
     degenerate = stochastic and volume.sigma == 0.0
-    cfg = SimulationConfig(
-        n_paths=n_paths, seed=seed, grid=grid, market=market, volume=volume, rho=rho
-    )
-    if stochastic and rho is not None:
-        volume_eff = GbmVolumeModel(
-            v0=volume.v0, mu=volume.mu, sigma=volume.sigma, rho=float(rho)
-        )
-    else:
-        volume_eff = volume
+    cfg = SimulationConfig(n_paths=n_paths, seed=seed, grid=grid, market=market, volume=volume)
 
     probes = {"twap": _twap(grid, Phi)}
     if stochastic:
-        probes["expected-vwap"] = expected_vwap_strategy(volume_eff, grid, Phi)
+        probes["expected-vwap"] = expected_vwap_strategy(volume, grid, Phi)
     else:
         probes["vwap"] = vwap_strategy(volume, Phi)
 
@@ -118,10 +109,10 @@ def run_validation(
     mean_ok = var_ok = True
     for name, s in probes.items():
         est = moment_estimate(rows[name])
-        ec = expected_cost(s, volume_eff, market)
+        ec = expected_cost(s, volume, market)
         zm = (est.mean - ec) / est.std_error_mean
         if stochastic:
-            analytic_var = mv_gbm(s, volume_eff, 1.0, corrupted).variance
+            analytic_var = mv_gbm(s, volume, 1.0, corrupted).variance
         else:
             analytic_var = mv_deterministic(s, volume, 1.0, corrupted).variance
         zv = (est.variance - analytic_var) / est.std_error_variance
@@ -157,7 +148,7 @@ def run_validation(
     # --- pathwise identities ---------------------------------------------
     probe = next(iter(probes.values()))
     ident_cfg = SimulationConfig(
-        n_paths=min(n_paths, 1000), seed=seed, grid=grid, market=market, volume=volume, rho=rho
+        n_paths=min(n_paths, 1000), seed=seed, grid=grid, market=market, volume=volume
     )
     price, vol = simulate_joint_paths(ident_cfg)
     totals = realized_is_cost_paths(price, vol, probe, market)
@@ -183,7 +174,7 @@ def run_validation(
         checks.append(_skip("harmonic_mean_check", "turnover volatility is zero"))
         checks.append(_skip("cross_check_quadrature", "turnover volatility is zero"))
     else:
-        u = gbm_harmonic_mean(volume_eff, grid).v
+        u = gbm_harmonic_mean(volume, grid).v
         probe_nodes = [grid.n_steps // 4, grid.n_steps // 2, grid.n_steps]
         hz, hd = 0.0, {}
         for j in probe_nodes:
@@ -197,8 +188,8 @@ def run_validation(
         rel = 0.0
         qd = {}
         for name, s in probes.items():
-            a = mv_gbm(s, volume_eff, 1.0, market)
-            b = mv_gbm_quadrature_check(s, volume_eff, 1.0, market)
+            a = mv_gbm(s, volume, 1.0, market)
+            b = mv_gbm_quadrature_check(s, volume, 1.0, market)
             r = abs(a.variance - b.variance) / max(abs(a.variance), 1e-300)
             qd[name] = {"reduced": a.variance, "quadrature": b.variance, "rel_gap": r}
             rel = max(rel, r)
@@ -220,13 +211,13 @@ def run_validation(
 
     g500 = build_grid(1.0, 500)
     p500 = arcsine_profile(g500)
-    _, rep0 = solve_qp_deterministic(p500, 0.0, _STRUCTURAL_MARKET, 1.0)
+    s0_, rep0 = solve_qp_deterministic(p500, 0.0, _STRUCTURAL_MARKET, 1.0)
     vbar = 0.5 * (p500.v[1:] + p500.v[:-1])
     ref = vbar / (g500.tau * vbar.sum())
     rel = float(np.max(np.abs(rep0.zeta_intervals - ref) / ref))
     checks.append(_check("qp_lambda0_vwap", rel <= 1e-8, rel_sup_gap=rel))
 
-    sqp_model = volume_eff if (stochastic and not degenerate) else _STRUCTURAL_MODEL
+    sqp_model = volume if (stochastic and not degenerate) else _STRUCTURAL_MODEL
     g200 = build_grid(1.0, 200)
     _, rep_s = solve_sqp_gbm(sqp_model, 0.0, _STRUCTURAL_MARKET, 1.0, g200)
     u200 = gbm_harmonic_mean(sqp_model, g200).v
@@ -242,7 +233,6 @@ def run_validation(
         )
     )
 
-    s0_, _ = solve_qp_deterministic(p500, 0.0, _STRUCTURAL_MARKET, 1.0)
     _, zeta1 = asymptotic_expansion(p500, _STRUCTURAL_MARKET, 0.0, 1.0)
     m = {}
     for lam in (1e-2, 1e-3):
@@ -260,9 +250,7 @@ def run_validation(
     )
 
     # --- determinism -------------------------------------------------------
-    small = SimulationConfig(
-        n_paths=64, seed=seed, grid=grid, market=market, volume=volume, rho=rho
-    )
+    small = SimulationConfig(n_paths=64, seed=seed, grid=grid, market=market, volume=volume)
     pa, va = simulate_joint_paths(small)
     pb, vb = simulate_joint_paths(small)
     det = bool(np.array_equal(pa, pb) and np.array_equal(va, vb))

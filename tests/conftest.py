@@ -51,3 +51,23 @@ def make_twap(grid, Phi=1.0):
 @pytest.fixture
 def twap200(grid200):
     return make_twap(grid200)
+
+
+def decompose(price, vol, zeta, Phi, tau, market):
+    """Test oracle: the realized cost's permanent/temporary/price-risk
+    decomposition written straight from interval averages, path by path
+    (zeta may carry a path axis).  Returns (total, permanent, temporary,
+    price_risk), each broadcast over the leading path axes."""
+    zbar = 0.5 * (zeta[..., 1:] + zeta[..., :-1])
+    psi = np.concatenate(
+        [np.zeros(zbar.shape[:-1] + (1,)), np.cumsum(tau * zbar, axis=-1)], axis=-1
+    )
+    temp_node = market.kappa_tilde * zeta / vol
+    permanent = market.kappa * psi[..., -1] ** 2 / 2.0
+    temporary = np.sum(tau * 0.5 * (temp_node[..., 1:] + temp_node[..., :-1]) * zbar, axis=-1)
+    phi_raw = Phi - psi
+    phi_bar = 0.5 * (phi_raw[..., 1:] + phi_raw[..., :-1])
+    price_risk = price[..., -1] * phi_raw[..., -1] - np.sum(
+        phi_bar * np.diff(price, axis=-1), axis=-1
+    )
+    return permanent + temporary + price_risk, permanent, temporary, price_risk

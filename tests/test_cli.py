@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -187,7 +188,7 @@ def test_simulate_draws_once_per_rho(tmp_path, monkeypatch):
     assert [(e["lambda"], e["rho"]) for e in sim["results"]] == [(l, r) for l, r, _, _ in solved]
     for entry, (_, rho, s, _) in zip(sim["results"], solved):
         cfg = SimulationConfig(n_paths=600, seed=7, grid=run.grid, market=run.market,
-                               volume=run.volume, rho=rho)
+                               volume=dataclasses.replace(run.volume, rho=rho))
         est, costs = estimate_cost_moments(s, cfg, antithetic=True, return_costs=True)
         assert entry["moments"] == est.as_dict()
         dumped = np.loadtxt(out / entry["costs_file"], delimiter=",", skiprows=1)[:, 1]
@@ -280,6 +281,46 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert rc == 2, (key, value)
         assert err.startswith("config error:"), err
         assert not (out / "simulate.json").exists()
+
+
+def _extreme(**kw):
+    doc = det_config(grid_n=10, n_paths=64)
+    doc["volume"] = kw
+    return doc
+
+
+def _extreme_gbm(**kw):
+    return _extreme(**{"type": "gbm", "v0": 1.0, "mu": -0.02, "sigma": 0.2, "rho": 0.0, **kw})
+
+
+# schema-valid configs whose numbers overflow or underflow somewhere, with
+# the exit codes of solve, validate and simulate
+_EXTREME = {
+    "samples-1e300": (_extreme(type="samples", values=[1e300] * 11), (3, 0, 3)),
+    "samples-1e-300": (_extreme(type="samples", values=[1e-300] * 11), (0, 3, 3)),
+    "samples-alternating": (
+        _extreme(type="samples", values=[1e300 if i % 2 else 1e-300 for i in range(11)]),
+        (3, 3, 3),
+    ),
+    "gbm-v0-1e-300": (_extreme_gbm(v0=1e-300), (3, 3, 3)),
+    "gbm-mu-1e3": (_extreme_gbm(mu=1e3), (2, 2, 2)),
+    "gbm-sigma-50": (_extreme_gbm(sigma=50.0), (2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTREME))
+def test_extreme_configs_exit_without_traceback(tmp_path, name):
+    """Extreme but schema-valid numbers end in a config error (2) or a
+    one-line numerical failure (3), never in a traceback."""
+    doc, codes = _EXTREME[name]
+    cfg = write_config(tmp_path, doc)
+    for command, code in zip(("solve", "validate", "simulate"), codes):
+        r = run_cli(command, "--config", cfg, "--out", str(tmp_path / command))
+        assert r.returncode == code, (command, r.stderr)
+        assert "Traceback" not in r.stderr
+        if code:
+            prefix = "config error:" if code == 2 else "numerical failure:"
+            assert r.stderr.splitlines()[-1].startswith(prefix), r.stderr
 
 
 def test_config_and_preset_conflict(tmp_path):

@@ -21,7 +21,7 @@ from volexec.grids import build_grid, trapz
 from volexec.strategies import Strategy, vwap_strategy
 from volexec.volume import GbmVolumeModel, arcsine_profile, constant_profile
 
-from conftest import make_twap
+from conftest import decompose, make_twap
 
 # TWAP over unit turnover with kappa = 0.1, kappa_tilde = 0.02, Phi = 1:
 # permanent 0.05 + temporary 0.02.
@@ -98,6 +98,25 @@ def test_decomposition_consistency_on_noise(market, grid200, twap200):
         out = realized_is_cost(price[i], vol[i], twap200, market)
         parts = out.permanent + out.temporary + out.price_risk
         assert abs(out.total - parts) <= 1e-10 * max(1.0, abs(out.total))
+
+
+@pytest.mark.parametrize("shape", ["twap", "shaped"])
+def test_realized_parts_match_oracle(market, grid200, shape):
+    """Each part priced from the cost weights equals the interval-average
+    decomposition on seeded lognormal-turnover paths."""
+    from volexec.montecarlo import SimulationConfig, simulate_joint_paths
+
+    model = GbmVolumeModel(1.0, -0.02, 0.3, rho=0.4)
+    cfg = SimulationConfig(n_paths=16, seed=5, grid=grid200, market=market, volume=model)
+    price, vol = simulate_joint_paths(cfg)
+    z = (grid200.nodes + 0.05) ** (0.0 if shape == "twap" else 1.5)
+    s = Strategy(grid=grid200, zeta=z / trapz(z, grid200.tau), Phi=1.0)
+    tol = 1e-12 * max(1.0, market.s0 * s.Phi)
+    for i in range(cfg.n_paths):
+        out = realized_is_cost(price[i], vol[i], s, market)
+        ref = decompose(price[i], vol[i], s.zeta, s.Phi, grid200.tau, market)
+        got = (out.total, out.permanent, out.temporary, out.price_risk)
+        assert np.max(np.abs(np.subtract(got, ref))) <= tol
 
 
 def test_vwap_slippage_zero_when_tracking_volume(market):

@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from volexec import cost
-from volexec.cost import _decompose, mv_gbm, realized_is_cost_paths
+from volexec.cost import mv_gbm
 from volexec.errors import ConsistencyError
 from volexec.grids import build_grid, trapz, trapz_weights
 from volexec.montecarlo import (
@@ -27,34 +28,19 @@ from volexec.volume import (
     profile_from_samples,
 )
 
-from conftest import make_twap
+from conftest import decompose, make_twap
 
 
-def _cfg(volume, market, grid, n_paths=2000, seed=0, rho=None):
-    return SimulationConfig(
-        n_paths=n_paths, seed=seed, grid=grid, market=market, volume=volume, rho=rho
-    )
+def _cfg(volume, market, grid, n_paths=2000, seed=0):
+    return SimulationConfig(n_paths=n_paths, seed=seed, grid=grid, market=market, volume=volume)
 
 
 def test_config_validation(market, gbm_model, grid200):
     with pytest.raises(ValueError):
         _cfg(gbm_model, market, grid200, n_paths=1)
-    with pytest.raises(ValueError):
-        _cfg(gbm_model, market, grid200, rho=1.5)
-    p = constant_profile(grid200, 1.0)
-    with pytest.raises(ValueError):
-        _cfg(p, market, grid200, rho=0.3)  # correlation needs a stochastic model
     mismatched = constant_profile(build_grid(1.0, 30), 1.0)
     with pytest.raises(ValueError):
         _cfg(mismatched, market, grid200)
-
-
-def test_effective_rho_resolution(market, grid200):
-    base = GbmVolumeModel(1.0, -0.02, 0.2, rho=0.4)
-    assert _cfg(base, market, grid200).effective_rho == 0.4
-    assert _cfg(base, market, grid200, rho=-0.7).effective_rho == -0.7
-    p = constant_profile(grid200, 1.0)
-    assert _cfg(p, market, grid200).effective_rho == 0.0
 
 
 def test_volume_paths_match_reference_sampler(market, gbm_model, grid200):
@@ -247,13 +233,13 @@ def _shaped(grid, power, Phi=1.0):
     return Strategy(grid=grid, zeta=z * (Phi / trapz(z, grid.tau)), Phi=Phi)
 
 
-def _volume(kind, grid):
+def _volume(kind, grid, rho=0.0):
     if kind == "arcsine":
         return arcsine_profile(grid)
     if kind == "samples":
         v = 1.0 + 0.5 * np.random.default_rng(3).random(len(grid))
         return profile_from_samples(grid, v)
-    return GbmVolumeModel(1.0, -0.02, 0.3, rho=0.0)
+    return GbmVolumeModel(1.0, -0.02, 0.3, rho=rho)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -262,9 +248,7 @@ def _volume(kind, grid):
 def test_cost_rows_match_decompose(market_hi, grid200, kind, antithetic, k):
     """Oracle: every weight-vector row, the anticipating one included, equals
     the path-by-path decomposition on the same draws."""
-    volume = _volume(kind, grid200)
-    rho = -0.6 if kind == "gbm" else None
-    cfg = _cfg(volume, market_hi, grid200, n_paths=300, seed=21, rho=rho)
+    cfg = _cfg(_volume(kind, grid200, rho=-0.6), market_hi, grid200, n_paths=300, seed=21)
     statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)[:k]]
     rows = _cost_rows(cfg, statics, anticipating_phi=1.0, antithetic=antithetic)
     drawn = cfg.n_paths // 2 if antithetic else cfg.n_paths
@@ -273,31 +257,37 @@ def test_cost_rows_match_decompose(market_hi, grid200, kind, antithetic, k):
     vol = np.concatenate([b[1] for b in batches])
     w = trapz_weights(grid200.n_steps, grid200.tau)
     zeta_paths = vol * (1.0 / (vol @ w))[:, None]
-    ref = [_decompose(price, vol, zeta_paths, 1.0, grid200.tau, market_hi)[0]]
-    ref += [realized_is_cost_paths(price, vol, s, market_hi) for s in statics]
+    ref = [decompose(price, vol, zeta_paths, 1.0, grid200.tau, market_hi)[0]]
+    ref += [decompose(price, vol, s.zeta, s.Phi, grid200.tau, market_hi)[0] for s in statics]
     tol = 1e-12 * max(1.0, market_hi.s0 * 1.0)
     assert rows.shape == (k + 1, cfg.n_paths)
     for row, expected in zip(rows, ref):
         assert np.max(np.abs(row - expected)) <= tol
 
 
-@pytest.mark.parametrize("kind", ["arcsine", "gbm"])
-def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind):
+@pytest.mark.parametrize(
+    "kind, anticipating",
+    [("arcsine", False), ("gbm", False), ("gbm", True)],
+    ids=["arcsine", "gbm", "gbm-anticipating"],
+)
+def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind, anticipating):
     """The direct form has its own weights: a small error in one of them
-    breaks the per-path identity and raises, as _decompose does."""
+    breaks the per-path identity and raises, for the static rows and for
+    the per-path anticipating row alike."""
     build = cost._cost_weights
 
     def perturbed(zeta, Phi, tau, market):
         risk, direct, *rest = build(zeta, Phi, tau, market)
         direct = direct.copy()
-        direct[len(direct) // 2] += 1e-8 * Phi
+        direct[..., direct.shape[-1] // 2] += 1e-8 * Phi
         return (risk, direct, *rest)
 
     cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=64, seed=22)
-    _cost_rows(cfg, [twap200])
+    rows = ([], 1.0) if anticipating else ([twap200], None)
+    _cost_rows(cfg, *rows)
     monkeypatch.setattr(cost, "_cost_weights", perturbed)
     with pytest.raises(ConsistencyError):
-        _cost_rows(cfg, [twap200])
+        _cost_rows(cfg, *rows)
 
 
 def test_batching_is_invisible_deterministic_tournament(market, grid200, twap200):
@@ -322,7 +312,8 @@ def test_batching_is_invisible_stochastic_tournament(market, gbm_model, grid200,
     # the per-path anticipating row too: its turnover mass is a row-stable
     # contraction (a BLAS matrix-vector product changed with the batch size)
     ev = expected_vwap_strategy(gbm_model, grid200, 1.0)
-    cfg = _cfg(gbm_model, market, grid200, n_paths=600, seed=4, rho=0.3)
+    model = dataclasses.replace(gbm_model, rho=0.3)
+    cfg = _cfg(model, market, grid200, n_paths=600, seed=4)
     for antithetic in (False, True):
         a = _cost_rows(cfg, [ev, twap200], 1.0, antithetic=antithetic, batch_size=7)
         b = _cost_rows(cfg, [ev, twap200], 1.0, antithetic=antithetic, batch_size=600)

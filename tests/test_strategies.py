@@ -25,6 +25,18 @@ from volexec.volume import GbmVolumeModel, arcsine_profile, constant_profile, pr
 SINH_MIDPOINT = 0.443409441985037
 
 
+def test_constructors_leave_caller_arrays_writeable():
+    g = build_grid(1.0, 4)
+    z = np.full(5, 1.0)
+    a = np.full(5, 1.0)
+    s = Strategy(grid=g, zeta=z, Phi=1.0)
+    p = profile_from_samples(g, a)
+    assert z.flags.writeable and a.flags.writeable
+    z[0] = a[0] = 2.0  # the objects hold their own read-only copies
+    assert s.zeta[0] == p.v[0] == 1.0
+    assert not (s.zeta.flags.writeable or p.v.flags.writeable)
+
+
 def test_strategy_validation(grid200):
     n = len(grid200)
     with pytest.raises(NegativeRateError):
