@@ -20,8 +20,6 @@ from .cost import (
     mv_gbm_quadrature_check,
     realized_is_cost,
     realized_is_cost_paths,
-    trader_vwap,
-    vwap_slippage,
 )
 from .errors import (
     ConsistencyError,
@@ -93,8 +91,6 @@ __all__ = [
     "realized_is_cost",
     "realized_is_cost_paths",
     "market_vwap",
-    "trader_vwap",
-    "vwap_slippage",
     "expected_cost",
     "mv_deterministic",
     "mv_gbm",

@@ -12,7 +12,8 @@ cost is affine in the price path and in 1/v, so one kernel, _cost_weights,
 turns a schedule (or one schedule per path) into weight vectors, and every
 realized cost in the package is a contraction of paths with them.  The
 expected/variance formulas below reproduce that decomposition in closed form
-for deterministic turnover and for the lognormal turnover model.
+for deterministic turnover and for the lognormal turnover model, whose
+variance is one formula with its Cov(1/v) double integral in O(n).
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ class CostBreakdown:
     def __post_init__(self):
         parts = self.permanent + self.temporary + self.price_risk
         scale = max(1.0, abs(self.total), abs(parts))
-        if abs(self.total - parts) > 1e-10 * scale:
+        if not abs(self.total - parts) <= 1e-10 * scale:
             raise ConsistencyError(
                 f"cost parts sum to {parts!r} but total is {self.total!r}"
             )
@@ -155,9 +156,10 @@ def _dot(a, b):
 
 
 def _require_agreement(direct, total):
-    """ConsistencyError unless the direct and decomposed totals agree to 1e-8."""
+    """ConsistencyError unless the direct and decomposed totals agree to 1e-8
+    (a NaN on either side is a disagreement)."""
     gap = np.abs(direct - total)
-    if np.any(gap > _DECOMP_RTOL * np.maximum(1.0, np.abs(direct))):
+    if not np.all(gap <= _DECOMP_RTOL * np.maximum(1.0, np.abs(direct))):
         at = np.unravel_index(np.argmax(gap), gap.shape)
         raise ConsistencyError(
             f"direct cost and decomposition disagree by {gap[at]!r} at index {at}"
@@ -251,24 +253,6 @@ def market_vwap(price_path, volume_path):
     return float(out) if out.ndim == 0 else out
 
 
-def trader_vwap(price_path, s: Strategy):
-    """Execution-weighted average price achieved by the schedule."""
-    price = np.asarray(price_path, dtype=float)
-    if price.shape[-1] != len(s.grid):
-        raise ValueError(f"price path must have {len(s.grid)} nodes, got {price.shape}")
-    w = trapz_weights(s.grid.n_steps, 1.0)
-    denom = np.sum(w * s.zeta)
-    if denom <= 0.0:
-        raise ValueError("schedule carries no volume")
-    out = np.sum(w * price * s.zeta, axis=-1) / denom
-    return float(out) if out.ndim == 0 else out
-
-
-def vwap_slippage(price_path, volume_path, s: Strategy):
-    """Trader VWAP minus market VWAP; identically 0 for volume-proportional rates."""
-    return trader_vwap(price_path, s) - market_vwap(price_path, volume_path)
-
-
 def expected_cost(s: Strategy, profile, market: MarketParams) -> float:
     """E[C] = kappa Phi^2 / 2 + kappa_tilde * int zeta^2 / v dt.
 
@@ -308,20 +292,22 @@ def mv_deterministic(s: Strategy, profile: VolumeProfile, lam, market: MarketPar
     )
 
 
-def inverse_turnover_covariance(model: GbmVolumeModel, s_times, t_times) -> np.ndarray:
-    """Cov(1/v_s, 1/v_t) for the lognormal model, as an outer matrix.
+def _inverse_turnover_cov_dot(model: GbmVolumeModel, times, q) -> np.ndarray:
+    """C q for C[i, j] = Cov(1/v_{t_i}, 1/v_{t_j}) under the lognormal model.
 
-    Cov = v0^-2 exp(-(mu - sigma^2)(s + t)) (exp(sigma^2 min(s, t)) - 1).
+    Cov(1/v_s, 1/v_t) = v0^-2 e^{-(mu - sigma^2)(s + t)} (e^{sigma^2 min(s, t)} - 1)
+    = a_s a_t g_min(s, t) with a = e^{-(mu - sigma^2) t} / v0 and
+    g = expm1(sigma^2 t): a semiseparable matrix, so for increasing `times`
+    the product is one prefix and one suffix sum, in O(n) time and memory.
     """
-    s_times = np.asarray(s_times, dtype=float)
-    t_times = np.asarray(t_times, dtype=float)
-    m = model.mu - model.sigma**2
-    outer_sum = s_times[:, None] + t_times[None, :]
-    outer_min = np.minimum(s_times[:, None], t_times[None, :])
-    return np.exp(-m * outer_sum) * np.expm1(model.sigma**2 * outer_min) / model.v0**2
+    a = np.exp(-(model.mu - model.sigma**2) * times) / model.v0
+    g = np.expm1(model.sigma**2 * times)
+    aq = a * q
+    after = np.append(np.cumsum(aq[:0:-1])[::-1], 0.0)  # sum of aq past each index
+    return a * (np.cumsum(g * aq) + g * after)
 
 
-def _cross_moment(s: Strategy, model: GbmVolumeModel, rho: float):
+def _cross_moment(model: GbmVolumeModel, times, omega, b) -> float:
     """E[M_T A_T]: covariance of the price-risk martingale with the impact error.
 
     With M_t = int_0^t phi dW (price driver) and A_T = int zeta^2 (1/v - 1/u) dt,
@@ -329,28 +315,32 @@ def _cross_moment(s: Strategy, model: GbmVolumeModel, rho: float):
 
         E[M_T A_T] = -(sigma rho / v0) int_0^T zeta_t^2 e^{-(mu - sigma^2) t} b_t dt,
 
-    where b_t = int_0^t phi_s ds.
+    where b_t = int_0^t phi_s ds; here as a sum over quadrature points
+    `times` with weights omega ~ zeta^2 dt.
     """
-    if rho == 0.0 or model.sigma == 0.0:
+    if model.rho == 0.0 or model.sigma == 0.0:
         return 0.0
-    t = s.grid.nodes
-    phi = inventory_from_rate(s).phi
-    b = cumtrapz(phi, s.grid.tau)
-    m = model.mu - model.sigma**2
-    integrand = s.zeta**2 * np.exp(-m * t) * b
-    return float(-(model.sigma * rho / model.v0) * trapz(integrand, s.grid.tau))
+    e = np.exp(-(model.mu - model.sigma**2) * times)
+    return float(-(model.sigma * model.rho / model.v0) * np.sum(omega * e * b))
 
 
-def _variance_gbm(s: Strategy, model: GbmVolumeModel, market: MarketParams, ema: float):
-    t = s.grid.nodes
-    tau = s.grid.tau
-    phi = inventory_from_rate(s).phi
-    price_term = market.sigma_tilde**2 * trapz(phi**2, tau)
-    w = trapz_weights(s.grid.n_steps, tau)
-    wq = w * s.zeta**2
-    cov = inverse_turnover_covariance(model, t, t)
-    quartic = market.kappa_tilde**2 * float(wq @ cov @ wq)
-    return price_term - 2.0 * market.sigma_tilde * market.kappa_tilde * ema + quartic
+def _lognormal_variance(model: GbmVolumeModel, market: MarketParams, w, phi, times, omega, ema):
+    """Var(C) under lognormal turnover on one quadrature, and C omega.
+
+    Var(C) = sigma_tilde^2 sum w phi^2 - 2 sigma_tilde kappa_tilde E[M_T A_T]
+             + kappa_tilde^2 omega' C omega,
+
+    with node weights w for the inventory, quadrature points `times` and
+    weights omega ~ zeta^2 dt for the double integral of
+    zeta_s^2 zeta_t^2 Cov(1/v_s, 1/v_t), and the cross moment `ema`.
+    """
+    c_omega = _inverse_turnover_cov_dot(model, times, omega)
+    variance = (
+        market.sigma_tilde**2 * np.sum(w * phi**2)
+        - 2.0 * market.sigma_tilde * market.kappa_tilde * ema
+        + market.kappa_tilde**2 * np.dot(omega, c_omega)
+    )
+    return float(variance), c_omega
 
 
 def mv_gbm(s: Strategy, model: GbmVolumeModel, lam, market: MarketParams) -> MvValue:
@@ -364,8 +354,14 @@ def mv_gbm(s: Strategy, model: GbmVolumeModel, lam, market: MarketParams) -> MvV
     double integral by the trapezoid rule on the strategy grid.
     """
     lam = float(lam)
+    t = s.grid.nodes
+    tau = s.grid.tau
+    phi = inventory_from_rate(s).phi
+    w = trapz_weights(s.grid.n_steps, tau)
+    omega = w * s.zeta**2
+    ema = _cross_moment(model, t, omega, cumtrapz(phi, tau))
     expectation = expected_cost(s, model, market)
-    variance = _variance_gbm(s, model, market, _cross_moment(s, model, model.rho))
+    variance, _ = _lognormal_variance(model, market, w, phi, t, omega, ema)
     return MvValue(
         expectation=expectation,
         variance=variance,
@@ -394,10 +390,12 @@ def mv_gbm_quadrature_check(
     rho = model.rho
     t = s.grid.nodes
     tau = s.grid.tau
+    phi = inventory_from_rate(s).phi
+    w = trapz_weights(s.grid.n_steps, tau)
+    omega = w * s.zeta**2
     if rho == 0.0 or model.sigma == 0.0:
         ema = 0.0
     else:
-        phi = inventory_from_rate(s).phi
         a = cumtrapz(phi**2, tau)
         b = rho * cumtrapz(phi, tau)
         at = a * t
@@ -405,20 +403,20 @@ def mv_gbm_quadrature_check(
         ok = at > 0.0
         r[ok] = np.clip(b[ok] / np.sqrt(at[ok]), -1.0, 1.0)
 
-        x, w = np.polynomial.hermite.hermgauss(_GH_NODES)
+        x, gw = np.polynomial.hermite.hermgauss(_GH_NODES)
         z = np.sqrt(2.0) * x
         coef = -model.sigma * np.sqrt(t)
         arg = coef[:, None, None] * (
             r[:, None, None] * z[:, None] + np.sqrt(1.0 - r**2)[:, None, None] * z[None, :]
         )
-        gt = np.sum((w[:, None] * w[None, :]) * z[:, None] * np.exp(arg), axis=(1, 2)) / np.pi
+        gt = np.sum((gw[:, None] * gw[None, :]) * z[:, None] * np.exp(arg), axis=(1, 2)) / np.pi
 
         m_half = model.mu - 0.5 * model.sigma**2
         integrand = s.zeta**2 * np.exp(-m_half * t) * np.sqrt(a) * gt
         ema = float(trapz(integrand, tau) / model.v0)
 
     expectation = expected_cost(s, model, market)
-    variance = _variance_gbm(s, model, market, ema)
+    variance, _ = _lognormal_variance(model, market, w, phi, t, omega, ema)
     return MvValue(
         expectation=expectation,
         variance=variance,

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .bvp import _matched_inventory
-from .cost import MarketParams, inverse_turnover_covariance
+from .cost import MarketParams, _cross_moment, _lognormal_variance
 from .errors import SolverFailureError
 from .grids import TimeGrid, _frozen, cumtrapz, interval_rates_to_nodes, trapz_weights
 from .strategies import Strategy
@@ -25,6 +25,7 @@ from .volume import GbmVolumeModel, VolumeProfile, gbm_harmonic_mean
 _KKT_TOL = 1e-8
 _OBJ_DECREASE_TOL = 1e-12
 _BOUND_TOL = 1e-12
+_SQP_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -201,9 +202,9 @@ def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Ph
 class GbmObjective:
     """Mean-variance objective E + lam Var on interval rates, with analytic gradient.
 
-    Every term is discretized consistently with the node-level cost module:
-    the inventory enters through the exact lower-triangular map, the cross
-    moment and the double integral use interval midpoints.
+    The variance is the cost module's lognormal variance on interval
+    midpoints, with weights tau z^2; the inventory enters through the exact
+    lower-triangular map.
     """
 
     def __init__(self, model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: TimeGrid):
@@ -218,10 +219,8 @@ class GbmObjective:
         u = gbm_harmonic_mean(model, grid).v
         self.ubar = 0.5 * (u[1:] + u[:-1])
         self.w = trapz_weights(n, self.tau)
-        mid = 0.5 * (t[:-1] + t[1:])
-        m = model.mu - model.sigma**2
-        self.emid = np.exp(-m * mid)
-        self.cov_mid = inverse_turnover_covariance(model, mid, mid)
+        self.mid = 0.5 * (t[:-1] + t[1:])
+        self.emid = np.exp(-(model.mu - model.sigma**2) * self.mid)
         self.cross_coef = model.sigma * model.rho / model.v0
         self.idx = np.arange(1, n + 1, dtype=float)
 
@@ -235,18 +234,12 @@ class GbmObjective:
         mk, tau = self.market, self.tau
         phi = self.inventory(z)
         expect = mk.kappa * self.Phi**2 / 2.0 + mk.kappa_tilde * tau * np.sum(z**2 / self.ubar)
-        price_var = mk.sigma_tilde**2 * np.sum(self.w * phi**2)
-        q = z**2
-        quartic = mk.kappa_tilde**2 * tau**2 * float(q @ self.cov_mid @ q)
-        if self.cross_coef != 0.0:
-            bhat = cumtrapz(phi, tau)
-            bmid = 0.5 * (bhat[:-1] + bhat[1:])
-            ema = -self.cross_coef * tau * float(np.sum(q * self.emid * bmid))
-        else:
-            bmid = None
-            ema = 0.0
-        variance = price_var - 2.0 * mk.sigma_tilde * mk.kappa_tilde * ema + quartic
-        return expect, variance, phi, q, bmid
+        omega = tau * z**2
+        bhat = cumtrapz(phi, tau)
+        bmid = 0.5 * (bhat[:-1] + bhat[1:])
+        ema = _cross_moment(self.model, self.mid, omega, bmid)
+        variance, c_omega = _lognormal_variance(self.model, mk, self.w, phi, self.mid, omega, ema)
+        return expect, variance, phi, c_omega, bmid
 
     def value(self, z):
         expect, variance, _, _, _ = self._pieces(z)
@@ -254,13 +247,13 @@ class GbmObjective:
 
     def value_and_gradient(self, z):
         mk, tau = self.market, self.tau
-        expect, variance, phi, q, bmid = self._pieces(z)
+        expect, variance, phi, c_omega, bmid = self._pieces(z)
         g = 2.0 * mk.kappa_tilde * tau * z / self.ubar
         if self.lam > 0.0:
             g_price = _price_variance_gradient(phi, mk, self.w, tau)
-            g_quartic = 4.0 * mk.kappa_tilde**2 * tau**2 * z * (self.cov_mid @ q)
+            g_quartic = 4.0 * mk.kappa_tilde**2 * tau * z * c_omega
             if self.cross_coef != 0.0:
-                qe = q * self.emid
+                qe = z**2 * self.emid
                 s0 = np.concatenate([np.cumsum(qe[::-1])[::-1][1:], [0.0]])
                 s1 = np.concatenate([np.cumsum((self.idx * qe)[::-1])[::-1][1:], [0.0]])
                 d_bmid = s1 - self.idx * s0 + 0.25 * qe
@@ -278,8 +271,7 @@ class GbmObjective:
         return _quadratic_hessian(self.ubar, self.lam, self.market, self.w, self.tau)
 
 
-def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: TimeGrid,
-                  max_iter: int = 200):
+def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: TimeGrid):
     """Optimal static schedule under lognormal turnover.
 
     Damped sequential quadratic steps: the step subproblem keeps the exact
@@ -308,7 +300,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     kkt = _kkt_residual(g, z, tau)
     iterations = 0
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SQP_MAX_ITER + 1):
         if kkt <= _KKT_TOL:
             break
         iterations = it

@@ -10,7 +10,7 @@ expansion around the volume-proportional one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class Strategy:
     grid: TimeGrid
     zeta: np.ndarray
     Phi: float
-    involvement: Optional[float] = None
 
     def __post_init__(self):
         z = np.asarray(self.zeta, dtype=float)
@@ -57,8 +56,6 @@ class Strategy:
             )
         object.__setattr__(self, "zeta", _frozen(z))
         object.__setattr__(self, "Phi", Phi)
-        if self.involvement is not None:
-            object.__setattr__(self, "involvement", float(self.involvement))
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def vwap_strategy(profile: VolumeProfile, Phi: float) -> Strategy:
     if Phi <= 0.0:
         raise ValueError(f"Phi must be positive, got {Phi}")
     gamma = Phi / trapz(profile.v, profile.grid.tau)
-    return Strategy(grid=profile.grid, zeta=profile.v * gamma, Phi=Phi, involvement=gamma)
+    return Strategy(grid=profile.grid, zeta=profile.v * gamma, Phi=Phi)
 
 
 def expected_vwap_strategy(model: GbmVolumeModel, grid: TimeGrid, Phi: float) -> Strategy:
@@ -144,7 +141,7 @@ def expected_vwap_strategy(model: GbmVolumeModel, grid: TimeGrid, Phi: float) ->
         raise ValueError(f"Phi must be positive, got {Phi}")
     u = gbm_harmonic_mean(model, grid).v
     gamma = Phi / trapz(u, grid.tau)
-    return Strategy(grid=grid, zeta=u * gamma, Phi=Phi, involvement=gamma)
+    return Strategy(grid=grid, zeta=u * gamma, Phi=Phi)
 
 
 def twisted_vwap(
@@ -166,7 +163,7 @@ def twisted_vwap(
         raise ValueError("k(v) must be finite and strictly positive at every node")
     weight = kv ** (-1.0 / alpha)
     gamma = Phi / trapz(weight, profile.grid.tau)
-    return Strategy(grid=profile.grid, zeta=weight * gamma, Phi=Phi, involvement=gamma)
+    return Strategy(grid=profile.grid, zeta=weight * gamma, Phi=Phi)
 
 
 def ac_closed_form(lam, market, v, grid: TimeGrid, Phi) -> Strategy:

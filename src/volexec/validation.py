@@ -10,6 +10,7 @@ repeated runs with the same inputs serialize to identical bytes.
 """
 from __future__ import annotations
 
+import json
 import math
 from typing import Union
 
@@ -44,7 +45,12 @@ def _twap(grid: TimeGrid, Phi: float) -> Strategy:
 
 
 def _check(name, passed, **detail):
-    return {"name": name, "passed": bool(passed), "skipped": False, "detail": detail}
+    """A named check; a non-finite number in its detail fails it and is
+    written as null, so the report stays strict JSON."""
+    nonfinite = []
+    detail = json.loads(json.dumps(detail), parse_constant=nonfinite.append)
+    passed = bool(passed) and not nonfinite
+    return {"name": name, "passed": passed, "skipped": False, "detail": detail}
 
 
 def _skip(name, reason):

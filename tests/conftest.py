@@ -71,3 +71,13 @@ def decompose(price, vol, zeta, Phi, tau, market):
         phi_bar * np.diff(price, axis=-1), axis=-1
     )
     return permanent + temporary + price_risk, permanent, temporary, price_risk
+
+
+def inverse_turnover_covariance(model, times):
+    """Test oracle: the dense matrix Cov(1/v_s, 1/v_t) of the lognormal model,
+    v0^-2 exp(-(mu - sigma^2)(s + t)) (exp(sigma^2 min(s, t)) - 1)."""
+    t = np.asarray(times, dtype=float)
+    m = model.mu - model.sigma**2
+    outer_min = np.minimum(t[:, None], t[None, :])
+    outer_sum = t[:, None] + t[None, :]
+    return np.exp(-m * outer_sum) * np.expm1(model.sigma**2 * outer_min) / model.v0**2

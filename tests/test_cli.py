@@ -308,17 +308,30 @@ _EXTREME = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 @pytest.mark.parametrize("name", sorted(_EXTREME))
 def test_extreme_configs_exit_without_traceback(tmp_path, name):
     """Extreme but schema-valid numbers end in a config error (2) or a
-    one-line numerical failure (3), never in a traceback."""
+    one-line numerical failure (3), never in a traceback; a validate that
+    exits 3 writes a strict-JSON report whose non-finite statistics fail
+    their checks."""
     doc, codes = _EXTREME[name]
     cfg = write_config(tmp_path, doc)
     for command, code in zip(("solve", "validate", "simulate"), codes):
         r = run_cli(command, "--config", cfg, "--out", str(tmp_path / command))
         assert r.returncode == code, (command, r.stderr)
         assert "Traceback" not in r.stderr
-        if code:
+        if code == 3 and command == "validate":
+            assert r.stderr.splitlines()[-1].startswith("validation check failed:"), r.stderr
+            text = (tmp_path / command / "validation.json").read_text()
+            report = json.loads(text, parse_constant=_reject_constant)
+            nulled = [c for c in report["checks"] if "null" in json.dumps(c["detail"])]
+            assert nulled and not any(c["passed"] for c in nulled)
+            assert not report["all_passed"]
+        elif code:
             prefix = "config error:" if code == 2 else "numerical failure:"
             assert r.stderr.splitlines()[-1].startswith(prefix), r.stderr
 

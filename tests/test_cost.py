@@ -6,22 +6,21 @@ from volexec.cost import (
     MarketParams,
     MvValue,
     expected_cost,
-    inverse_turnover_covariance,
     market_vwap,
     mv_deterministic,
     mv_gbm,
     mv_gbm_quadrature_check,
     realized_is_cost,
     realized_is_cost_paths,
-    trader_vwap,
-    vwap_slippage,
+    _inverse_turnover_cov_dot,
+    _StaticCosts,
 )
 from volexec.errors import ConsistencyError
 from volexec.grids import build_grid, trapz
 from volexec.strategies import Strategy, vwap_strategy
 from volexec.volume import GbmVolumeModel, arcsine_profile, constant_profile
 
-from conftest import decompose, make_twap
+from conftest import decompose, inverse_turnover_covariance, make_twap
 
 # TWAP over unit turnover with kappa = 0.1, kappa_tilde = 0.02, Phi = 1:
 # permanent 0.05 + temporary 0.02.
@@ -125,7 +124,7 @@ def test_vwap_slippage_zero_when_tracking_volume(market):
     vol = np.exp(0.3 * rng.standard_normal(len(g)))
     price = market.s0 + np.cumsum(0.1 * rng.standard_normal(len(g)))
     s = Strategy(grid=g, zeta=vol / trapz(vol, g.tau), Phi=1.0)
-    assert abs(vwap_slippage(price, vol, s)) < 1e-10
+    assert abs(market_vwap(price, s.zeta) - market_vwap(price, vol)) < 1e-10
 
 
 def test_vwap_slippage_sign_front_loading(market, grid200):
@@ -134,8 +133,7 @@ def test_vwap_slippage_sign_front_loading(market, grid200):
     vol = np.ones(len(grid200))
     zeta = 2.0 * (1.0 - grid200.nodes)
     front = Strategy(grid=grid200, zeta=zeta / trapz(zeta, grid200.tau), Phi=1.0)
-    assert vwap_slippage(price, vol, front) < 0.0
-    assert trader_vwap(price, front) < market_vwap(price, vol)
+    assert market_vwap(price, front.zeta) - market_vwap(price, vol) < 0.0
 
 
 def test_expected_cost_twap_exact(market, grid200, twap200):
@@ -201,11 +199,29 @@ def test_mv_gbm_quadrature_agreement(market_hi, grid200):
         assert a.variance == pytest.approx(b.variance, rel=1e-9)
 
 
-def test_inverse_turnover_covariance_symmetric(gbm_model):
-    t = np.linspace(0.1, 1.0, 7)
-    c = inverse_turnover_covariance(gbm_model, t, t)
-    assert np.allclose(c, c.T, rtol=0, atol=1e-18)
-    assert np.min(np.linalg.eigvalsh(c)) > -1e-12
-    swapped = inverse_turnover_covariance(gbm_model, t[:3], t[3:])
-    back = inverse_turnover_covariance(gbm_model, t[3:], t[:3])
-    assert np.allclose(swapped, back.T, rtol=1e-15, atol=0)
+@pytest.mark.parametrize("n", [200, 1000])
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 2.0])
+@pytest.mark.parametrize("where", ["nodes", "midpoints"])
+def test_inverse_turnover_cov_dot_matches_dense(where, sigma, n):
+    """The O(n) semiseparable product equals the dense covariance matrix
+    times a positive weight vector, as mv_gbm and the SQP use it."""
+    g = build_grid(1.0, n)
+    t = g.nodes if where == "nodes" else 0.5 * (g.nodes[1:] + g.nodes[:-1])
+    model = GbmVolumeModel(1.3, -0.02, sigma, rho=0.5)
+    q = np.random.default_rng(n).uniform(0.1, 2.0, t.size) ** 2
+    got = _inverse_turnover_cov_dot(model, t, q)
+    ref = inverse_turnover_covariance(model, t) @ q
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_nan_node_raises(market, grid200, twap200):
+    """A NaN on a path is a disagreement of the direct and decomposed costs,
+    not a NaN cost."""
+    price, vol = _seeded_paths(grid200, market.s0, 4, seed=6)
+    price[1, 50] = np.nan
+    with pytest.raises(ConsistencyError):
+        realized_is_cost(price[1], vol[1], twap200, market)
+    with pytest.raises(ConsistencyError):
+        _StaticCosts([twap200], market)(price, vol)
+    with pytest.raises(ConsistencyError):
+        CostBreakdown(total=np.nan, permanent=0.0, temporary=0.0, price_risk=0.0)

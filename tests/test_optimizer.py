@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volexec.bvp import optimal_inventory_ode
-from volexec.cost import MarketParams
+from volexec.cost import MarketParams, mv_gbm
 from volexec.grids import build_grid, trapz, trapz_weights
 from volexec.optimizer import (
     GbmObjective,
@@ -14,6 +14,7 @@ from volexec.optimizer import (
     solve_qp_deterministic,
     solve_sqp_gbm,
 )
+from volexec.strategies import Strategy
 from volexec.volume import GbmVolumeModel, arcsine_profile, gbm_harmonic_mean, profile_from_samples
 
 
@@ -206,6 +207,26 @@ def test_gbm_objective_gradient(market_hi, grid200):
             zm[i] -= h
             fd = (obj.value(zp) - obj.value(zm)) / (2.0 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+def test_lognormal_variance_memory_is_linear(market_hi):
+    """mv_gbm and the SQP objective build no n x n covariance matrix."""
+    g = build_grid(1.0, 2000)
+    model = GbmVolumeModel(1.0, -0.02, 0.4, rho=0.5)
+    s = Strategy(grid=g, zeta=np.ones(len(g)), Phi=1.0)
+    z = np.full(g.n_steps, 1.0)
+    peaks = []
+    for run in (
+        lambda: mv_gbm(s, model, 2.0, market_hi),
+        lambda: GbmObjective(model, 2.0, market_hi, 1.0, g).value_and_gradient(z),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 4e6, peaks  # one n x n matrix alone is 32 MB
 
 
 def test_sqp_converges_with_correlation(market_hi, grid200):

@@ -78,7 +78,6 @@ def test_vwap_inventory_tracks_cumulative_volume(arcsine500):
     phi = inventory_from_rate(s).phi
     expect = 2.0 * (1.0 - cumtrapz(arcsine500.v, g.tau) / trapz(arcsine500.v, g.tau))
     assert np.max(np.abs(phi - expect)) < 1e-13
-    assert s.involvement == pytest.approx(2.0 / trapz(arcsine500.v, g.tau), rel=1e-15)
 
 
 def test_vwap_phi_homogeneity(arcsine500):
