@@ -7,7 +7,8 @@ The continuous equation is
 
 discretized with second-order central differences on the uniform grid,
 giving a tridiagonal system handled by direct elimination (pivot locations
-are reported on failure, which off-the-shelf banded solvers hide).
+are reported on failure, which off-the-shelf banded solvers hide).  The
+optimizer's bound-constrained QP steps run on the same elimination.
 """
 from __future__ import annotations
 
@@ -51,6 +52,28 @@ class LinearBvpSpec:
             object.__setattr__(self, name, val)
 
 
+def _solve_tridiagonal(lower, diag, upper, rhs, row_scale) -> np.ndarray:
+    """x with lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i], by elimination
+    on Python floats (rounded as float64 arrays are, indexed several times
+    faster); SolverFailureError(pivot_index=row) on a pivot below 1e-13 * row_scale."""
+    lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
+    b, row_scale = rhs.tolist(), row_scale.tolist()
+    m = len(b)
+    for i in range(m):
+        if abs(diag[i]) <= _PIVOT_RTOL * row_scale[i]:
+            raise SolverFailureError(
+                f"tridiagonal elimination hit a vanishing pivot at node {i + 1}", pivot_index=i + 1
+            )
+        if i + 1 < m:
+            w = lower[i + 1] / diag[i]
+            diag[i + 1] -= w * upper[i]
+            b[i + 1] -= w * b[i]
+    x = [0.0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        x[i] = (b[i] - upper[i] * x[i + 1]) / diag[i]
+    return np.array(x[:m])
+
+
 def solve_linear_bvp(spec: LinearBvpSpec) -> np.ndarray:
     """Solve the discretized boundary problem; returns phi at every node.
 
@@ -68,32 +91,14 @@ def solve_linear_bvp(spec: LinearBvpSpec) -> np.ndarray:
     inv2 = 1.0 / tau**2
     ai, ci = spec.a[1:-1], spec.c[1:-1]
     lower = inv2 + ai / (2.0 * tau)
-    diag = (-2.0 * inv2 - ci).copy()
+    diag = -2.0 * inv2 - ci
     upper = inv2 - ai / (2.0 * tau)
     b = spec.rhs[1:-1].copy()
     b[0] -= lower[0] * spec.left_value
     b[-1] -= upper[-1] * spec.right_value
 
-    m = b.size
     row_scale = 2.0 * inv2 + np.abs(ai) / tau + np.abs(ci)
-    for i in range(1, m):
-        piv = diag[i - 1]
-        if abs(piv) <= _PIVOT_RTOL * row_scale[i - 1]:
-            raise SolverFailureError(
-                f"tridiagonal elimination hit a vanishing pivot at node {i}", pivot_index=i
-            )
-        w = lower[i] / piv
-        diag[i] -= w * upper[i - 1]
-        b[i] -= w * b[i - 1]
-    if abs(diag[-1]) <= _PIVOT_RTOL * row_scale[-1]:
-        raise SolverFailureError(
-            f"tridiagonal elimination hit a vanishing pivot at node {m}", pivot_index=m
-        )
-
-    x = np.empty(m)
-    x[-1] = b[-1] / diag[-1]
-    for i in range(m - 2, -1, -1):
-        x[i] = (b[i] - upper[i] * x[i + 1]) / diag[i]
+    x = _solve_tridiagonal(lower, diag, upper, b, row_scale)
 
     phi = np.empty(len(g))
     phi[0] = spec.left_value
@@ -142,25 +147,6 @@ def matched_log_derivative(v: np.ndarray, tau: float):
     return a, h
 
 
-def _matched_inventory(profile, lam, market, Phi) -> np.ndarray:
-    """Node inventory solving the divergence-matched stationarity equation
-    for any lam >= 0 (volume-proportional at lam = 0)."""
-    Phi = float(Phi)
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
-    g = profile.grid
-    a, h = matched_log_derivative(profile.v, g.tau)
-    spec = LinearBvpSpec(
-        grid=g,
-        a=a,
-        c=(market.sigma_tilde**2 * lam / market.kappa_tilde) * h,
-        rhs=np.zeros(len(g)),
-        left_value=Phi,
-        right_value=0.0,
-    )
-    return solve_linear_bvp(spec)
-
-
 def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:
     """Risk-adjusted inventory from the stationarity equation of the schedule cost.
 
@@ -182,7 +168,19 @@ def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:
             "volume-proportional schedule"
         )
     Phi = float(Phi)
-    phi = _matched_inventory(profile, lam, market, Phi)
+    if Phi <= 0.0:
+        raise ValueError(f"Phi must be positive, got {Phi}")
+    g = profile.grid
+    a, h = matched_log_derivative(profile.v, g.tau)
+    spec = LinearBvpSpec(
+        grid=g,
+        a=a,
+        c=(market.sigma_tilde**2 * lam / market.kappa_tilde) * h,
+        rhs=np.zeros(len(g)),
+        left_value=Phi,
+        right_value=0.0,
+    )
+    phi = solve_linear_bvp(spec)
     if np.any(np.diff(phi) > 1e-10 * max(1.0, Phi)):
         warnings.warn(
             "implied execution rate dips below zero; returning the unconstrained solution",

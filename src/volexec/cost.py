@@ -82,12 +82,13 @@ class MvValue:
     lam: float
 
     def __post_init__(self):
-        if self.variance < 0.0:
+        if not (self.variance >= 0.0):
             raise ValueError(f"variance must be nonnegative, got {self.variance}")
         if self.lam < 0.0:
             raise ValueError(f"lam must be nonnegative, got {self.lam}")
         check = self.expectation + self.lam * self.variance
-        if abs(self.objective - check) > 1e-12 * max(1.0, abs(self.objective)):
+        gap = abs(self.objective - check) if self.objective != check else 0.0  # inf == inf
+        if not gap <= 1e-12 * max(1.0, abs(self.objective)):  # a NaN never agrees
             raise ConsistencyError(
                 f"objective {self.objective!r} is not expectation + lam * variance = {check!r}"
             )
@@ -292,16 +293,20 @@ def mv_deterministic(s: Strategy, profile: VolumeProfile, lam, market: MarketPar
     )
 
 
-def _inverse_turnover_cov_dot(model: GbmVolumeModel, times, q) -> np.ndarray:
-    """C q for C[i, j] = Cov(1/v_{t_i}, 1/v_{t_j}) under the lognormal model.
+def _inverse_turnover_factors(model: GbmVolumeModel, times):
+    """Factors (a, g) of C[i, j] = Cov(1/v_{t_i}, 1/v_{t_j}) under the lognormal model:
 
     Cov(1/v_s, 1/v_t) = v0^-2 e^{-(mu - sigma^2)(s + t)} (e^{sigma^2 min(s, t)} - 1)
-    = a_s a_t g_min(s, t) with a = e^{-(mu - sigma^2) t} / v0 and
-    g = expm1(sigma^2 t): a semiseparable matrix, so for increasing `times`
-    the product is one prefix and one suffix sum, in O(n) time and memory.
+    = a_s a_t g_min(s, t) with a = e^{-(mu - sigma^2) t} / v0, g = expm1(sigma^2 t).
     """
     a = np.exp(-(model.mu - model.sigma**2) * times) / model.v0
-    g = np.expm1(model.sigma**2 * times)
+    return a, np.expm1(model.sigma**2 * times)
+
+
+def _inverse_turnover_cov_dot(factors, q) -> np.ndarray:
+    """C q from the factors of _inverse_turnover_factors: for increasing
+    times, one prefix and one suffix sum, in O(n) time and memory."""
+    a, g = factors
     aq = a * q
     after = np.append(np.cumsum(aq[:0:-1])[::-1], 0.0)  # sum of aq past each index
     return a * (np.cumsum(g * aq) + g * after)
@@ -324,17 +329,17 @@ def _cross_moment(model: GbmVolumeModel, times, omega, b) -> float:
     return float(-(model.sigma * model.rho / model.v0) * np.sum(omega * e * b))
 
 
-def _lognormal_variance(model: GbmVolumeModel, market: MarketParams, w, phi, times, omega, ema):
+def _lognormal_variance(cov, market: MarketParams, w, phi, omega, ema):
     """Var(C) under lognormal turnover on one quadrature, and C omega.
 
     Var(C) = sigma_tilde^2 sum w phi^2 - 2 sigma_tilde kappa_tilde E[M_T A_T]
              + kappa_tilde^2 omega' C omega,
 
-    with node weights w for the inventory, quadrature points `times` and
-    weights omega ~ zeta^2 dt for the double integral of
-    zeta_s^2 zeta_t^2 Cov(1/v_s, 1/v_t), and the cross moment `ema`.
+    with node weights w for the inventory, the Cov(1/v) factors `cov` at
+    the quadrature points and weights omega ~ zeta^2 dt for the double
+    integral of zeta_s^2 zeta_t^2 Cov(1/v_s, 1/v_t), and the cross moment `ema`.
     """
-    c_omega = _inverse_turnover_cov_dot(model, times, omega)
+    c_omega = _inverse_turnover_cov_dot(cov, omega)
     variance = (
         market.sigma_tilde**2 * np.sum(w * phi**2)
         - 2.0 * market.sigma_tilde * market.kappa_tilde * ema
@@ -361,7 +366,8 @@ def mv_gbm(s: Strategy, model: GbmVolumeModel, lam, market: MarketParams) -> MvV
     omega = w * s.zeta**2
     ema = _cross_moment(model, t, omega, cumtrapz(phi, tau))
     expectation = expected_cost(s, model, market)
-    variance, _ = _lognormal_variance(model, market, w, phi, t, omega, ema)
+    cov = _inverse_turnover_factors(model, t)
+    variance, _ = _lognormal_variance(cov, market, w, phi, omega, ema)
     return MvValue(
         expectation=expectation,
         variance=variance,
@@ -416,7 +422,8 @@ def mv_gbm_quadrature_check(
         ema = float(trapz(integrand, tau) / model.v0)
 
     expectation = expected_cost(s, model, market)
-    variance, _ = _lognormal_variance(model, market, w, phi, t, omega, ema)
+    cov = _inverse_turnover_factors(model, t)
+    variance, _ = _lognormal_variance(cov, market, w, phi, omega, ema)
     return MvValue(
         expectation=expectation,
         variance=variance,

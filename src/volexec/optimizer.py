@@ -1,22 +1,23 @@
 """Optimizers for the mean-variance schedule problem on per-interval rates.
 
 Decision variables are per-interval (piecewise-constant) execution rates, so
-the sell-off condition is a single exact linear constraint and the inventory
-map is lower-triangular.  Under deterministic turnover the optimum is one
-O(n) tridiagonal solve (the bvp module's kernel); a dense KKT active set on
-the nonnegativity bounds is its independent reference.  The lognormal-turnover
-problem is handled by damped sequential quadratic steps whose model Hessian
-keeps the exact curvature of the quadratic terms, each solved by that active set.
+the sell-off condition is a single exact linear constraint.  Both problems
+share one kernel: an active set on the nonnegativity bounds over a rate-space
+quadratic model (a diagonal plus the inventory-variance term), tridiagonal in
+inventory coordinates, where a pinned rate merges two nodes; every product and
+every equality-constrained solve is O(n).  Under deterministic turnover the
+objective is that model and one active-set solve is the optimum; the
+lognormal-turnover problem takes damped sequential quadratic steps on it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .bvp import _matched_inventory
-from .cost import MarketParams, _cross_moment, _lognormal_variance
+from .bvp import _solve_tridiagonal
+from .cost import MarketParams, _cross_moment, _inverse_turnover_factors, _lognormal_variance
 from .errors import SolverFailureError
 from .grids import TimeGrid, _frozen, cumtrapz, interval_rates_to_nodes, trapz_weights
 from .strategies import Strategy
@@ -47,45 +48,70 @@ class SolveReport:
         }
 
 
-def _solve_kkt(H, b, tau, Phi, fixed):
-    """Equality-constrained QP step: min 1/2 z'Hz - b'z s.t. tau * sum(z) = Phi,
-    with the `fixed` coordinates pinned at zero."""
-    free = ~fixed
-    nf = int(free.sum())
-    if nf == 0:
-        raise SolverFailureError("all decision variables pinned at zero")
-    M = np.zeros((nf + 1, nf + 1))
-    M[:nf, :nf] = H[np.ix_(free, free)]
-    M[:nf, nf] = tau
-    M[nf, :nf] = tau
-    rhs = np.concatenate([b[free], [Phi]])
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as e:
-        raise SolverFailureError(f"KKT system is singular: {e}") from e
-    z = np.zeros(b.size)
-    z[free] = sol[:nf]
-    return z, float(sol[nf])
+@dataclass(frozen=True)
+class _RateModel:
+    """Quadratic model 1/2 z'Hz over the n interval rates, H = diag(d) + k T:
+    the Hessian of 1/2 sum d z^2 + 1/2 k sum_m w_m x_m^2 in the inventory
+    x_m = sum_{i >= m} z_i (in units of tau), so T[i, j] = sum_{m <= min(i, j)} w_m.
+    No n x n array is ever formed."""
+
+    d: np.ndarray
+    k: float
+    w: np.ndarray
+
+    def dot(self, z) -> np.ndarray:
+        """H z: the inventory (a suffix sum of z), then a prefix sum of w x."""
+        x = np.cumsum(z[::-1])[::-1]
+        return self.d * z + self.k * np.cumsum(self.w[:-1] * x)
+
+    def solve(self, b, tau, Phi, fixed):
+        """(z, nu) minimizing 1/2 z'Hz - b'z s.t. tau sum(z) = Phi and z[fixed] = 0,
+        with nu the sell-off multiplier.  In the inventory, with x_0 = Phi/tau
+        and x_n = 0, the problem is tridiagonal; a pinned rate merges the nodes
+        at its two ends, whose weights add up."""
+        free = np.flatnonzero(~fixed)
+        if free.size == 0:
+            raise SolverFailureError("all decision variables pinned at zero")
+        c, dfree = Phi / tau, self.d[free]
+        # merged node j runs from after free rate j-1 to free rate j; rows are
+        # scaled so that their couplings sum to 2, as in the boundary problem's
+        # stencil, and the small node term of the diagonal survives rounding
+        scale = 2.0 / (dfree[:-1] + dfree[1:])
+        lower, upper = -scale * dfree[:-1], -scale * dfree[1:]
+        diag = 2.0 + scale * self.k * np.add.reduceat(self.w[: free[-1] + 1], free[:-1] + 1)
+        rhs = scale * np.diff(b[free])
+        rhs[:1] -= lower[:1] * c
+        x = np.concatenate([[c], _solve_tridiagonal(lower, diag, upper, rhs, diag + 2.0), [0.0]])
+        z = np.zeros(b.size)
+        z[free] = x[:-1] - x[1:]
+        # stationarity in the first free rate; the inventory is c up to it
+        f0 = free[0]
+        grad0 = dfree[0] * z[f0] + self.k * c * float(np.sum(self.w[: f0 + 1])) - b[f0]
+        return z, -float(grad0) / tau
 
 
-def _active_set_qp(H, b, tau, Phi, max_iter):
-    """Minimize 1/2 z'Hz - b'z under the sell-off equality and z >= 0.
+def _rate_model(xbar, lam, market: MarketParams, w, tau) -> _RateModel:
+    """kappa_tilde tau sum z^2/xbar + lam sigma_tilde^2 sum w phi^2 as a model."""
+    k = 2.0 * lam * market.sigma_tilde**2 * tau**2
+    return _RateModel(2.0 * market.kappa_tilde * tau / xbar, k, w)
 
-    Violating bounds are fixed and re-solved; active bounds with negative
-    multipliers are released one at a time.  Returns (z, nu, iterations,
-    fixed_mask, status).
-    """
+
+def _active_set_qp(model: _RateModel, b, tau, Phi, max_iter):
+    """Minimize 1/2 z'Hz - b'z under the sell-off equality and z >= 0: violating
+    bounds are fixed and re-solved, active bounds with negative multipliers are
+    released one at a time (Nocedal & Wright, section 16.5).  Returns (z, nu,
+    iterations, fixed_mask, status)."""
     n = b.size
     fixed = np.zeros(n, dtype=bool)
     rate_scale = max(abs(Phi) / (tau * n), 1e-300)
     for it in range(1, max_iter + 1):
-        z, nu = _solve_kkt(H, b, tau, Phi, fixed)
+        z, nu = model.solve(b, tau, Phi, fixed)
         violating = z < -_BOUND_TOL * rate_scale
         if violating.any():
             fixed |= violating
             continue
         z[z < 0.0] = 0.0
-        grad = H @ z - b
+        grad = model.dot(z) - b
         active = np.where(fixed)[0]
         if active.size:
             mult = grad[active] + tau * nu
@@ -114,40 +140,10 @@ def _kkt_residual(grad, z, tau):
     return r / max(1.0, float(np.abs(grad).max()))
 
 
-def _quadratic_hessian(xbar, lam, market: MarketParams, w, tau):
-    """Hessian of kappa_tilde tau sum z^2/xbar + lam sigma_tilde^2 sum w phi^2
-    over interval rates: a diagonal plus 2 lam sigma_tilde^2 tau^2 S with
-    S[i, j] = sum_{k >= max(i, j)} w_k over nodes 1..N."""
-    H = 2.0 * market.kappa_tilde * tau * np.diag(1.0 / xbar)
-    if lam > 0.0:
-        cw = np.cumsum(w[1:][::-1])[::-1]
-        idx = np.arange(cw.size)
-        S = cw[np.maximum(idx[:, None], idx[None, :])]
-        H += 2.0 * lam * market.sigma_tilde**2 * tau**2 * S
-    return H
-
-
 def _price_variance_gradient(phi, market: MarketParams, w, tau):
     """Gradient of sigma_tilde^2 sum w phi^2 in the interval rates: each rate
     lowers the inventory at every later node, hence a suffix sum."""
     return -2.0 * market.sigma_tilde**2 * tau * np.cumsum((w[1:] * phi[1:])[::-1])[::-1]
-
-
-def _dense_qp_rates(profile: VolumeProfile, lam, market: MarketParams, Phi):
-    """Interval rates of the deterministic optimum from the dense KKT active
-    set: O(n^2) memory and O(n^3) time, the independent reference for
-    solve_qp_deterministic."""
-    grid = profile.grid
-    n, tau = grid.n_steps, grid.tau
-    vbar = 0.5 * (profile.v[1:] + profile.v[:-1])
-    w = trapz_weights(n, tau)
-    H = _quadratic_hessian(vbar, lam, market, w, tau)
-    # minus the objective's gradient at z = 0, where the inventory stays at Phi
-    b = -lam * _price_variance_gradient(np.full(n + 1, Phi), market, w, tau)
-    z, _, _, _, status = _active_set_qp(H, b, tau, Phi, max_iter=max(n, 8))
-    if status != "converged":
-        raise SolverFailureError(f"dense reference QP ended with status {status!r}")
-    return z * (Phi / (tau * z.sum()))
 
 
 def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Phi):
@@ -155,25 +151,28 @@ def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Ph
 
     Discretizes kappa Phi^2/2 + lam sigma_tilde^2 int phi^2 + kappa_tilde
     int zeta^2/v over interval rates (interval turnover = mean of the two
-    node samples).  The stationarity system is the bvp module's tridiagonal
-    matched boundary problem, so the rates are interval differences of one
-    solve; positive turnover keeps them positive.  Rates that underflow at
-    extreme lam are clipped at zero and reported as active bounds.  The
-    status is "converged" when the KKT residual is within tolerance and
-    "stalled" otherwise.  Returns the node-sampled Strategy and a
-    SolveReport carrying the raw interval rates.
+    node samples).  That objective is its own rate-space model, so one
+    active-set solve is the optimum; positive turnover keeps it nonnegative,
+    and rates that underflow at extreme lam are exactly zero, reported as
+    active bounds.  The status is "converged" when the KKT residual is within
+    tolerance and "stalled" otherwise.  Returns the node-sampled Strategy and
+    a SolveReport carrying the raw interval rates.
     """
     lam = float(lam)
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     Phi = float(Phi)
+    if Phi <= 0.0:
+        raise ValueError(f"Phi must be positive, got {Phi}")
     grid = profile.grid
-    tau = grid.tau
-    phi = _matched_inventory(profile, lam, market, Phi)
-    z = np.clip((phi[:-1] - phi[1:]) / tau, 0.0, None)
-    z *= Phi / (tau * z.sum())
+    n, tau = grid.n_steps, grid.tau
     vbar = 0.5 * (profile.v[1:] + profile.v[:-1])
-    w = trapz_weights(grid.n_steps, tau)
+    w = trapz_weights(n, tau)
+    model = _rate_model(vbar, lam, market, w, tau)
+    z, _, iterations, _, status = _active_set_qp(model, np.zeros(n), tau, Phi, max_iter=max(n, 8))
+    if status != "converged":
+        raise SolverFailureError(f"deterministic QP ended with status {status!r}")
+    z *= Phi / (tau * z.sum())
 
     # inventory as the tail sums of the rates still to sell: Phi - tau*cumsum(z)
     # would leave rounding residue where the inventory is tiny, and at large
@@ -189,7 +188,7 @@ def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Ph
     kkt = _kkt_residual(grad, z, tau)
     report = SolveReport(
         objective=objective,
-        iterations=1,
+        iterations=iterations,
         kkt_residual=kkt,
         active_bounds=tuple(int(i) for i in np.where(z == 0.0)[0]),
         status="converged" if kkt <= _KKT_TOL else "stalled",
@@ -212,7 +211,6 @@ class GbmObjective:
         self.market = market
         self.lam = float(lam)
         self.Phi = float(Phi)
-        self.grid = grid
         n = grid.n_steps
         self.tau = grid.tau
         t = grid.nodes
@@ -221,24 +219,19 @@ class GbmObjective:
         self.w = trapz_weights(n, self.tau)
         self.mid = 0.5 * (t[:-1] + t[1:])
         self.emid = np.exp(-(model.mu - model.sigma**2) * self.mid)
+        self.cov = _inverse_turnover_factors(model, self.mid)
         self.cross_coef = model.sigma * model.rho / model.v0
         self.idx = np.arange(1, n + 1, dtype=float)
 
-    def inventory(self, z):
-        phi = np.empty(z.size + 1)
-        phi[0] = self.Phi
-        phi[1:] = self.Phi - self.tau * np.cumsum(z)
-        return phi
-
     def _pieces(self, z):
         mk, tau = self.market, self.tau
-        phi = self.inventory(z)
+        phi = np.concatenate([[self.Phi], self.Phi - self.tau * np.cumsum(z)])
         expect = mk.kappa * self.Phi**2 / 2.0 + mk.kappa_tilde * tau * np.sum(z**2 / self.ubar)
         omega = tau * z**2
         bhat = cumtrapz(phi, tau)
         bmid = 0.5 * (bhat[:-1] + bhat[1:])
         ema = _cross_moment(self.model, self.mid, omega, bmid)
-        variance, c_omega = _lognormal_variance(self.model, mk, self.w, phi, self.mid, omega, ema)
+        variance, c_omega = _lognormal_variance(self.cov, mk, self.w, phi, omega, ema)
         return expect, variance, phi, c_omega, bmid
 
     def value(self, z):
@@ -265,18 +258,14 @@ class GbmObjective:
             g = g + self.lam * (g_price - 2.0 * mk.sigma_tilde * mk.kappa_tilde * g_ema + g_quartic)
         return expect + self.lam * variance, g
 
-    def model_hessian(self):
-        """Exact Hessian of the quadratic terms (temporary cost + inventory
-        variance); constant and positive definite, so steps stay well-posed."""
-        return _quadratic_hessian(self.ubar, self.lam, self.market, self.w, self.tau)
-
 
 def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: TimeGrid):
     """Optimal static schedule under lognormal turnover.
 
-    Damped sequential quadratic steps: the step subproblem keeps the exact
-    curvature of the quadratic terms plus a Levenberg shift mu adapted by a
-    ratio test, and is solved by the dense active set.  Starts from the
+    Damped sequential quadratic steps: the step subproblem is the
+    deterministic problem's rate-space model (the exact curvature of the
+    quadratic terms) plus a Levenberg shift mu adapted by a ratio test, and
+    is solved by the same O(n) active set.  Starts from the
     harmonic-mean-proportional schedule, which is already optimal at lam = 0.
     The status is "converged" only when the KKT residual is within
     tolerance, "max-iterations" when the iteration budget runs out, and
@@ -290,11 +279,10 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
         raise ValueError(f"Phi must be positive, got {Phi}")
     obj = GbmObjective(model, lam, market, Phi, grid)
     tau = grid.tau
-    n = grid.n_steps
 
     z = obj.ubar * (Phi / (tau * obj.ubar.sum()))
     f, g = obj.value_and_gradient(z)
-    H = obj.model_hessian()
+    H = _rate_model(obj.ubar, lam, market, obj.w, tau)
     mu = 0.0
     status = "max-iterations"
     kkt = _kkt_residual(g, z, tau)
@@ -306,14 +294,14 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
         iterations = it
         decrease = None
         while mu < 1e12:
-            Hd = H + mu * np.eye(n) if mu > 0.0 else H
-            b = Hd @ z - g
-            z_new, _, _, _, sub_status = _active_set_qp(Hd, b, tau, Phi, max_iter=max(n, 8))
+            Hd = replace(H, d=H.d + mu) if mu > 0.0 else H
+            b = Hd.dot(z) - g
+            z_new, _, _, _, sub_status = _active_set_qp(Hd, b, tau, Phi, max(grid.n_steps, 8))
             if sub_status != "converged":
                 mu = max(4.0 * mu, 1e-8)
                 continue
             d = z_new - z
-            predicted = -(g @ d + 0.5 * d @ (Hd @ d))
+            predicted = -(g @ d + 0.5 * d @ Hd.dot(d))
             f_new = obj.value(z_new)
             if predicted <= 0.0:
                 # the model says "no descent left": accept only an actual improvement

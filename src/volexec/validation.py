@@ -16,6 +16,7 @@ from typing import Union
 
 import numpy as np
 
+from .bvp import optimal_inventory_ode
 from .cost import (
     MarketParams,
     expected_cost,
@@ -32,7 +33,7 @@ from .montecarlo import (
     simulate_joint_paths,
     validate_theorem_orderings,
 )
-from .optimizer import _dense_qp_rates, solve_qp_deterministic, solve_sqp_gbm
+from .optimizer import solve_qp_deterministic, solve_sqp_gbm
 from .strategies import Strategy, asymptotic_expansion, expected_vwap_strategy, vwap_strategy
 from .volume import GbmVolumeModel, VolumeProfile, arcsine_profile, gbm_harmonic_mean
 
@@ -207,10 +208,10 @@ def run_validation(
     worst = 0.0
     bq = {}
     for lam in lambdas:
-        # the tridiagonal solver against the dense KKT reference, in inventory
+        # the rate-space QP against the divergence-matched boundary problem
         _, rep = solve_qp_deterministic(p1k, lam, _STRUCTURAL_MARKET, 1.0)
-        z_dense = _dense_qp_rates(p1k, lam, _STRUCTURAL_MARKET, 1.0)
-        gap = float(np.max(np.abs(g1k.tau * np.cumsum(rep.zeta_intervals - z_dense))))
+        phi_ode = optimal_inventory_ode(p1k, lam, _STRUCTURAL_MARKET, 1.0).phi
+        gap = float(np.max(np.abs(1.0 - g1k.tau * np.cumsum(rep.zeta_intervals) - phi_ode[1:])))
         bq[f"lam_{lam}"] = gap
         worst = max(worst, gap)
     checks.append(_check("bvp_qp_agreement", worst <= 1e-4, **bq))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from volexec.cost import MarketParams
-from volexec.grids import build_grid
+from volexec.errors import SolverFailureError
+from volexec.grids import build_grid, trapz_weights
 from volexec.strategies import Strategy
 from volexec.volume import GbmVolumeModel, arcsine_profile, constant_profile
 
@@ -81,3 +82,69 @@ def inverse_turnover_covariance(model, times):
     outer_min = np.minimum(t[:, None], t[None, :])
     outer_sum = t[:, None] + t[None, :]
     return np.exp(-m * outer_sum) * np.expm1(model.sigma**2 * outer_min) / model.v0**2
+
+
+def dense_quadratic_hessian(d, k, w):
+    """Test oracle: the optimizer's rate-space model as a dense matrix,
+    diag(d) + k T with T[i, j] = sum_{m <= min(i, j)} w_m, the Hessian of
+    1/2 sum d z^2 + 1/2 k sum_m w_m x_m^2 for the inventory x_m = sum_{i >= m} z_i."""
+    cw = np.cumsum(w[:-1])
+    idx = np.arange(cw.size)
+    return np.diag(d) + k * cw[np.minimum(idx[:, None], idx[None, :])]
+
+
+def dense_kkt_step(H, b, tau, Phi, fixed):
+    """Test oracle: min 1/2 z'Hz - b'z s.t. tau * sum(z) = Phi, with the
+    `fixed` coordinates pinned at zero, by one dense (n+1) x (n+1) KKT solve.
+    Returns (z, nu)."""
+    free = ~fixed
+    nf = int(free.sum())
+    if nf == 0:
+        raise SolverFailureError("all decision variables pinned at zero")
+    M = np.zeros((nf + 1, nf + 1))
+    M[:nf, :nf] = H[np.ix_(free, free)]
+    M[:nf, nf] = tau
+    M[nf, :nf] = tau
+    rhs = np.concatenate([b[free], [Phi]])
+    try:
+        sol = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as e:
+        raise SolverFailureError(f"KKT system is singular: {e}") from e
+    z = np.zeros(b.size)
+    z[free] = sol[:nf]
+    return z, float(sol[nf])
+
+
+def dense_qp_rates(profile, lam, market, Phi):
+    """Test oracle: interval rates of the deterministic optimum from a dense
+    KKT active set, assembled in the cumulative-sold form (Hessian diagonal
+    plus 2 lam sigma_tilde^2 tau^2 S, S[i, j] = sum_{m > max(i, j)} w_m, and
+    the price-risk gradient at z = 0 as the linear term): O(n^2) memory and
+    O(n^3) time."""
+    grid = profile.grid
+    n, tau = grid.n_steps, grid.tau
+    vbar = 0.5 * (profile.v[1:] + profile.v[:-1])
+    w = trapz_weights(n, tau)
+    H = 2.0 * market.kappa_tilde * tau * np.diag(1.0 / vbar)
+    cw = np.cumsum(w[1:][::-1])[::-1]
+    idx = np.arange(n)
+    H += 2.0 * lam * market.sigma_tilde**2 * tau**2 * cw[np.maximum(idx[:, None], idx[None, :])]
+    b = 2.0 * lam * market.sigma_tilde**2 * tau * Phi * cw
+    fixed = np.zeros(n, dtype=bool)
+    for _ in range(max(n, 8)):
+        z, nu = dense_kkt_step(H, b, tau, Phi, fixed)
+        violating = z < -1e-12 * Phi / (tau * n)
+        if violating.any():
+            fixed |= violating
+            continue
+        z[z < 0.0] = 0.0
+        grad = H @ z - b
+        active = np.where(fixed)[0]
+        if active.size:
+            mult = grad[active] + tau * nu
+            worst = int(np.argmin(mult))
+            if mult[worst] < -1e-12 * max(1.0, float(np.abs(grad).max())):
+                fixed[active[worst]] = False
+                continue
+        return z * (Phi / (tau * z.sum()))
+    raise SolverFailureError("dense reference QP did not converge")

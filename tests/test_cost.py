@@ -13,6 +13,7 @@ from volexec.cost import (
     realized_is_cost,
     realized_is_cost_paths,
     _inverse_turnover_cov_dot,
+    _inverse_turnover_factors,
     _StaticCosts,
 )
 from volexec.errors import ConsistencyError
@@ -64,6 +65,28 @@ def test_breakdown_and_mv_invariants():
     d = MvValue(expectation=1.0, variance=0.5, objective=1.5, lam=1.0).as_dict()
     assert d["lambda"] == 1.0
 
+
+
+def test_mv_value_rejects_nan():
+    with pytest.raises(ValueError):
+        MvValue(expectation=1.0, variance=np.nan, objective=np.nan, lam=1.0)
+    with pytest.raises(ConsistencyError):
+        MvValue(expectation=1.0, variance=0.5, objective=np.nan, lam=1.0)
+    inf = MvValue(expectation=1.0, variance=np.inf, objective=np.inf, lam=1.0)
+    assert inf.objective == np.inf
+
+
+def test_mv_gbm_infinite_variance():
+    """At v0 = 1e-300 the Cov(1/v) factors overflow: lam = 1 reports an
+    infinite variance, and at lam = 0 the objective 0 * inf is NaN, an error."""
+    g = build_grid(1.0, 10)
+    model = GbmVolumeModel(1e-300, -0.02, 0.2, rho=0.0)
+    market = MarketParams(kappa=0.1, kappa_tilde=0.02, sigma_tilde=0.2, s0=100.0)
+    s = make_twap(g)
+    with np.errstate(over="ignore"):
+        assert mv_gbm(s, model, 1.0, market).variance == np.inf
+        with pytest.raises(ConsistencyError):
+            mv_gbm(s, model, 0.0, market)
 
 def test_flat_price_twap_cost(market, grid200, twap200):
     price, vol = _flat_paths(len(grid200), market.s0)
@@ -209,7 +232,7 @@ def test_inverse_turnover_cov_dot_matches_dense(where, sigma, n):
     t = g.nodes if where == "nodes" else 0.5 * (g.nodes[1:] + g.nodes[:-1])
     model = GbmVolumeModel(1.3, -0.02, sigma, rho=0.5)
     q = np.random.default_rng(n).uniform(0.1, 2.0, t.size) ** 2
-    got = _inverse_turnover_cov_dot(model, t, q)
+    got = _inverse_turnover_cov_dot(_inverse_turnover_factors(model, t), q)
     ref = inverse_turnover_covariance(model, t) @ q
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

@@ -5,17 +5,20 @@ import pytest
 
 from volexec.bvp import optimal_inventory_ode
 from volexec.cost import MarketParams, mv_gbm
+from volexec.errors import SolverFailureError
 from volexec.grids import build_grid, trapz, trapz_weights
 from volexec.optimizer import (
     GbmObjective,
     SolveReport,
     _active_set_qp,
-    _dense_qp_rates,
+    _RateModel,
     solve_qp_deterministic,
     solve_sqp_gbm,
 )
 from volexec.strategies import Strategy
 from volexec.volume import GbmVolumeModel, arcsine_profile, gbm_harmonic_mean, profile_from_samples
+
+from conftest import dense_kkt_step, dense_qp_rates, dense_quadratic_hessian
 
 
 def _interval_means(v):
@@ -54,7 +57,7 @@ def test_zero_lam_random_profiles(market):
 
 
 def test_qp_matches_ode_route(market, arcsine500):
-    """Same discrete optimality system, three solvers: the tridiagonal solve
+    """Same discrete optimality system, three solvers: the O(n) active set
     behind the QP, the boundary-value route and the dense KKT reference."""
     g = arcsine500.grid
     _, rep = solve_qp_deterministic(arcsine500, 1.0, market, 1.0)
@@ -67,7 +70,7 @@ def test_qp_matches_ode_route(market, arcsine500):
         for p in (arcsine_profile(g), profile_from_samples(g, 0.2 + rng.random(len(g)))):
             for lam in (0.0, 0.5, 50.0, 5000.0):
                 _, rep = solve_qp_deterministic(p, lam, market, 1.0)
-                ref = _dense_qp_rates(p, lam, market, 1.0)
+                ref = dense_qp_rates(p, lam, market, 1.0)
                 assert np.max(np.abs(rep.zeta_intervals - ref)) <= 1e-10 * np.max(ref)
 
 
@@ -82,6 +85,17 @@ def test_qp_extreme_risk_aversion(market, arcsine500):
         assert np.min(s.zeta) >= 0.0
         assert trapz(s.zeta, s.grid.tau) == pytest.approx(1.0, rel=1e-12)
 
+
+
+def test_qp_vanishing_temporary_impact(market):
+    """At turnover 1e300 the temporary impact is nil and the optimum sells the
+    whole block in the first interval; the later rates are bounds or underflow."""
+    g = build_grid(1.0, 10)
+    p = profile_from_samples(g, np.full(len(g), 1e300))
+    _, rep = solve_qp_deterministic(p, 1.0, market, 1.0)
+    assert rep.status == "converged"
+    assert rep.zeta_intervals[0] == pytest.approx(1.0 / g.tau, rel=1e-12)
+    assert np.max(rep.zeta_intervals[1:]) < 1e-250
 
 def test_qp_memory_is_linear(market):
     p = arcsine_profile(build_grid(1.0, 4000))
@@ -125,7 +139,9 @@ def test_active_set_water_filling():
     n = 40
     c = rng.standard_normal(n)
     tau = 1.0 / n
-    z, nu, iters, fixed, status = _active_set_qp(2.0 * np.eye(n), 2.0 * c, tau, 1.0, 200)
+    # H = 2 I: a unit diagonal model with no inventory term
+    model = _RateModel(d=np.full(n, 2.0), k=0.0, w=trapz_weights(n, tau))
+    z, nu, iters, fixed, status = _active_set_qp(model, 2.0 * c, tau, 1.0, 200)
     lo, hi = -10.0, 10.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -141,6 +157,47 @@ def test_active_set_water_filling():
     mu = grad + tau * nu
     assert np.all(mu[fixed] > -1e-12)          # pinned coordinates push outward
     assert np.max(np.abs(mu[~fixed])) < 1e-12  # free coordinates are stationary
+
+
+def _random_model(rng, n, mu=0.0):
+    tau = 1.0 / n
+    d = 0.01 * tau / (0.2 + rng.random(n)) + mu
+    return _RateModel(d=d, k=2.0 * 50.0 * 0.04 * tau**2, w=trapz_weights(n, tau)), tau
+
+
+@pytest.mark.parametrize("n", [2, 3, 60, 300])
+def test_rate_model_product_matches_dense(n):
+    rng = np.random.default_rng(n)
+    for mu in (0.0, 1e-3):
+        model, _ = _random_model(rng, n, mu)
+        H = dense_quadratic_hessian(model.d, model.k, model.w)
+        for _ in range(3):
+            z = rng.standard_normal(n)
+            ref = H @ z
+            assert np.max(np.abs(model.dot(z) - ref)) <= 1e-14 * np.max(np.abs(H) @ np.abs(z))
+
+
+@pytest.mark.parametrize("n", [2, 3, 60, 300])
+def test_rate_model_pinned_solve_matches_dense(n):
+    """The tridiagonal solve with merged nodes equals the dense KKT step on
+    random pinned masks, with a single free rate and with a Levenberg shift."""
+    rng = np.random.default_rng(100 + n)
+    for mu in (0.0, 1e-3):
+        model, tau = _random_model(rng, n, mu)
+        H = dense_quadratic_hessian(model.d, model.k, model.w)
+        masks = [np.zeros(n, dtype=bool), np.arange(n) != rng.integers(n)]
+        masks += [rng.random(n) < p for p in (0.3, 0.7)]
+        for fixed in masks:
+            if fixed.all():
+                fixed[rng.integers(n)] = False
+            b = rng.standard_normal(n) * np.max(model.d)
+            z, nu = model.solve(b, tau, 1.0, fixed)
+            z_ref, nu_ref = dense_kkt_step(H, b, tau, 1.0, fixed)
+            assert np.all(z[fixed] == 0.0)
+            assert np.max(np.abs(z - z_ref)) <= 1e-14 * np.max(np.abs(z_ref)) * n
+            assert abs(nu - nu_ref) <= 1e-12 * max(abs(nu_ref), np.max(np.abs(b)) / tau)
+        with pytest.raises(SolverFailureError):
+            model.solve(np.zeros(n), tau, 1.0, np.ones(n, dtype=bool))
 
 
 def test_report_dict_fields():
@@ -210,7 +267,8 @@ def test_gbm_objective_gradient(market_hi, grid200):
 
 
 def test_lognormal_variance_memory_is_linear(market_hi):
-    """mv_gbm and the SQP objective build no n x n covariance matrix."""
+    """mv_gbm, the SQP objective, the deterministic QP and an easy SQP solve
+    build no n x n matrix."""
     g = build_grid(1.0, 2000)
     model = GbmVolumeModel(1.0, -0.02, 0.4, rho=0.5)
     s = Strategy(grid=g, zeta=np.ones(len(g)), Phi=1.0)
@@ -219,6 +277,8 @@ def test_lognormal_variance_memory_is_linear(market_hi):
     for run in (
         lambda: mv_gbm(s, model, 2.0, market_hi),
         lambda: GbmObjective(model, 2.0, market_hi, 1.0, g).value_and_gradient(z),
+        lambda: solve_qp_deterministic(arcsine_profile(g), 2.0, market_hi, 1.0),
+        lambda: solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, 0.2, rho=0.5), 2.0, market_hi, 1.0, g),
     ):
         tracemalloc.start()
         try:
