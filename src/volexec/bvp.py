@@ -142,7 +142,7 @@ def matched_log_derivative(v: np.ndarray, tau: float):
     a = np.zeros(v.size)
     h = v.copy()
     a[1:-1] = (2.0 / tau) * (vbar[1:] - vbar[:-1]) / (vbar[1:] + vbar[:-1])
-    h[1:-1] = 2.0 * vbar[1:] * vbar[:-1] / (vbar[1:] + vbar[:-1])
+    h[1:-1] = 2.0 / (1.0 / vbar[1:] + 1.0 / vbar[:-1])  # no product to overflow
     a[0], a[-1] = a[1], a[-2]
     return a, h
 

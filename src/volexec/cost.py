@@ -329,19 +329,20 @@ def _cross_moment(model: GbmVolumeModel, times, omega, b) -> float:
     return float(-(model.sigma * model.rho / model.v0) * np.sum(omega * e * b))
 
 
-def _lognormal_variance(cov, market: MarketParams, w, phi, omega, ema):
+def _lognormal_variance(cov, market: MarketParams, price_variance, omega, ema):
     """Var(C) under lognormal turnover on one quadrature, and C omega.
 
-    Var(C) = sigma_tilde^2 sum w phi^2 - 2 sigma_tilde kappa_tilde E[M_T A_T]
+    Var(C) = sigma_tilde^2 int phi^2 - 2 sigma_tilde kappa_tilde E[M_T A_T]
              + kappa_tilde^2 omega' C omega,
 
-    with node weights w for the inventory, the Cov(1/v) factors `cov` at
-    the quadrature points and weights omega ~ zeta^2 dt for the double
-    integral of zeta_s^2 zeta_t^2 Cov(1/v_s, 1/v_t), and the cross moment `ema`.
+    with the price variance sigma_tilde^2 int phi^2 given, the Cov(1/v)
+    factors `cov` at the quadrature points and weights omega ~ zeta^2 dt for
+    the double integral of zeta_s^2 zeta_t^2 Cov(1/v_s, 1/v_t), and the
+    cross moment `ema`.
     """
     c_omega = _inverse_turnover_cov_dot(cov, omega)
     variance = (
-        market.sigma_tilde**2 * np.sum(w * phi**2)
+        price_variance
         - 2.0 * market.sigma_tilde * market.kappa_tilde * ema
         + market.kappa_tilde**2 * np.dot(omega, c_omega)
     )
@@ -367,7 +368,8 @@ def mv_gbm(s: Strategy, model: GbmVolumeModel, lam, market: MarketParams) -> MvV
     ema = _cross_moment(model, t, omega, cumtrapz(phi, tau))
     expectation = expected_cost(s, model, market)
     cov = _inverse_turnover_factors(model, t)
-    variance, _ = _lognormal_variance(cov, market, w, phi, omega, ema)
+    price_variance = market.sigma_tilde**2 * np.sum(w * phi**2)
+    variance, _ = _lognormal_variance(cov, market, price_variance, omega, ema)
     return MvValue(
         expectation=expectation,
         variance=variance,
@@ -423,7 +425,8 @@ def mv_gbm_quadrature_check(
 
     expectation = expected_cost(s, model, market)
     cov = _inverse_turnover_factors(model, t)
-    variance, _ = _lognormal_variance(cov, market, w, phi, omega, ema)
+    price_variance = market.sigma_tilde**2 * np.sum(w * phi**2)
+    variance, _ = _lognormal_variance(cov, market, price_variance, omega, ema)
     return MvValue(
         expectation=expectation,
         variance=variance,

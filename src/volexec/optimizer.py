@@ -2,11 +2,13 @@
 
 Decision variables are per-interval (piecewise-constant) execution rates, so
 the sell-off condition is a single exact linear constraint.  Both problems
-share one kernel: an active set on the nonnegativity bounds over a rate-space
-quadratic model (a diagonal plus the inventory-variance term), tridiagonal in
-inventory coordinates, where a pinned rate merges two nodes; every product and
-every equality-constrained solve is O(n).  Under deterministic turnover the
-objective is that model and one active-set solve is the optimum; the
+minimize one objective, E + lam Var of the shortfall: its temporary-cost and
+price-variance part is a rate-space quadratic model (a diagonal plus the
+inventory-variance term), tridiagonal in inventory coordinates, where a
+pinned rate merges two nodes, and lognormal turnover adds the variance terms
+of 1/v.  One kernel, an active set on the nonnegativity bounds over that
+model, does every solve in O(n).  Under deterministic turnover the objective
+is the model plus a constant and one active-set solve is the optimum; the
 lognormal-turnover problem takes damped sequential quadratic steps on it.
 """
 from __future__ import annotations
@@ -90,12 +92,6 @@ class _RateModel:
         return z, -float(grad0) / tau
 
 
-def _rate_model(xbar, lam, market: MarketParams, w, tau) -> _RateModel:
-    """kappa_tilde tau sum z^2/xbar + lam sigma_tilde^2 sum w phi^2 as a model."""
-    k = 2.0 * lam * market.sigma_tilde**2 * tau**2
-    return _RateModel(2.0 * market.kappa_tilde * tau / xbar, k, w)
-
-
 def _active_set_qp(model: _RateModel, b, tau, Phi, max_iter):
     """Minimize 1/2 z'Hz - b'z under the sell-off equality and z >= 0: violating
     bounds are fixed and re-solved, active bounds with negative multipliers are
@@ -140,149 +136,122 @@ def _kkt_residual(grad, z, tau):
     return r / max(1.0, float(np.abs(grad).max()))
 
 
-def _price_variance_gradient(phi, market: MarketParams, w, tau):
-    """Gradient of sigma_tilde^2 sum w phi^2 in the interval rates: each rate
-    lowers the inventory at every later node, hence a suffix sum."""
-    return -2.0 * market.sigma_tilde**2 * tau * np.cumsum((w[1:] * phi[1:])[::-1])[::-1]
+class MeanVarianceObjective:
+    """E + lam Var of the shortfall as a function of the interval rates z.
+
+    kappa Phi^2/2 is a constant.  The temporary cost and lam times the price
+    variance, kappa_tilde tau sum z^2/xbar + lam sigma_tilde^2 sum w phi^2,
+    are 1/2 z'Hz with H the rate model that the steps solve, so their
+    gradient is Hz.  `xbar` is the interval turnover: the mean of two node
+    samples of v, or, under the lognormal `model`, of its harmonic mean u.
+    The model adds lam times the Cov(1/v) and cross-moment terms of the cost
+    module's variance (on interval midpoints, weights tau z^2) and their
+    gradient.
+    """
+
+    def __init__(self, xbar, lam, market: MarketParams, Phi, grid: TimeGrid, model=None):
+        self.lam = float(lam)
+        if self.lam < 0.0:
+            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        self.Phi = float(Phi)
+        if self.Phi <= 0.0:
+            raise ValueError(f"Phi must be positive, got {self.Phi}")
+        self.market, self.model, self.xbar = market, model, xbar
+        n, tau = grid.n_steps, grid.tau
+        self.tau, self.permanent = tau, market.kappa * self.Phi**2 / 2.0
+        k = 2.0 * self.lam * market.sigma_tilde**2 * tau**2
+        self.quad = _RateModel(2.0 * market.kappa_tilde * tau / xbar, k, trapz_weights(n, tau))
+        if model is not None:
+            t = grid.nodes
+            self.mid = 0.5 * (t[:-1] + t[1:])
+            self.emid = np.exp(-(model.mu - model.sigma**2) * self.mid)
+            self.cov = _inverse_turnover_factors(model, self.mid)
+            self.cross_coef = model.sigma * model.rho / model.v0
+            self.idx = np.arange(1, n + 1, dtype=float)
+
+    def value(self, z) -> float:
+        return self.value_and_gradient(z)[0]
+
+    def value_and_gradient(self, z):
+        g = self.quad.dot(z)
+        f = self.permanent + 0.5 * float(np.sum(z * g))
+        if self.model is None or self.lam == 0.0:
+            return f, g
+        mk, tau = self.market, self.tau
+        omega = tau * z**2
+        # the cross moment reads the inventory in head form, Phi - tau cumsum(z),
+        # which its gradient d_bmid below assumes
+        bhat = cumtrapz(np.concatenate([[self.Phi], self.Phi - tau * np.cumsum(z)]), tau)
+        bmid = 0.5 * (bhat[:-1] + bhat[1:])
+        ema = _cross_moment(self.model, self.mid, omega, bmid)
+        variance, c_omega = _lognormal_variance(self.cov, mk, 0.0, omega, ema)
+        g_quartic = 4.0 * mk.kappa_tilde**2 * tau * z * c_omega
+        if self.cross_coef != 0.0:
+            qe = z**2 * self.emid
+            s0 = np.concatenate([np.cumsum(qe[::-1])[::-1][1:], [0.0]])
+            s1 = np.concatenate([np.cumsum((self.idx * qe)[::-1])[::-1][1:], [0.0]])
+            d_bmid = s1 - self.idx * s0 + 0.25 * qe
+            g_ema = -self.cross_coef * tau * (2.0 * z * self.emid * bmid - tau**2 * d_bmid)
+        else:
+            g_ema = 0.0
+        g_turnover = g_quartic - 2.0 * mk.sigma_tilde * mk.kappa_tilde * g_ema
+        return f + self.lam * variance, g + self.lam * g_turnover
+
+
+def _solution(obj: MeanVarianceObjective, grid: TimeGrid, z, iterations, kkt, status):
+    """The node-sampled Strategy of the final rates z and their SolveReport."""
+    report = SolveReport(
+        objective=obj.value(z),
+        iterations=iterations,
+        kkt_residual=float(kkt),
+        active_bounds=tuple(int(i) for i in np.where(z == 0.0)[0]),
+        status=status,
+        zeta_intervals=_frozen(z),
+    )
+    return Strategy(grid=grid, zeta=interval_rates_to_nodes(z), Phi=obj.Phi), report
 
 
 def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Phi):
     """Optimal schedule under deterministic turnover, in O(n).
 
-    Discretizes kappa Phi^2/2 + lam sigma_tilde^2 int phi^2 + kappa_tilde
-    int zeta^2/v over interval rates (interval turnover = mean of the two
-    node samples).  That objective is its own rate-space model, so one
-    active-set solve is the optimum; positive turnover keeps it nonnegative,
-    and rates that underflow at extreme lam are exactly zero, reported as
-    active bounds.  The status is "converged" when the KKT residual is within
-    tolerance and "stalled" otherwise.  Returns the node-sampled Strategy and
-    a SolveReport carrying the raw interval rates.
+    The objective on interval rates (interval turnover = mean of the two
+    node samples) is its rate model plus a constant, so one active-set solve
+    is the optimum; rates that underflow at extreme lam are exactly zero,
+    reported as active bounds.  The status is "converged" when the KKT
+    residual at the returned rates is within tolerance and "stalled"
+    otherwise.  Returns the node-sampled Strategy and a SolveReport carrying
+    the raw interval rates.
     """
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    Phi = float(Phi)
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
     grid = profile.grid
     n, tau = grid.n_steps, grid.tau
-    vbar = 0.5 * (profile.v[1:] + profile.v[:-1])
-    w = trapz_weights(n, tau)
-    model = _rate_model(vbar, lam, market, w, tau)
-    z, _, iterations, _, status = _active_set_qp(model, np.zeros(n), tau, Phi, max_iter=max(n, 8))
+    obj = MeanVarianceObjective(0.5 * (profile.v[1:] + profile.v[:-1]), lam, market, Phi, grid)
+    z, _, iterations, _, status = _active_set_qp(obj.quad, np.zeros(n), tau, obj.Phi, max(n, 8))
     if status != "converged":
         raise SolverFailureError(f"deterministic QP ended with status {status!r}")
-    z *= Phi / (tau * z.sum())
-
-    # inventory as the tail sums of the rates still to sell: Phi - tau*cumsum(z)
-    # would leave rounding residue where the inventory is tiny, and at large
-    # lam that residue dominates the price-risk gradient
-    phi = np.append(tau * np.cumsum(z[::-1])[::-1], 0.0)
-    objective = float(
-        market.kappa * Phi**2 / 2.0
-        + market.kappa_tilde * tau * np.sum(z**2 / vbar)
-        + lam * market.sigma_tilde**2 * np.sum(w * phi**2)
-    )
-    grad = 2.0 * market.kappa_tilde * tau * z / vbar
-    grad += lam * _price_variance_gradient(phi, market, w, tau)
-    kkt = _kkt_residual(grad, z, tau)
-    report = SolveReport(
-        objective=objective,
-        iterations=iterations,
-        kkt_residual=kkt,
-        active_bounds=tuple(int(i) for i in np.where(z == 0.0)[0]),
-        status="converged" if kkt <= _KKT_TOL else "stalled",
-        zeta_intervals=_frozen(z),
-    )
-    strategy = Strategy(grid=grid, zeta=interval_rates_to_nodes(z), Phi=Phi)
-    return strategy, report
-
-
-class GbmObjective:
-    """Mean-variance objective E + lam Var on interval rates, with analytic gradient.
-
-    The variance is the cost module's lognormal variance on interval
-    midpoints, with weights tau z^2; the inventory enters through the exact
-    lower-triangular map.
-    """
-
-    def __init__(self, model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: TimeGrid):
-        self.model = model
-        self.market = market
-        self.lam = float(lam)
-        self.Phi = float(Phi)
-        n = grid.n_steps
-        self.tau = grid.tau
-        t = grid.nodes
-        u = gbm_harmonic_mean(model, grid).v
-        self.ubar = 0.5 * (u[1:] + u[:-1])
-        self.w = trapz_weights(n, self.tau)
-        self.mid = 0.5 * (t[:-1] + t[1:])
-        self.emid = np.exp(-(model.mu - model.sigma**2) * self.mid)
-        self.cov = _inverse_turnover_factors(model, self.mid)
-        self.cross_coef = model.sigma * model.rho / model.v0
-        self.idx = np.arange(1, n + 1, dtype=float)
-
-    def _pieces(self, z):
-        mk, tau = self.market, self.tau
-        phi = np.concatenate([[self.Phi], self.Phi - self.tau * np.cumsum(z)])
-        expect = mk.kappa * self.Phi**2 / 2.0 + mk.kappa_tilde * tau * np.sum(z**2 / self.ubar)
-        omega = tau * z**2
-        bhat = cumtrapz(phi, tau)
-        bmid = 0.5 * (bhat[:-1] + bhat[1:])
-        ema = _cross_moment(self.model, self.mid, omega, bmid)
-        variance, c_omega = _lognormal_variance(self.cov, mk, self.w, phi, omega, ema)
-        return expect, variance, phi, c_omega, bmid
-
-    def value(self, z):
-        expect, variance, _, _, _ = self._pieces(z)
-        return expect + self.lam * variance
-
-    def value_and_gradient(self, z):
-        mk, tau = self.market, self.tau
-        expect, variance, phi, c_omega, bmid = self._pieces(z)
-        g = 2.0 * mk.kappa_tilde * tau * z / self.ubar
-        if self.lam > 0.0:
-            g_price = _price_variance_gradient(phi, mk, self.w, tau)
-            g_quartic = 4.0 * mk.kappa_tilde**2 * tau * z * c_omega
-            if self.cross_coef != 0.0:
-                qe = z**2 * self.emid
-                s0 = np.concatenate([np.cumsum(qe[::-1])[::-1][1:], [0.0]])
-                s1 = np.concatenate([np.cumsum((self.idx * qe)[::-1])[::-1][1:], [0.0]])
-                d_bmid = s1 - self.idx * s0 + 0.25 * qe
-                g_ema = -self.cross_coef * tau * (
-                    2.0 * z * self.emid * bmid - tau**2 * d_bmid
-                )
-            else:
-                g_ema = 0.0
-            g = g + self.lam * (g_price - 2.0 * mk.sigma_tilde * mk.kappa_tilde * g_ema + g_quartic)
-        return expect + self.lam * variance, g
+    z *= obj.Phi / (tau * z.sum())
+    kkt = _kkt_residual(obj.value_and_gradient(z)[1], z, tau)
+    return _solution(obj, grid, z, iterations, kkt, "converged" if kkt <= _KKT_TOL else "stalled")
 
 
 def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: TimeGrid):
     """Optimal static schedule under lognormal turnover.
 
-    Damped sequential quadratic steps: the step subproblem is the
-    deterministic problem's rate-space model (the exact curvature of the
-    quadratic terms) plus a Levenberg shift mu adapted by a ratio test, and
-    is solved by the same O(n) active set.  Starts from the
-    harmonic-mean-proportional schedule, which is already optimal at lam = 0.
-    The status is "converged" only when the KKT residual is within
-    tolerance, "max-iterations" when the iteration budget runs out, and
-    "stalled" when no step lowers the objective any more.
+    Damped sequential quadratic steps on the mean-variance objective: the
+    step subproblem is the objective's own rate-space model (the exact
+    curvature of its temporary-cost and price-variance terms) plus a
+    Levenberg shift mu adapted by a ratio test, and is solved by the same
+    O(n) active set.  Starts from the harmonic-mean-proportional schedule,
+    which is already optimal at lam = 0.  The status is "converged" only
+    when the KKT residual of the last iterate is within tolerance,
+    "max-iterations" when the iteration budget runs out, and "stalled" when
+    no step lowers the objective any more.
     """
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    Phi = float(Phi)
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
-    obj = GbmObjective(model, lam, market, Phi, grid)
-    tau = grid.tau
+    u = gbm_harmonic_mean(model, grid).v
+    obj = MeanVarianceObjective(0.5 * (u[1:] + u[:-1]), lam, market, Phi, grid, model)
+    tau, H, Phi = grid.tau, obj.quad, obj.Phi
 
-    z = obj.ubar * (Phi / (tau * obj.ubar.sum()))
+    z = obj.xbar * (Phi / (tau * obj.xbar.sum()))
     f, g = obj.value_and_gradient(z)
-    H = _rate_model(obj.ubar, lam, market, obj.w, tau)
     mu = 0.0
     status = "max-iterations"
     kkt = _kkt_residual(g, z, tau)
@@ -302,7 +271,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
                 continue
             d = z_new - z
             predicted = -(g @ d + 0.5 * d @ Hd.dot(d))
-            f_new = obj.value(z_new)
+            f_new, g_new = obj.value_and_gradient(z_new)
             if predicted <= 0.0:
                 # the model says "no descent left": accept only an actual improvement
                 if f_new < f:
@@ -315,8 +284,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
                 mu = max(4.0 * mu, 1e-8)
                 continue
             decrease = f - f_new
-            z, f = z_new, f_new
-            _, g = obj.value_and_gradient(z)
+            z, f, g = z_new, f_new, g_new
             kkt = _kkt_residual(g, z, tau)
             if ratio > 0.75:
                 mu = 0.0 if mu < 1e-10 else mu / 3.0
@@ -329,15 +297,5 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
             break
     if kkt <= _KKT_TOL:
         status = "converged"
-
     z = np.clip(z * (Phi / (tau * z.sum())), 0.0, None)
-    report = SolveReport(
-        objective=float(obj.value(z)),
-        iterations=iterations,
-        kkt_residual=float(kkt),
-        active_bounds=tuple(int(i) for i in np.where(z == 0.0)[0]),
-        status=status,
-        zeta_intervals=_frozen(z),
-    )
-    strategy = Strategy(grid=grid, zeta=interval_rates_to_nodes(z), Phi=Phi)
-    return strategy, report
+    return _solution(obj, grid, z, iterations, kkt, status)

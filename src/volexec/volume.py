@@ -52,6 +52,8 @@ class GbmVolumeModel:
     rho: float = 0.0
 
     def __post_init__(self):
+        if not all(np.isfinite((self.v0, self.mu, self.sigma))):
+            raise ValueError(f"v0, mu and sigma must be finite: {self}")
         if not (self.v0 > 0.0):
             raise ValueError(f"v0 must be positive, got {self.v0}")
         if self.sigma < 0.0:

@@ -294,19 +294,20 @@ def _extreme_gbm(**kw):
 
 
 # schema-valid configs whose numbers overflow or underflow somewhere, with
-# the exit codes of solve, validate and simulate; turnover near 1e300 leaves
-# the deterministic optimum well defined (temporary impact vanishes, so the
-# whole block sells in the first interval) and its solves succeed
+# the exit codes of solve, validate, simulate and expand; turnover near 1e300
+# leaves the deterministic optimum well defined (temporary impact vanishes, so
+# the whole block sells in the first interval) and its solves succeed; expand
+# takes deterministic turnover only
 _EXTREME = {
-    "samples-1e300": (_extreme(type="samples", values=[1e300] * 11), (0, 0, 0)),
-    "samples-1e-300": (_extreme(type="samples", values=[1e-300] * 11), (0, 3, 3)),
+    "samples-1e300": (_extreme(type="samples", values=[1e300] * 11), (0, 0, 0, 0)),
+    "samples-1e-300": (_extreme(type="samples", values=[1e-300] * 11), (0, 3, 3, 0)),
     "samples-alternating": (
         _extreme(type="samples", values=[1e300 if i % 2 else 1e-300 for i in range(11)]),
-        (0, 3, 0),
+        (0, 3, 0, 0),
     ),
-    "gbm-v0-1e-300": (_extreme_gbm(v0=1e-300), (3, 3, 3)),
-    "gbm-mu-1e3": (_extreme_gbm(mu=1e3), (2, 2, 2)),
-    "gbm-sigma-50": (_extreme_gbm(sigma=50.0), (2, 2, 2)),
+    "gbm-v0-1e-300": (_extreme_gbm(v0=1e-300), (3, 3, 3, 2)),
+    "gbm-mu-1e3": (_extreme_gbm(mu=1e3), (2, 2, 2, 2)),
+    "gbm-sigma-50": (_extreme_gbm(sigma=50.0), (2, 2, 2, 2)),
 }
 
 
@@ -322,7 +323,7 @@ def test_extreme_configs_exit_without_traceback(tmp_path, name):
     their checks."""
     doc, codes = _EXTREME[name]
     cfg = write_config(tmp_path, doc)
-    for command, code in zip(("solve", "validate", "simulate"), codes):
+    for command, code in zip(("solve", "validate", "simulate", "expand"), codes):
         r = run_cli(command, "--config", cfg, "--out", str(tmp_path / command))
         assert r.returncode == code, (command, r.stderr)
         assert "Traceback" not in r.stderr

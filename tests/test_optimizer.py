@@ -8,7 +8,7 @@ from volexec.cost import MarketParams, mv_gbm
 from volexec.errors import SolverFailureError
 from volexec.grids import build_grid, trapz, trapz_weights
 from volexec.optimizer import (
-    GbmObjective,
+    MeanVarianceObjective,
     SolveReport,
     _active_set_qp,
     _RateModel,
@@ -96,6 +96,14 @@ def test_qp_vanishing_temporary_impact(market):
     assert rep.status == "converged"
     assert rep.zeta_intervals[0] == pytest.approx(1.0 / g.tau, rel=1e-12)
     assert np.max(rep.zeta_intervals[1:]) < 1e-250
+    # the boundary route agrees, also where the turnover alternates 1e300/1e-300
+    alternating = profile_from_samples(g, np.where(np.arange(len(g)) % 2, 1e300, 1e-300))
+    for q in (p, alternating):
+        _, rep = solve_qp_deterministic(q, 1.0, market, 1.0)
+        phi_qp = np.concatenate([[1.0], 1.0 - g.tau * np.cumsum(rep.zeta_intervals)])
+        phi_ode = optimal_inventory_ode(q, 1.0, market, 1.0).phi
+        assert np.max(np.abs(phi_qp - phi_ode)) < 1e-12
+
 
 def test_qp_memory_is_linear(market):
     p = arcsine_profile(build_grid(1.0, 4000))
@@ -246,9 +254,19 @@ def test_sqp_status_follows_kkt(mu, sigma, rho, kappa_tilde, sigma_tilde, lam, g
     assert (rep.status == "converged") == (rep.kkt_residual <= 1e-8)
 
 
-def test_gbm_objective_gradient(market_hi, grid200):
+def _objective(kind, lam, market, grid):
+    if kind == "deterministic":
+        v = arcsine_profile(grid).v
+        return MeanVarianceObjective(_interval_means(v), lam, market, 1.0, grid)
     model = GbmVolumeModel(1.0, -0.02, 0.2, rho=0.4)
-    obj = GbmObjective(model, 1.5, market_hi, 1.0, grid200)
+    u = gbm_harmonic_mean(model, grid).v
+    return MeanVarianceObjective(_interval_means(u), lam, market, 1.0, grid, model)
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "lognormal"])
+def test_objective_gradient(kind, market_hi, grid200):
+    obj = _objective(kind, 1.5, market_hi, grid200)
+    profile = arcsine_profile(grid200)
     rng = np.random.default_rng(9)
     n = grid200.n_steps
     for _ in range(3):
@@ -256,6 +274,9 @@ def test_gbm_objective_gradient(market_hi, grid200):
         z /= grid200.tau * z.sum()
         val, grad = obj.value_and_gradient(z)
         assert val == pytest.approx(obj.value(z), rel=1e-14)
+        if kind == "deterministic":
+            ref = _qp_objective(z, profile, 1.5, market_hi, 1.0)
+            assert val == pytest.approx(ref, rel=1e-13)
         idx = rng.choice(n, size=12, replace=False)
         h = 1e-6
         for i in idx:
@@ -264,19 +285,23 @@ def test_gbm_objective_gradient(market_hi, grid200):
             zm[i] -= h
             fd = (obj.value(zp) - obj.value(zm)) / (2.0 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+    if kind == "deterministic":
+        _, rep = solve_qp_deterministic(profile, 1.5, market_hi, 1.0)
+        assert rep.objective == obj.value(rep.zeta_intervals)
 
 
 def test_lognormal_variance_memory_is_linear(market_hi):
-    """mv_gbm, the SQP objective, the deterministic QP and an easy SQP solve
-    build no n x n matrix."""
+    """mv_gbm, the lognormal objective, the deterministic QP and an easy SQP
+    solve build no n x n matrix."""
     g = build_grid(1.0, 2000)
     model = GbmVolumeModel(1.0, -0.02, 0.4, rho=0.5)
     s = Strategy(grid=g, zeta=np.ones(len(g)), Phi=1.0)
     z = np.full(g.n_steps, 1.0)
+    ubar = _interval_means(gbm_harmonic_mean(model, g).v)
     peaks = []
     for run in (
         lambda: mv_gbm(s, model, 2.0, market_hi),
-        lambda: GbmObjective(model, 2.0, market_hi, 1.0, g).value_and_gradient(z),
+        lambda: MeanVarianceObjective(ubar, 2.0, market_hi, 1.0, g, model).value_and_gradient(z),
         lambda: solve_qp_deterministic(arcsine_profile(g), 2.0, market_hi, 1.0),
         lambda: solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, 0.2, rho=0.5), 2.0, market_hi, 1.0, g),
     ):
@@ -304,7 +329,8 @@ def test_sqp_converges_with_correlation(market_hi, grid200):
 
 def test_sqp_optimum_beats_perturbations(market_hi, grid200):
     model = GbmVolumeModel(1.0, -0.02, 0.2, rho=0.5)
-    obj = GbmObjective(model, 5.0, market_hi, 1.0, grid200)
+    ubar = _interval_means(gbm_harmonic_mean(model, grid200).v)
+    obj = MeanVarianceObjective(ubar, 5.0, market_hi, 1.0, grid200, model)
     _, rep = solve_sqp_gbm(model, 5.0, market_hi, 1.0, grid200)
     z = rep.zeta_intervals
     base = obj.value(z)

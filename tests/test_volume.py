@@ -80,6 +80,9 @@ def test_gbm_model_validation():
         GbmVolumeModel(v0=1.0, mu=0.0, sigma=-0.1)
     with pytest.raises(ValueError):
         GbmVolumeModel(v0=1.0, mu=0.0, sigma=0.1, rho=1.5)
+    for bad in ({"mu": np.nan}, {"sigma": np.inf}, {"v0": np.inf}):
+        with pytest.raises(ValueError):
+            GbmVolumeModel(**{"v0": 1.0, "mu": 0.0, "sigma": 0.1, **bad})
 
 
 def test_harmonic_mean_closed_form(gbm_model):
