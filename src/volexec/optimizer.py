@@ -9,7 +9,8 @@ pinned rate merges two nodes, and lognormal turnover adds the variance terms
 of 1/v.  One kernel, an active set on the nonnegativity bounds over that
 model, does every solve in O(n).  Under deterministic turnover the objective
 is the model plus a constant and one active-set solve is the optimum; the
-lognormal-turnover problem takes damped sequential quadratic steps on it.
+lognormal-turnover problem takes damped sequential quadratic steps on it,
+whose model adds the turnover terms' O(n) Hessian diagonal, clipped at zero.
 """
 from __future__ import annotations
 
@@ -19,7 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .bvp import _solve_tridiagonal
-from .cost import MarketParams, _cross_moment, _inverse_turnover_factors, _lognormal_variance
+from .cost import (
+    MarketParams,
+    _cross_moment,
+    _inverse_turnover_cov_dot,
+    _inverse_turnover_factors,
+    _lognormal_variance,
+)
 from .errors import SolverFailureError
 from .grids import TimeGrid, _frozen, cumtrapz, interval_rates_to_nodes, trapz_weights
 from .strategies import Strategy
@@ -145,8 +152,8 @@ class MeanVarianceObjective:
     gradient is Hz.  `xbar` is the interval turnover: the mean of two node
     samples of v, or, under the lognormal `model`, of its harmonic mean u.
     The model adds lam times the Cov(1/v) and cross-moment terms of the cost
-    module's variance (on interval midpoints, weights tau z^2) and their
-    gradient.
+    module's variance (on interval midpoints, weights tau z^2), their
+    gradient and their Hessian diagonal.
     """
 
     def __init__(self, xbar, lam, market: MarketParams, Phi, grid: TimeGrid, model=None):
@@ -178,11 +185,7 @@ class MeanVarianceObjective:
         if self.model is None or self.lam == 0.0:
             return f, g
         mk, tau = self.market, self.tau
-        omega = tau * z**2
-        # the cross moment reads the inventory in head form, Phi - tau cumsum(z),
-        # which its gradient d_bmid below assumes
-        bhat = cumtrapz(np.concatenate([[self.Phi], self.Phi - tau * np.cumsum(z)]), tau)
-        bmid = 0.5 * (bhat[:-1] + bhat[1:])
+        omega, bmid = tau * z**2, self._bmid(z)
         ema = _cross_moment(self.model, self.mid, omega, bmid)
         variance, c_omega = _lognormal_variance(self.cov, mk, 0.0, omega, ema)
         g_quartic = 4.0 * mk.kappa_tilde**2 * tau * z * c_omega
@@ -196,6 +199,25 @@ class MeanVarianceObjective:
             g_ema = 0.0
         g_turnover = g_quartic - 2.0 * mk.sigma_tilde * mk.kappa_tilde * g_ema
         return f + self.lam * variance, g + self.lam * g_turnover
+
+    def _bmid(self, z):
+        """b_t = int_0^t phi at the midpoints, from the head-form inventory (d_bmid assumes it)."""
+        bhat = cumtrapz(np.concatenate([[self.Phi], self.Phi - self.tau * np.cumsum(z)]), self.tau)
+        return 0.5 * (bhat[:-1] + bhat[1:])
+
+    def turnover_curvature(self, z) -> np.ndarray:
+        """Diagonal of the Hessian of lam times the Cov(1/v) and cross-moment
+        terms at z, in O(n); zero at lam = 0 and under deterministic turnover.
+        C_ii = a_i^2 g_i, and d bmid_i / d z_i = -tau^2/4."""
+        if self.model is None or self.lam == 0.0:
+            return np.zeros(z.size)
+        mk, tau, (a, g) = self.market, self.tau, self.cov
+        c_omega = _inverse_turnover_cov_dot(self.cov, tau * z**2)
+        curv = 4.0 * mk.kappa_tilde**2 * tau * (c_omega + 2.0 * tau * z**2 * a**2 * g)
+        if self.cross_coef != 0.0:
+            e_coef = 2.0 * mk.sigma_tilde * mk.kappa_tilde * self.cross_coef * tau * self.emid
+            curv += e_coef * (2.0 * self._bmid(z) - tau**2 * z)
+        return self.lam * curv
 
 
 def _solution(obj: MeanVarianceObjective, grid: TimeGrid, z, iterations, kkt, status):
@@ -238,13 +260,14 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
 
     Damped sequential quadratic steps on the mean-variance objective: the
     step subproblem is the objective's own rate-space model (the exact
-    curvature of its temporary-cost and price-variance terms) plus a
-    Levenberg shift mu adapted by a ratio test, and is solved by the same
-    O(n) active set.  Starts from the harmonic-mean-proportional schedule,
-    which is already optimal at lam = 0.  The status is "converged" only
-    when the KKT residual of the last iterate is within tolerance,
-    "max-iterations" when the iteration budget runs out, and "stalled" when
-    no step lowers the objective any more.
+    curvature of its temporary-cost and price-variance terms) plus, on its
+    diagonal, the Hessian diagonal of the Cov(1/v) and cross-moment terms at
+    the iterate clipped at zero and a Levenberg shift mu adapted by a ratio
+    test; the same O(n) active set solves it.  Starts from the
+    harmonic-mean-proportional schedule, which is already optimal at lam = 0.
+    The status is "converged" only when the KKT residual of the last iterate
+    is within tolerance, "max-iterations" when the iteration budget runs out,
+    and "stalled" when no step lowers the objective any more.
     """
     u = gbm_harmonic_mean(model, grid).v
     obj = MeanVarianceObjective(0.5 * (u[1:] + u[:-1]), lam, market, Phi, grid, model)
@@ -262,8 +285,9 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
             break
         iterations = it
         decrease = None
+        diag = H.d + np.maximum(obj.turnover_curvature(z), 0.0)
         while mu < 1e12:
-            Hd = replace(H, d=H.d + mu) if mu > 0.0 else H
+            Hd = replace(H, d=diag + mu)
             b = Hd.dot(z) - g
             z_new, _, _, _, sub_status = _active_set_qp(Hd, b, tau, Phi, max(grid.n_steps, 8))
             if sub_status != "converged":

@@ -170,7 +170,7 @@ def test_06_stochastic_solver_risk_and_correlation_structure():
         assert rep.status == "converged" and rep.kkt_residual <= 1e-8
         assert rep.iterations <= 200
         rho_rates.append(s.zeta[0])
-    frozen_rho = [4.26609163, 4.38449563, 4.44236165, 4.49938336, 4.61125568]
+    frozen_rho = [4.26609163, 4.38449563, 4.44235210, 4.49940132, 4.61126422]
     lam_spread = lam_rates[-1] - lam_rates[0]
     rho_spread = rho_rates[-1] - rho_rates[0]
     ok = (

@@ -232,8 +232,8 @@ def test_sqp_zero_lam_immediate(market, gbm_model, grid200):
     assert np.max(np.abs(rep.zeta_intervals - expect)) / np.max(expect) < 1e-10
 
 
-# solve-sweep benchmark draws at seed 20240 whose objective stops falling
-# while the KKT residual is still above tolerance
+# solve-sweep benchmark draws at seed 20240 whose objective stopped falling
+# above the KKT tolerance before the step model held the turnover curvature
 @pytest.mark.parametrize(
     "mu, sigma, rho, kappa_tilde, sigma_tilde, lam",
     [
@@ -291,8 +291,8 @@ def test_objective_gradient(kind, market_hi, grid200):
 
 
 def test_lognormal_variance_memory_is_linear(market_hi):
-    """mv_gbm, the lognormal objective, the deterministic QP and an easy SQP
-    solve build no n x n matrix."""
+    """mv_gbm, the lognormal objective, the deterministic QP, an easy SQP
+    solve and a hard one (sigma=2, rho=0.9, lam=1000) build no n x n matrix."""
     g = build_grid(1.0, 2000)
     model = GbmVolumeModel(1.0, -0.02, 0.4, rho=0.5)
     s = Strategy(grid=g, zeta=np.ones(len(g)), Phi=1.0)
@@ -304,6 +304,7 @@ def test_lognormal_variance_memory_is_linear(market_hi):
         lambda: MeanVarianceObjective(ubar, 2.0, market_hi, 1.0, g, model).value_and_gradient(z),
         lambda: solve_qp_deterministic(arcsine_profile(g), 2.0, market_hi, 1.0),
         lambda: solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, 0.2, rho=0.5), 2.0, market_hi, 1.0, g),
+        lambda: solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, 2.0, rho=0.9), 1000.0, market_hi, 1.0, g),
     ):
         tracemalloc.start()
         try:
@@ -327,6 +328,20 @@ def test_sqp_converges_with_correlation(market_hi, grid200):
     assert zeta0[0] < zeta0[1] < zeta0[2]
 
 
+def _beats_feasible_perturbations(obj, z, rng, count=10):
+    """obj at z is no higher than at `count` feasible perturbations that keep
+    tau sum(z) and move pinned rates only upward."""
+    base, pinned = obj.value(z), z == 0.0
+    for _ in range(count):
+        d = rng.standard_normal(z.size)
+        d[pinned] = np.abs(d[pinned])
+        d[~pinned] -= d.sum() / np.count_nonzero(~pinned)
+        step = 1e-3 / np.max(np.abs(d))
+        while np.any(z + step * d < 0.0):
+            step /= 2.0
+        assert obj.value(z + step * d) >= base - 1e-12
+
+
 def test_sqp_optimum_beats_perturbations(market_hi, grid200):
     model = GbmVolumeModel(1.0, -0.02, 0.2, rho=0.5)
     ubar = _interval_means(gbm_harmonic_mean(model, grid200).v)
@@ -335,11 +350,64 @@ def test_sqp_optimum_beats_perturbations(market_hi, grid200):
     z = rep.zeta_intervals
     base = obj.value(z)
     assert base == pytest.approx(rep.objective, rel=1e-12)
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        d = rng.standard_normal(z.size)
-        d -= d.mean()
-        trial = z + 1e-3 * d / np.max(np.abs(d))
-        if np.any(trial < 0.0):
-            continue
-        assert obj.value(trial) >= base - 1e-12
+    _beats_feasible_perturbations(obj, z, np.random.default_rng(6))
+
+
+def test_turnover_curvature_matches_differences(market_hi):
+    """The diagonal the SQP step adds is the exact second derivative of lam
+    times the Cov(1/v) and cross-moment terms, by central differences of the
+    gradient; it vanishes at lam = 0 and under deterministic turnover."""
+    n = 50
+    g = build_grid(1.0, n)
+    rng = np.random.default_rng(50)
+    z = 0.5 + rng.random(n)
+    z /= g.tau * z.sum()
+    h, negative = 1e-5, False
+    for rho in (-0.9, 0.0, 0.9):
+        for sigma in (0.2, 2.0):
+            model = GbmVolumeModel(1.0, -0.02, sigma, rho=rho)
+            ubar = _interval_means(gbm_harmonic_mean(model, g).v)
+            for lam in (5.0, 1000.0):
+                obj = MeanVarianceObjective(ubar, lam, market_hi, 1.0, g, model)
+                curv = obj.turnover_curvature(z)
+                fd = np.empty(n)
+                for i in range(n):
+                    zp, zm = z.copy(), z.copy()
+                    zp[i] += h
+                    zm[i] -= h
+                    gp = obj.value_and_gradient(zp)[1] - obj.quad.dot(zp)
+                    gm = obj.value_and_gradient(zm)[1] - obj.quad.dot(zm)
+                    fd[i] = (gp[i] - gm[i]) / (2.0 * h)
+                assert np.max(np.abs(curv - fd)) <= 5e-8 * np.max(np.abs(fd)), (rho, sigma, lam)
+                assert np.all(np.maximum(curv, 0.0) >= 0.0)
+                negative |= bool(np.any(curv < 0.0))
+            neutral = MeanVarianceObjective(ubar, 0.0, market_hi, 1.0, g, model)
+            assert np.all(neutral.turnover_curvature(z) == 0.0)
+    assert negative  # a negative cross term makes the clip at zero matter
+    det = _objective("deterministic", 1000.0, market_hi, g)
+    assert np.all(det.turnover_curvature(z) == 0.0)
+
+
+# (sigma, rho, lam) of the solve-sweep benchmark's hard corners and each one's
+# objective before the step model held the turnover curvature, when all three
+# ran out of iterations
+HARD_CORNERS = [
+    (1.0, -0.9, 1000.0, 0.49634171506682745),
+    (2.0, 0.9, 100.0, 0.7299491678377519),
+    (2.0, 0.9, 1000.0, 4.750556910281606),
+]
+
+
+@pytest.mark.parametrize(
+    "sigma, rho, lam, previous", HARD_CORNERS, ids=["rho-0.9", "sigma2-lam100", "sigma2-lam1000"]
+)
+def test_sqp_hard_corners(sigma, rho, lam, previous, market_hi, grid200):
+    model = GbmVolumeModel(1.0, -0.02, sigma, rho=rho)
+    _, rep = solve_sqp_gbm(model, lam, market_hi, 1.0, grid200)
+    assert rep.objective <= previous
+    if sigma == 2.0:
+        assert rep.kkt_residual <= 1e-7
+        assert rep.iterations <= 50
+    ubar = _interval_means(gbm_harmonic_mean(model, grid200).v)
+    obj = MeanVarianceObjective(ubar, lam, market_hi, 1.0, grid200, model)
+    _beats_feasible_perturbations(obj, rep.zeta_intervals, np.random.default_rng(7))
