@@ -8,7 +8,7 @@ and lognormal turnover, boundary-value and direct-optimization solvers, a
 small-risk expansion, and seeded Monte Carlo validation.
 """
 
-from .bvp import LinearBvpSpec, optimal_inventory_ode, solve_linear_bvp
+from .bvp import optimal_inventory_ode
 from .cost import (
     CostBreakdown,
     MarketParams,
@@ -19,7 +19,6 @@ from .cost import (
     mv_gbm,
     mv_gbm_quadrature_check,
     realized_is_cost,
-    realized_is_cost_paths,
 )
 from .errors import (
     ConsistencyError,
@@ -32,7 +31,6 @@ from .montecarlo import (
     MomentEstimate,
     SimulationConfig,
     estimate_cost_moments,
-    simulate_joint_paths,
     validate_theorem_orderings,
 )
 from .optimizer import (
@@ -89,21 +87,17 @@ __all__ = [
     "CostBreakdown",
     "MvValue",
     "realized_is_cost",
-    "realized_is_cost_paths",
     "market_vwap",
     "expected_cost",
     "mv_deterministic",
     "mv_gbm",
     "mv_gbm_quadrature_check",
-    "LinearBvpSpec",
-    "solve_linear_bvp",
     "optimal_inventory_ode",
     "SolveReport",
     "solve_qp_deterministic",
     "solve_sqp_gbm",
     "SimulationConfig",
     "MomentEstimate",
-    "simulate_joint_paths",
     "estimate_cost_moments",
     "validate_theorem_orderings",
     "run_validation",

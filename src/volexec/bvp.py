@@ -13,43 +13,15 @@ optimizer's bound-constrained QP steps run on the same elimination.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, SolverFailureError
-from .grids import TimeGrid, _frozen
-from .strategies import InventoryCurve
+from .grids import TimeGrid
+from .strategies import InventoryCurve, _risk_aversion
 
 _RESIDUAL_RTOL = 1e-10
 _PIVOT_RTOL = 1e-13
-
-
-@dataclass(frozen=True)
-class LinearBvpSpec:
-    """Coefficients of phi'' - a phi' - c phi = rhs with Dirichlet boundaries."""
-
-    grid: TimeGrid
-    a: np.ndarray
-    c: np.ndarray
-    rhs: np.ndarray
-    left_value: float
-    right_value: float
-
-    def __post_init__(self):
-        n = len(self.grid)
-        for name in ("a", "c", "rhs"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must be a length-{n} node array, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, _frozen(arr))
-        for name in ("left_value", "right_value"):
-            val = float(getattr(self, name))
-            if not np.isfinite(val):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, val)
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs, row_scale) -> np.ndarray:
@@ -74,35 +46,47 @@ def _solve_tridiagonal(lower, diag, upper, rhs, row_scale) -> np.ndarray:
     return np.array(x[:m])
 
 
-def solve_linear_bvp(spec: LinearBvpSpec) -> np.ndarray:
-    """Solve the discretized boundary problem; returns phi at every node.
+def _solve_bvp(grid: TimeGrid, a, c, rhs, left, right) -> np.ndarray:
+    """phi at every node from phi'' - a phi' - c phi = rhs, phi(0) = left and
+    phi(T) = right, with a, c and rhs given at the nodes.
 
     Interior stencil at node i:
 
         (phi[i+1] - 2 phi[i] + phi[i-1]) / tau^2
             - a[i] (phi[i+1] - phi[i-1]) / (2 tau) - c[i] phi[i] = rhs[i].
 
-    Raises SolverFailureError (with the offending node as pivot_index) when
-    elimination meets a vanishing pivot, and ConsistencyError when the
-    back-substituted solution fails the scaled residual check.
+    Raises ValueError when a coefficient is not a finite node array or a
+    boundary value is not finite, SolverFailureError (with the offending node
+    as pivot_index) when elimination meets a vanishing pivot, and
+    ConsistencyError when the back-substituted solution fails the scaled
+    residual check.
     """
-    g = spec.grid
-    tau = g.tau
+    n = len(grid)
+    a, c, rhs = (np.asarray(x, dtype=float) for x in (a, c, rhs))
+    for name, arr in (("a", a), ("c", c), ("rhs", rhs)):
+        if arr.shape != (n,):
+            raise ValueError(f"{name} must be a length-{n} node array, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite entries")
+    left, right = float(left), float(right)
+    if not (np.isfinite(left) and np.isfinite(right)):
+        raise ValueError(f"boundary values must be finite, got {left} and {right}")
+    tau = grid.tau
     inv2 = 1.0 / tau**2
-    ai, ci = spec.a[1:-1], spec.c[1:-1]
+    ai, ci = a[1:-1], c[1:-1]
     lower = inv2 + ai / (2.0 * tau)
     diag = -2.0 * inv2 - ci
     upper = inv2 - ai / (2.0 * tau)
-    b = spec.rhs[1:-1].copy()
-    b[0] -= lower[0] * spec.left_value
-    b[-1] -= upper[-1] * spec.right_value
+    b = rhs[1:-1].copy()
+    b[0] -= lower[0] * left
+    b[-1] -= upper[-1] * right
 
     row_scale = 2.0 * inv2 + np.abs(ai) / tau + np.abs(ci)
     x = _solve_tridiagonal(lower, diag, upper, b, row_scale)
 
-    phi = np.empty(len(g))
-    phi[0] = spec.left_value
-    phi[-1] = spec.right_value
+    phi = np.empty(n)
+    phi[0] = left
+    phi[-1] = right
     phi[1:-1] = x
 
     applied = (
@@ -110,9 +94,9 @@ def solve_linear_bvp(spec: LinearBvpSpec) -> np.ndarray:
         - ai * (phi[2:] - phi[:-2]) / (2.0 * tau)
         - ci * phi[1:-1]
     )
-    resid = float(np.max(np.abs(applied - spec.rhs[1:-1])))
+    resid = float(np.max(np.abs(applied - rhs[1:-1])))
     denom = float(np.max(row_scale)) * max(1.0, float(np.max(np.abs(phi)))) + float(
-        np.max(np.abs(spec.rhs))
+        np.max(np.abs(rhs))
     )
     if resid > _RESIDUAL_RTOL * denom:
         raise ConsistencyError(
@@ -161,8 +145,8 @@ def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:
     profiles); imposing the nonnegativity bound is the constrained optimizer's
     job, not this solver's.
     """
-    lam = float(lam)
-    if lam <= 0.0:
+    lam = _risk_aversion(lam)
+    if lam == 0.0:
         raise ValueError(
             f"lam must be positive, got {lam}; the lam -> 0 limit is the "
             "volume-proportional schedule"
@@ -172,15 +156,8 @@ def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:
         raise ValueError(f"Phi must be positive, got {Phi}")
     g = profile.grid
     a, h = matched_log_derivative(profile.v, g.tau)
-    spec = LinearBvpSpec(
-        grid=g,
-        a=a,
-        c=(market.sigma_tilde**2 * lam / market.kappa_tilde) * h,
-        rhs=np.zeros(len(g)),
-        left_value=Phi,
-        right_value=0.0,
-    )
-    phi = solve_linear_bvp(spec)
+    c = (market.sigma_tilde**2 * lam / market.kappa_tilde) * h
+    phi = _solve_bvp(g, a, c, np.zeros(len(g)), Phi, 0.0)
     if np.any(np.diff(phi) > 1e-10 * max(1.0, Phi)):
         warnings.warn(
             "implied execution rate dips below zero; returning the unconstrained solution",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .grids import cumtrapz, trapz, trapz_weights
-from .strategies import Strategy, inventory_from_rate
+from .strategies import Strategy, _risk_aversion, inventory_from_rate
 from .volume import GbmVolumeModel, VolumeProfile, gbm_harmonic_mean
 
 _DECOMP_RTOL = 1e-8
@@ -84,8 +84,7 @@ class MvValue:
     def __post_init__(self):
         if not (self.variance >= 0.0):
             raise ValueError(f"variance must be nonnegative, got {self.variance}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        _risk_aversion(self.lam)
         check = self.expectation + self.lam * self.variance
         gap = abs(self.objective - check) if self.objective != check else 0.0  # inf == inf
         if not gap <= 1e-12 * max(1.0, abs(self.objective)):  # a NaN never agrees
@@ -234,12 +233,6 @@ def realized_is_cost(price_path, volume_path, s: Strategy, market: MarketParams)
     return CostBreakdown(*map(float, _path_costs(price, vol, s.zeta, s.Phi, s.grid.tau, market)))
 
 
-def realized_is_cost_paths(price_paths, volume_paths, s: Strategy, market: MarketParams):
-    """Vectorized realized cost over a batch of paths (rows); returns totals."""
-    price, vol = _check_paths(price_paths, volume_paths, s)
-    return _path_costs(price, vol, s.zeta, s.Phi, s.grid.tau, market)[0]
-
-
 def market_vwap(price_path, volume_path):
     """Turnover-weighted average price over the horizon (trapezoid weights)."""
     price = np.asarray(price_path, dtype=float)
@@ -349,6 +342,28 @@ def _lognormal_variance(cov, market: MarketParams, price_variance, omega, ema):
     return float(variance), c_omega
 
 
+def _mv_lognormal(s: Strategy, model: GbmVolumeModel, lam, market: MarketParams, cross_moment):
+    """Mean-variance value under lognormal turnover on the strategy grid, with
+    the cross moment E[M_T A_T] from cross_moment(phi, omega), omega = w zeta^2."""
+    lam = float(lam)
+    t = s.grid.nodes
+    tau = s.grid.tau
+    phi = inventory_from_rate(s).phi
+    w = trapz_weights(s.grid.n_steps, tau)
+    omega = w * s.zeta**2
+    ema = cross_moment(phi, omega)
+    expectation = expected_cost(s, model, market)
+    cov = _inverse_turnover_factors(model, t)
+    price_variance = market.sigma_tilde**2 * np.sum(w * phi**2)
+    variance, _ = _lognormal_variance(cov, market, price_variance, omega, ema)
+    return MvValue(
+        expectation=expectation,
+        variance=variance,
+        objective=expectation + lam * variance,
+        lam=lam,
+    )
+
+
 def mv_gbm(s: Strategy, model: GbmVolumeModel, lam, market: MarketParams) -> MvValue:
     """Mean-variance value under lognormal turnover (reduced closed forms).
 
@@ -359,22 +374,9 @@ def mv_gbm(s: Strategy, model: GbmVolumeModel, lam, market: MarketParams) -> MvV
     with the cross moment in single-integral form (see _cross_moment) and the
     double integral by the trapezoid rule on the strategy grid.
     """
-    lam = float(lam)
-    t = s.grid.nodes
-    tau = s.grid.tau
-    phi = inventory_from_rate(s).phi
-    w = trapz_weights(s.grid.n_steps, tau)
-    omega = w * s.zeta**2
-    ema = _cross_moment(model, t, omega, cumtrapz(phi, tau))
-    expectation = expected_cost(s, model, market)
-    cov = _inverse_turnover_factors(model, t)
-    price_variance = market.sigma_tilde**2 * np.sum(w * phi**2)
-    variance, _ = _lognormal_variance(cov, market, price_variance, omega, ema)
-    return MvValue(
-        expectation=expectation,
-        variance=variance,
-        objective=expectation + lam * variance,
-        lam=lam,
+    t, tau = s.grid.nodes, s.grid.tau
+    return _mv_lognormal(
+        s, model, lam, market, lambda phi, omega: _cross_moment(model, t, omega, cumtrapz(phi, tau))
     )
 
 
@@ -394,16 +396,13 @@ def mv_gbm_quadrature_check(
     G_t is evaluated on a 32x32 Gauss-Hermite tensor grid.  Agreement with
     the reduced single-integral form is a validation target, not assumed.
     """
-    lam = float(lam)
     rho = model.rho
     t = s.grid.nodes
     tau = s.grid.tau
-    phi = inventory_from_rate(s).phi
-    w = trapz_weights(s.grid.n_steps, tau)
-    omega = w * s.zeta**2
-    if rho == 0.0 or model.sigma == 0.0:
-        ema = 0.0
-    else:
+
+    def cross_moment(phi, omega):
+        if rho == 0.0 or model.sigma == 0.0:
+            return 0.0
         a = cumtrapz(phi**2, tau)
         b = rho * cumtrapz(phi, tau)
         at = a * t
@@ -421,15 +420,6 @@ def mv_gbm_quadrature_check(
 
         m_half = model.mu - 0.5 * model.sigma**2
         integrand = s.zeta**2 * np.exp(-m_half * t) * np.sqrt(a) * gt
-        ema = float(trapz(integrand, tau) / model.v0)
+        return float(trapz(integrand, tau) / model.v0)
 
-    expectation = expected_cost(s, model, market)
-    cov = _inverse_turnover_factors(model, t)
-    price_variance = market.sigma_tilde**2 * np.sum(w * phi**2)
-    variance, _ = _lognormal_variance(cov, market, price_variance, omega, ema)
-    return MvValue(
-        expectation=expectation,
-        variance=variance,
-        objective=expectation + lam * variance,
-        lam=lam,
-    )
+    return _mv_lognormal(s, model, lam, market, cross_moment)

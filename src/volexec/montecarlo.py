@@ -117,15 +117,6 @@ def _joint_block(cfg: SimulationConfig, first: int, last: int, mirror: bool = Fa
     return out
 
 
-def simulate_joint_paths(cfg: SimulationConfig):
-    """All (price, turnover) paths of the configuration, shape (n_paths, n+1).
-
-    For deterministic turnover the turnover rows are a broadcast (read-only)
-    view of the profile.
-    """
-    return _joint_block(cfg, 0, cfg.n_paths)[0]
-
-
 def _batches(n: int, size: int):
     for first in range(0, n, size):
         yield first, min(first + size, n)

@@ -29,7 +29,7 @@ from .cost import (
 )
 from .errors import SolverFailureError
 from .grids import TimeGrid, _frozen, cumtrapz, interval_rates_to_nodes, trapz_weights
-from .strategies import Strategy
+from .strategies import Strategy, _risk_aversion
 from .volume import GbmVolumeModel, VolumeProfile, gbm_harmonic_mean
 
 _KKT_TOL = 1e-8
@@ -99,12 +99,13 @@ class _RateModel:
         return z, -float(grad0) / tau
 
 
-def _active_set_qp(model: _RateModel, b, tau, Phi, max_iter):
+def _active_set_qp(model: _RateModel, b, tau, Phi):
     """Minimize 1/2 z'Hz - b'z under the sell-off equality and z >= 0: violating
     bounds are fixed and re-solved, active bounds with negative multipliers are
-    released one at a time (Nocedal & Wright, section 16.5).  Returns (z, nu,
-    iterations, fixed_mask, status)."""
+    released one at a time (Nocedal & Wright, section 16.5), for at most
+    max(n, 8) solves.  Returns (z, nu, iterations, fixed_mask, status)."""
     n = b.size
+    max_iter = max(n, 8)
     fixed = np.zeros(n, dtype=bool)
     rate_scale = max(abs(Phi) / (tau * n), 1e-300)
     for it in range(1, max_iter + 1):
@@ -157,9 +158,7 @@ class MeanVarianceObjective:
     """
 
     def __init__(self, xbar, lam, market: MarketParams, Phi, grid: TimeGrid, model=None):
-        self.lam = float(lam)
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        self.lam = _risk_aversion(lam)
         self.Phi = float(Phi)
         if self.Phi <= 0.0:
             raise ValueError(f"Phi must be positive, got {self.Phi}")
@@ -247,7 +246,7 @@ def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Ph
     grid = profile.grid
     n, tau = grid.n_steps, grid.tau
     obj = MeanVarianceObjective(0.5 * (profile.v[1:] + profile.v[:-1]), lam, market, Phi, grid)
-    z, _, iterations, _, status = _active_set_qp(obj.quad, np.zeros(n), tau, obj.Phi, max(n, 8))
+    z, _, iterations, _, status = _active_set_qp(obj.quad, np.zeros(n), tau, obj.Phi)
     if status != "converged":
         raise SolverFailureError(f"deterministic QP ended with status {status!r}")
     z *= obj.Phi / (tau * z.sum())
@@ -289,7 +288,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
         while mu < 1e12:
             Hd = replace(H, d=diag + mu)
             b = Hd.dot(z) - g
-            z_new, _, _, _, sub_status = _active_set_qp(Hd, b, tau, Phi, max(grid.n_steps, 8))
+            z_new, _, _, _, sub_status = _active_set_qp(Hd, b, tau, Phi)
             if sub_status != "converged":
                 mu = max(4.0 * mu, 1e-8)
                 continue

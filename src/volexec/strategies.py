@@ -120,6 +120,22 @@ def rate_from_inventory(c: InventoryCurve) -> Strategy:
     return Strategy(grid=c.grid, zeta=zeta * (c.Phi / mass), Phi=c.Phi)
 
 
+def _risk_aversion(lam) -> float:
+    """lam as a float; ValueError unless it is finite and nonnegative (so NaN fails)."""
+    lam = float(lam)
+    if not (0.0 <= lam < np.inf):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam}")
+    return lam
+
+
+def _proportional(grid: TimeGrid, weight: np.ndarray, Phi) -> Strategy:
+    """Rate proportional to `weight`, scaled by its trapezoid mass to sell Phi."""
+    Phi = float(Phi)
+    if not (0.0 < Phi < np.inf):
+        raise ValueError(f"Phi must be positive and finite, got {Phi}")
+    return Strategy(grid=grid, zeta=weight * (Phi / trapz(weight, grid.tau)), Phi=Phi)
+
+
 def vwap_strategy(profile: VolumeProfile, Phi: float) -> Strategy:
     """Volume-proportional schedule zeta = v * Phi / V_T.
 
@@ -127,21 +143,12 @@ def vwap_strategy(profile: VolumeProfile, Phi: float) -> Strategy:
     sampled turnover, so the sell-off condition holds on the grid and not
     merely in the continuum limit.
     """
-    Phi = float(Phi)
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
-    gamma = Phi / trapz(profile.v, profile.grid.tau)
-    return Strategy(grid=profile.grid, zeta=profile.v * gamma, Phi=Phi)
+    return _proportional(profile.grid, profile.v, Phi)
 
 
 def expected_vwap_strategy(model: GbmVolumeModel, grid: TimeGrid, Phi: float) -> Strategy:
     """Schedule proportional to the harmonic-mean turnover u_t = 1/E[1/v_t]."""
-    Phi = float(Phi)
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
-    u = gbm_harmonic_mean(model, grid).v
-    gamma = Phi / trapz(u, grid.tau)
-    return Strategy(grid=grid, zeta=u * gamma, Phi=Phi)
+    return _proportional(grid, gbm_harmonic_mean(model, grid).v, Phi)
 
 
 def twisted_vwap(
@@ -151,9 +158,6 @@ def twisted_vwap(
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    Phi = float(Phi)
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
     kv = np.asarray(k(profile.v), dtype=float)
     if kv.ndim == 0:
         kv = np.full(len(profile.grid), float(kv))
@@ -161,9 +165,7 @@ def twisted_vwap(
         raise ValueError(f"k(v) must be scalar or per-node, got shape {kv.shape}")
     if not np.all(np.isfinite(kv)) or np.any(kv <= 0.0):
         raise ValueError("k(v) must be finite and strictly positive at every node")
-    weight = kv ** (-1.0 / alpha)
-    gamma = Phi / trapz(weight, profile.grid.tau)
-    return Strategy(grid=profile.grid, zeta=weight * gamma, Phi=Phi)
+    return _proportional(profile.grid, kv ** (-1.0 / alpha), Phi)
 
 
 def ac_closed_form(lam, market, v, grid: TimeGrid, Phi) -> Strategy:
@@ -178,9 +180,7 @@ def ac_closed_form(lam, market, v, grid: TimeGrid, Phi) -> Strategy:
     trapezoid mass (an O(tau^2) factor) so the sell-off condition holds on
     the grid.  lam = 0 degenerates to the constant rate Phi/T.
     """
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    lam = _risk_aversion(lam)
     v = float(v)
     if v <= 0.0:
         raise ValueError(f"turnover must be positive, got {v}")
@@ -216,24 +216,15 @@ def asymptotic_expansion(profile: VolumeProfile, market, lam, Phi):
     quadratic program's solution family; the rate correction is therefore read
     off as interval differences of phi1 and resampled to the nodes.
     """
-    from .bvp import LinearBvpSpec, matched_log_derivative, solve_linear_bvp
+    from .bvp import _solve_bvp, matched_log_derivative
 
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    lam = _risk_aversion(lam)
     base = vwap_strategy(profile, Phi)
     phi0 = inventory_from_rate(base).phi
     g = profile.grid
     a, h = matched_log_derivative(profile.v, g.tau)
-    spec = LinearBvpSpec(
-        grid=g,
-        a=a,
-        c=np.zeros(len(g)),
-        rhs=(market.sigma_tilde**2 / market.kappa_tilde) * h * phi0,
-        left_value=0.0,
-        right_value=0.0,
-    )
-    phi1 = solve_linear_bvp(spec)
+    rhs = (market.sigma_tilde**2 / market.kappa_tilde) * h * phi0
+    phi1 = _solve_bvp(g, a, np.zeros(len(g)), rhs, 0.0, 0.0)
     zeta1 = interval_rates_to_nodes((phi1[:-1] - phi1[1:]) / g.tau)
     composite = np.clip(base.zeta + lam * zeta1, 0.0, None)
     composite *= base.Phi / trapz(composite, g.tau)

@@ -1,7 +1,10 @@
 """Self-validation suite: named checks tying the analytic layer, the
 optimizers, and the Monte Carlo layer to one another.
 
-Statistical checks run on the supplied configuration; structural checks
+Statistical checks run on the supplied configuration: the moment checks,
+the orderings and the pathwise cost identity all read the tournament's cost
+rows, and the path checks rebuild its first paths from the keyed draws.
+Structural checks
 (discretization agreement, small-risk expansion) run on fixed internal
 fixtures so their outcome does not depend on the run configuration.  The
 report is a plain dict of named checks, each with a passed flag and numeric
@@ -24,15 +27,9 @@ from .cost import (
     mv_deterministic,
     mv_gbm,
     mv_gbm_quadrature_check,
-    realized_is_cost_paths,
 )
 from .grids import TimeGrid, build_grid, trapz_weights
-from .montecarlo import (
-    SimulationConfig,
-    moment_estimate,
-    simulate_joint_paths,
-    validate_theorem_orderings,
-)
+from .montecarlo import SimulationConfig, _joint_block, moment_estimate, validate_theorem_orderings
 from .optimizer import solve_qp_deterministic, solve_sqp_gbm
 from .strategies import Strategy, asymptotic_expansion, expected_vwap_strategy, vwap_strategy
 from .volume import GbmVolumeModel, VolumeProfile, arcsine_profile, gbm_harmonic_mean
@@ -153,14 +150,13 @@ def run_validation(
         )
 
     # --- pathwise identities ---------------------------------------------
-    probe = next(iter(probes.values()))
-    ident_cfg = SimulationConfig(
-        n_paths=min(n_paths, 1000), seed=seed, grid=grid, market=market, volume=volume
-    )
-    price, vol = simulate_joint_paths(ident_cfg)
-    totals = realized_is_cost_paths(price, vol, probe, market)
+    # the tournament's rows of the first m paths against the independent
+    # direct evaluation; keyed draws rebuild those paths bit for bit
+    m = min(n_paths, 1000)
+    price, vol = _joint_block(cfg, 0, m)[0]
+    name, probe = next(iter(probes.items()))
     direct = _independent_direct_cost(price, vol, probe.zeta, probe.Phi, grid.tau, market)
-    gap = float(np.max(np.abs(totals - direct) / np.maximum(1.0, np.abs(direct))))
+    gap = float(np.max(np.abs(rows[name][:m] - direct) / np.maximum(1.0, np.abs(direct))))
     checks.append(_check("cost_identity_pathwise", gap <= 1e-8, max_rel_gap=gap))
 
     # the trader's VWAP of the per-path volume-proportional schedule
@@ -257,9 +253,8 @@ def run_validation(
     )
 
     # --- determinism -------------------------------------------------------
-    small = SimulationConfig(n_paths=64, seed=seed, grid=grid, market=market, volume=volume)
-    pa, va = simulate_joint_paths(small)
-    pb, vb = simulate_joint_paths(small)
+    pa, va = _joint_block(cfg, 0, 64)[0]
+    pb, vb = _joint_block(cfg, 0, 64)[0]
     det = bool(np.array_equal(pa, pb) and np.array_equal(va, vb))
     checks.append(_check("determinism_repeat", det, bitwise_equal=det))
 

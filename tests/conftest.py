@@ -4,6 +4,7 @@ import pytest
 from volexec.cost import MarketParams
 from volexec.errors import SolverFailureError
 from volexec.grids import build_grid, trapz_weights
+from volexec.montecarlo import _joint_block
 from volexec.strategies import Strategy
 from volexec.volume import GbmVolumeModel, arcsine_profile, constant_profile
 
@@ -52,6 +53,13 @@ def make_twap(grid, Phi=1.0):
 @pytest.fixture
 def twap200(grid200):
     return make_twap(grid200)
+
+
+def joint_paths(cfg):
+    """Test oracle: every (price, turnover) path of a simulation config, shape
+    (n_paths, n+1), as the Monte Carlo pass draws them; deterministic
+    turnover rows are a read-only broadcast of the profile."""
+    return _joint_block(cfg, 0, cfg.n_paths)[0]
 
 
 def decompose(price, vol, zeta, Phi, tau, market):

@@ -33,6 +33,8 @@ from volexec.volume import (
     profile_from_samples,
 )
 
+from conftest import joint_paths
+
 MARKET_LO = MarketParams(kappa=0.1, kappa_tilde=0.02, sigma_tilde=0.1, s0=100.0)
 MARKET_HI = MarketParams(kappa=0.1, kappa_tilde=0.02, sigma_tilde=0.2, s0=100.0)
 MODEL = GbmVolumeModel(v0=1.0, mu=-0.02, sigma=0.2, rho=0.0)
@@ -249,9 +251,7 @@ def test_09_pathwise_identity_and_vwap_tracking():
     g = build_grid(1.0, 200)
     model = GbmVolumeModel(1.0, -0.02, 0.2, rho=0.3)
     cfg = SimulationConfig(n_paths=1000, seed=42, grid=g, market=MARKET_HI, volume=model)
-    from volexec.montecarlo import simulate_joint_paths
-
-    price, vol = simulate_joint_paths(cfg)
+    price, vol = joint_paths(cfg)
     twap = Strategy(grid=g, zeta=np.ones(len(g)), Phi=1.0)
     w = trapz_weights(g.n_steps, g.tau)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from volexec.bvp import LinearBvpSpec, matched_log_derivative, optimal_inventory_ode, solve_linear_bvp
+from volexec.bvp import _solve_bvp, matched_log_derivative, optimal_inventory_ode
 from volexec.errors import SolverFailureError
 from volexec.grids import build_grid, cumtrapz, trapz
 from volexec.volume import arcsine_profile, constant_profile, profile_from_samples
@@ -17,17 +17,13 @@ def _solve_manufactured(n):
     a = np.sin(3.0 * t)
     c = 1.0 + t**2
     rhs = ddphi - a * dphi - c * phi
-    spec = LinearBvpSpec(grid=g, a=a, c=c, rhs=rhs, left_value=1.0, right_value=0.0)
-    return np.max(np.abs(solve_linear_bvp(spec) - phi))
+    return np.max(np.abs(_solve_bvp(g, a, c, rhs, 1.0, 0.0) - phi))
 
 
 def test_linear_solution_recovered_exactly():
     g = build_grid(1.0, 64)
     n = len(g)
-    spec = LinearBvpSpec(
-        grid=g, a=np.zeros(n), c=np.zeros(n), rhs=np.zeros(n), left_value=2.0, right_value=5.0
-    )
-    phi = solve_linear_bvp(spec)
+    phi = _solve_bvp(g, np.zeros(n), np.zeros(n), np.zeros(n), 2.0, 5.0)
     assert np.max(np.abs(phi - (2.0 + 3.0 * g.nodes))) < 1e-12
 
 
@@ -87,26 +83,23 @@ def test_lam_must_be_positive(arcsine500, market):
 
 def test_spec_validation(grid200):
     n = len(grid200)
-    good = dict(a=np.zeros(n), c=np.zeros(n), rhs=np.zeros(n), left_value=0.0, right_value=0.0)
+    good = dict(a=np.zeros(n), c=np.zeros(n), rhs=np.zeros(n), left=0.0, right=0.0)
     with pytest.raises(ValueError):
-        LinearBvpSpec(grid=grid200, **{**good, "a": np.zeros(n - 1)})
+        _solve_bvp(grid200, **{**good, "a": np.zeros(n - 1)})
     bad = np.zeros(n)
     bad[4] = np.inf
     with pytest.raises(ValueError):
-        LinearBvpSpec(grid=grid200, **{**good, "c": bad})
+        _solve_bvp(grid200, **{**good, "c": bad})
     with pytest.raises(ValueError):
-        LinearBvpSpec(grid=grid200, **{**good, "left_value": np.nan})
+        _solve_bvp(grid200, **{**good, "left": np.nan})
 
 
 def test_pivot_failure_reports_location(grid200):
     # c = -2/tau^2 zeroes the first interior pivot before any elimination
     n = len(grid200)
     c = np.full(n, -2.0 / grid200.tau**2)
-    spec = LinearBvpSpec(
-        grid=grid200, a=np.zeros(n), c=c, rhs=np.ones(n), left_value=0.0, right_value=0.0
-    )
     with pytest.raises(SolverFailureError) as err:
-        solve_linear_bvp(spec)
+        _solve_bvp(grid200, np.zeros(n), c, np.ones(n), 0.0, 0.0)
     assert err.value.pivot_index is not None
 
 

@@ -247,6 +247,27 @@ def test_validate_catches_seeded_defect(market, gbm_model, grid200):
         assert checks["variance_matches_mv"][name]["mc"] == est.variance
 
 
+def test_validate_identity_reads_reported_rows(monkeypatch, market):
+    """cost_identity_pathwise checks the cost rows the report is built from:
+    1e-4 Phi added to every total of the static contraction, well below the
+    mean check's standard error, fails it and nothing else."""
+    from volexec import cost
+    from volexec.grids import build_grid
+    from volexec.validation import run_validation
+    from volexec.volume import arcsine_profile
+
+    grid = build_grid(1.0, 50)
+    call = cost._StaticCosts.__call__
+    monkeypatch.setattr(
+        cost._StaticCosts, "__call__", lambda self, price, vol: call(self, price, vol) + 1e-4 * 1.0
+    )
+    report = run_validation(
+        arcsine_profile(grid), market, grid, Phi=1.0, n_paths=2000, lambdas=(0.5,)
+    )
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == ["cost_identity_pathwise"]
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     r = run_cli("solve", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path))
     assert r.returncode == 2

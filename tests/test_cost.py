@@ -11,9 +11,9 @@ from volexec.cost import (
     mv_gbm,
     mv_gbm_quadrature_check,
     realized_is_cost,
-    realized_is_cost_paths,
     _inverse_turnover_cov_dot,
     _inverse_turnover_factors,
+    _path_costs,
     _StaticCosts,
 )
 from volexec.errors import ConsistencyError
@@ -21,7 +21,7 @@ from volexec.grids import build_grid, trapz
 from volexec.strategies import Strategy, vwap_strategy
 from volexec.volume import GbmVolumeModel, arcsine_profile, constant_profile
 
-from conftest import decompose, inverse_turnover_covariance, make_twap
+from conftest import decompose, inverse_turnover_covariance, joint_paths, make_twap
 
 # TWAP over unit turnover with kappa = 0.1, kappa_tilde = 0.02, Phi = 1:
 # permanent 0.05 + temporary 0.02.
@@ -107,7 +107,7 @@ def test_realized_cost_invariant_under_price_shift(market, grid200, twap200):
 
 def test_paths_variant_matches_singles(market, grid200, twap200):
     price, vol = _seeded_paths(grid200, market.s0, 5, seed=3)
-    batch = realized_is_cost_paths(price, vol, twap200, market)
+    batch = _path_costs(price, vol, twap200.zeta, twap200.Phi, grid200.tau, market)[0]
     singles = np.array(
         [realized_is_cost(price[i], vol[i], twap200, market).total for i in range(5)]
     )
@@ -126,11 +126,11 @@ def test_decomposition_consistency_on_noise(market, grid200, twap200):
 def test_realized_parts_match_oracle(market, grid200, shape):
     """Each part priced from the cost weights equals the interval-average
     decomposition on seeded lognormal-turnover paths."""
-    from volexec.montecarlo import SimulationConfig, simulate_joint_paths
+    from volexec.montecarlo import SimulationConfig
 
     model = GbmVolumeModel(1.0, -0.02, 0.3, rho=0.4)
     cfg = SimulationConfig(n_paths=16, seed=5, grid=grid200, market=market, volume=model)
-    price, vol = simulate_joint_paths(cfg)
+    price, vol = joint_paths(cfg)
     z = (grid200.nodes + 0.05) ** (0.0 if shape == "twap" else 1.5)
     s = Strategy(grid=grid200, zeta=z / trapz(z, grid200.tau), Phi=1.0)
     tol = 1e-12 * max(1.0, market.s0 * s.Phi)

@@ -13,7 +13,6 @@ from volexec.montecarlo import (
     _cost_rows,
     _joint_block,
     estimate_cost_moments,
-    simulate_joint_paths,
     validate_theorem_orderings,
 )
 from volexec.optimizer import solve_sqp_gbm
@@ -28,7 +27,7 @@ from volexec.volume import (
     profile_from_samples,
 )
 
-from conftest import decompose, make_twap
+from conftest import decompose, joint_paths, make_twap
 
 
 def _cfg(volume, market, grid, n_paths=2000, seed=0):
@@ -45,7 +44,7 @@ def test_config_validation(market, gbm_model, grid200):
 
 def test_volume_paths_match_reference_sampler(market, gbm_model, grid200):
     cfg = _cfg(gbm_model, market, grid200, n_paths=16, seed=12)
-    price, vol = simulate_joint_paths(cfg)
+    price, vol = joint_paths(cfg)
     z = _normal_block(12, 0, 16, stream=0, n=grid200.n_steps)
     ref, _ = _gbm_block(gbm_model, grid200, z)
     assert np.array_equal(vol, ref)
@@ -55,7 +54,7 @@ def test_volume_paths_match_reference_sampler(market, gbm_model, grid200):
 def test_price_increments_have_requested_correlation(market, grid200):
     model = GbmVolumeModel(1.0, -0.02, 0.2, rho=0.3)
     cfg = _cfg(model, market, grid200, n_paths=200, seed=1)
-    price, vol = simulate_joint_paths(cfg)
+    price, vol = joint_paths(cfg)
     dS = np.diff(price, axis=1).ravel()
     dlogv = np.diff(np.log(vol), axis=1).ravel()
     corr = np.corrcoef(dS, dlogv)[0, 1]
@@ -66,7 +65,7 @@ def test_price_increments_have_requested_correlation(market, grid200):
 def test_perfect_correlation_is_exact(market, grid200):
     model = GbmVolumeModel(1.0, -0.02, 0.2, rho=1.0)
     cfg = _cfg(model, market, grid200, n_paths=8, seed=2)
-    price, vol = simulate_joint_paths(cfg)
+    price, vol = joint_paths(cfg)
     dS = np.diff(price, axis=1)
     drift = (model.mu - 0.5 * model.sigma**2) * grid200.tau
     db = (np.log(vol[:, 1:] / vol[:, :-1]) - drift) / model.sigma
@@ -76,7 +75,7 @@ def test_perfect_correlation_is_exact(market, grid200):
 def test_deterministic_volume_is_broadcast(market, grid200):
     p = arcsine_profile(grid200)
     cfg = _cfg(p, market, grid200, n_paths=5, seed=3)
-    price, vol = simulate_joint_paths(cfg)
+    price, vol = joint_paths(cfg)
     assert np.array_equal(vol, np.broadcast_to(p.v, vol.shape))
     assert not np.array_equal(price[0], price[1])
 
@@ -117,7 +116,7 @@ def test_moments_match_closed_form(market_hi, grid200):
 
 def test_martingale_terminal_price(market, gbm_model, grid200):
     cfg = _cfg(gbm_model, market, grid200, n_paths=4000, seed=6)
-    price, _ = simulate_joint_paths(cfg)
+    price, _ = joint_paths(cfg)
     term = price[:, -1]
     se = term.std(ddof=1) / np.sqrt(len(term))
     assert abs(term.mean() - market.s0) < 3.0 * se

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volexec.bvp import optimal_inventory_ode
-from volexec.cost import MarketParams, mv_gbm
+from volexec.cost import MarketParams, MvValue, mv_deterministic, mv_gbm
 from volexec.errors import SolverFailureError
 from volexec.grids import build_grid, trapz, trapz_weights
 from volexec.optimizer import (
@@ -15,7 +15,7 @@ from volexec.optimizer import (
     solve_qp_deterministic,
     solve_sqp_gbm,
 )
-from volexec.strategies import Strategy
+from volexec.strategies import Strategy, ac_closed_form, asymptotic_expansion, vwap_strategy
 from volexec.volume import GbmVolumeModel, arcsine_profile, gbm_harmonic_mean, profile_from_samples
 
 from conftest import dense_kkt_step, dense_qp_rates, dense_quadratic_hessian
@@ -149,7 +149,7 @@ def test_active_set_water_filling():
     tau = 1.0 / n
     # H = 2 I: a unit diagonal model with no inventory term
     model = _RateModel(d=np.full(n, 2.0), k=0.0, w=trapz_weights(n, tau))
-    z, nu, iters, fixed, status = _active_set_qp(model, 2.0 * c, tau, 1.0, 200)
+    z, nu, iters, fixed, status = _active_set_qp(model, 2.0 * c, tau, 1.0)
     lo, hi = -10.0, 10.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -411,3 +411,25 @@ def test_sqp_hard_corners(sigma, rho, lam, previous, market_hi, grid200):
     ubar = _interval_means(gbm_harmonic_mean(model, grid200).v)
     obj = MeanVarianceObjective(ubar, lam, market_hi, 1.0, grid200, model)
     _beats_feasible_perturbations(obj, rep.zeta_intervals, np.random.default_rng(7))
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_lam_rejected(lam, market, arcsine500, gbm_model):
+    """Every entry point that takes a risk aversion names lam when it is not
+    finite, instead of failing later on the numbers it produces."""
+    g = arcsine500.grid
+    s = vwap_strategy(arcsine500, 1.0)
+    calls = [
+        lambda: MvValue(expectation=1.0, variance=0.5, objective=1.0 + lam * 0.5, lam=lam),
+        lambda: MeanVarianceObjective(np.ones(g.n_steps), lam, market, 1.0, g),
+        lambda: solve_qp_deterministic(arcsine500, lam, market, 1.0),
+        lambda: solve_sqp_gbm(gbm_model, lam, market, 1.0, g),
+        lambda: mv_deterministic(s, arcsine500, lam, market),
+        lambda: mv_gbm(s, gbm_model, lam, market),
+        lambda: ac_closed_form(lam, market, 1.0, g, 1.0),
+        lambda: asymptotic_expansion(arcsine500, market, lam, 1.0),
+        lambda: optimal_inventory_ode(arcsine500, lam, market, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="lam must be finite"):
+            call()

@@ -117,6 +117,18 @@ def test_twisted_vwap_validation(arcsine500):
         twisted_vwap(arcsine500, lambda v: v[:-1], 1.0, 1.0)
 
 
+@pytest.mark.parametrize("Phi", [np.nan, np.inf, -np.inf, 0.0])
+def test_proportional_schedules_reject_bad_phi(arcsine500, gbm_model, Phi):
+    g = arcsine500.grid
+    for make in (
+        lambda: vwap_strategy(arcsine500, Phi),
+        lambda: expected_vwap_strategy(gbm_model, g, Phi),
+        lambda: twisted_vwap(arcsine500, lambda v: 1.0 / v, 1.0, Phi),
+    ):
+        with pytest.raises(ValueError, match="Phi must be positive and finite"):
+            make()
+
+
 def test_ac_closed_form_matches_sinh(market):
     g = build_grid(1.0, 1000)
     s = ac_closed_form(2.0, market, 1.0, g, 1.0)
