@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConsistencyError, SolverFailureError
 from .grids import TimeGrid
-from .strategies import InventoryCurve, _risk_aversion
+from .strategies import InventoryCurve, _block_size, _risk_aversion
 
 _RESIDUAL_RTOL = 1e-10
 _PIVOT_RTOL = 1e-13
@@ -151,9 +151,7 @@ def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:
             f"lam must be positive, got {lam}; the lam -> 0 limit is the "
             "volume-proportional schedule"
         )
-    Phi = float(Phi)
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
+    Phi = _block_size(Phi)
     g = profile.grid
     a, h = matched_log_derivative(profile.v, g.tau)
     c = (market.sigma_tilde**2 * lam / market.kappa_tilde) * h

@@ -11,6 +11,10 @@ model, does every solve in O(n).  Under deterministic turnover the objective
 is the model plus a constant and one active-set solve is the optimum; the
 lognormal-turnover problem takes damped sequential quadratic steps on it,
 whose model adds the turnover terms' O(n) Hessian diagonal, clipped at zero.
+Once the pinned rates settle, it finishes on their face with projected
+Newton steps (More and Toraldo 1991): conjugate gradients on the exact O(n)
+Hessian product, preconditioned by that same step model, which keeps every
+iterate on the sell-off equality.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from .cost import (
 )
 from .errors import SolverFailureError
 from .grids import TimeGrid, _frozen, cumtrapz, interval_rates_to_nodes, trapz_weights
-from .strategies import Strategy, _risk_aversion
+from .strategies import Strategy, _block_size, _risk_aversion
 from .volume import GbmVolumeModel, VolumeProfile, gbm_harmonic_mean
 
 _KKT_TOL = 1e-8
@@ -127,19 +131,21 @@ def _active_set_qp(model: _RateModel, b, tau, Phi):
     return z, nu, max_iter, fixed, "max-iterations"
 
 
+def _multipliers(grad, at_bound, tau):
+    """(r, mult): the free rates' stationarity residual r = max |grad + tau nu|
+    and the bound multipliers mult = grad + tau nu of the rates at_bound, with
+    nu the sell-off multiplier that fits the free rates in least squares."""
+    free = ~at_bound
+    if not free.any():
+        return 0.0, grad[at_bound]
+    nu = -float(grad[free].mean()) / tau
+    return float(np.abs(grad[free] + tau * nu).max()), grad[at_bound] + tau * nu
+
+
 def _kkt_residual(grad, z, tau):
     """Scaled first-order residual of min f s.t. tau*sum(z)=Phi and z >= 0."""
-    at_bound = z <= 0.0
-    free = ~at_bound
-    if free.any():
-        nu = -float(grad[free].mean()) / tau
-    else:
-        nu = 0.0
-    r = 0.0
-    if free.any():
-        r = float(np.abs(grad[free] + tau * nu).max())
-    if at_bound.any():
-        mult = grad[at_bound] + tau * nu
+    r, mult = _multipliers(grad, z <= 0.0, tau)
+    if mult.size:
         r = max(r, float(np.maximum(0.0, -mult).max()))
     return r / max(1.0, float(np.abs(grad).max()))
 
@@ -159,9 +165,7 @@ class MeanVarianceObjective:
 
     def __init__(self, xbar, lam, market: MarketParams, Phi, grid: TimeGrid, model=None):
         self.lam = _risk_aversion(lam)
-        self.Phi = float(Phi)
-        if self.Phi <= 0.0:
-            raise ValueError(f"Phi must be positive, got {self.Phi}")
+        self.Phi = _block_size(Phi)
         self.market, self.model, self.xbar = market, model, xbar
         n, tau = grid.n_steps, grid.tau
         self.tau, self.permanent = tau, market.kappa * self.Phi**2 / 2.0
@@ -189,20 +193,50 @@ class MeanVarianceObjective:
         variance, c_omega = _lognormal_variance(self.cov, mk, 0.0, omega, ema)
         g_quartic = 4.0 * mk.kappa_tilde**2 * tau * z * c_omega
         if self.cross_coef != 0.0:
-            qe = z**2 * self.emid
-            s0 = np.concatenate([np.cumsum(qe[::-1])[::-1][1:], [0.0]])
-            s1 = np.concatenate([np.cumsum((self.idx * qe)[::-1])[::-1][1:], [0.0]])
-            d_bmid = s1 - self.idx * s0 + 0.25 * qe
-            g_ema = -self.cross_coef * tau * (2.0 * z * self.emid * bmid - tau**2 * d_bmid)
+            d_bmid = self._bmid_adjoint(z**2 * self.emid)
+            g_ema = -self.cross_coef * tau * (2.0 * z * self.emid * bmid + d_bmid)
         else:
             g_ema = 0.0
         g_turnover = g_quartic - 2.0 * mk.sigma_tilde * mk.kappa_tilde * g_ema
         return f + self.lam * variance, g + self.lam * g_turnover
 
-    def _bmid(self, z):
-        """b_t = int_0^t phi at the midpoints, from the head-form inventory (d_bmid assumes it)."""
-        bhat = cumtrapz(np.concatenate([[self.Phi], self.Phi - self.tau * np.cumsum(z)]), self.tau)
+    def hessian_dot(self, z):
+        """v -> the exact Hessian of the objective at z times v, in O(n) per
+        product: the rate model, plus lam times the Cov(1/v) term,
+        4 kt^2 tau (v C omega + 2 tau z C(z v)), and the cross moment's
+        -cc tau (2 e bmid v + 2 z e J v + 2 J'(z e v)) with J = d bmid / dz."""
+        quad = self.quad.dot
+        if self.model is None or self.lam == 0.0:
+            return quad
+        mk, tau, cov = self.market, self.tau, self.cov
+        quartic = 4.0 * self.lam * mk.kappa_tilde**2 * tau
+        c_omega = _inverse_turnover_cov_dot(cov, tau * z**2)
+        cross = 4.0 * self.lam * mk.sigma_tilde * mk.kappa_tilde * self.cross_coef * tau
+        ze = z * self.emid
+        e_bmid = self.emid * self._bmid(z)
+
+        def dot(v):
+            hv = quad(v) + quartic * (v * c_omega + 2.0 * tau * z * _inverse_turnover_cov_dot(cov, z * v))
+            if cross != 0.0:
+                hv += cross * (e_bmid * v + ze * self._bmid(v, 0.0) + self._bmid_adjoint(ze * v))
+            return hv
+
+        return dot
+
+    def _bmid(self, z, Phi=None):
+        """b_t = int_0^t phi at the midpoints, from the head-form inventory that
+        starts at Phi (the objective's own by default); affine in z, with the
+        Jacobian that _bmid_adjoint transposes."""
+        Phi = self.Phi if Phi is None else Phi
+        bhat = cumtrapz(np.concatenate([[Phi], Phi - self.tau * np.cumsum(z)]), self.tau)
         return 0.5 * (bhat[:-1] + bhat[1:])
+
+    def _bmid_adjoint(self, u):
+        """J'u for J = d bmid / dz, whose entries are -tau^2 (i - j) below the
+        diagonal and -tau^2/4 on it: two suffix sums."""
+        s0 = np.concatenate([np.cumsum(u[::-1])[::-1][1:], [0.0]])
+        s1 = np.concatenate([np.cumsum((self.idx * u)[::-1])[::-1][1:], [0.0]])
+        return -self.tau**2 * (s1 - self.idx * s0 + 0.25 * u)
 
     def turnover_curvature(self, z) -> np.ndarray:
         """Diagonal of the Hessian of lam times the Cov(1/v) and cross-moment
@@ -254,6 +288,63 @@ def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Ph
     return _solution(obj, grid, z, iterations, kkt, "converged" if kkt <= _KKT_TOL else "stalled")
 
 
+def _face_newton_direction(hess, g, model: _RateModel, tau, fixed, forcing):
+    """Truncated Newton direction on the face z[fixed] = 0, tau sum(z) = const:
+    CG on g'd + 1/2 d'Hd with the exact product `hess`, preconditioned by the
+    step model solved on the same face (a constraint preconditioner, Gould,
+    Hribar and Nocedal 2001), so every iterate keeps d[fixed] = 0 and
+    sum(d) = 0.  Stops when the preconditioned residual has fallen by
+    `forcing`, or on non-positive curvature (returning the steepest
+    preconditioned direction if that comes first)."""
+    d = np.zeros(g.size)
+    r = g.copy()
+    y = model.solve(r, tau, 0.0, fixed)[0]
+    p, ry = -y, float(r @ y)
+    stop = forcing**2 * ry
+    for j in range(int(np.count_nonzero(~fixed))):
+        hp = hess(p)
+        curvature = float(p @ hp)
+        if curvature <= 0.0:
+            return p if j == 0 else d
+        alpha = ry / curvature
+        d += alpha * p
+        r += alpha * hp
+        y = model.solve(r, tau, 0.0, fixed)[0]
+        ry, ry_old = float(r @ y), ry
+        if ry <= stop:
+            break
+        p = -y + (ry / ry_old) * p
+    return d
+
+
+def _face_newton_step(obj: MeanVarianceObjective, model: _RateModel, z, f, g, kkt):
+    """One projected Newton step (More and Toraldo 1991) on the face of the
+    pinned rates z == 0: the bound with the most negative multiplier is
+    released first if it outweighs the free rates' stationarity residual; the
+    Armijo line search is cut at the first bound the step reaches, which is
+    then pinned.  Returns (z, f, g), or None when no step descends."""
+    tau = obj.tau
+    fixed = z == 0.0
+    stationarity, mult = _multipliers(g, fixed, tau)
+    if mult.size and -mult.min() > stationarity:
+        fixed[np.flatnonzero(fixed)[np.argmin(mult)]] = False
+    d = _face_newton_direction(obj.hessian_dot(z), g, model, tau, fixed, min(0.1, np.sqrt(kkt)))
+    slope = float(g @ d)
+    if not slope < 0.0:
+        return None
+    falling = np.flatnonzero(d < 0.0)
+    reach = -z[falling] / d[falling]  # step length at which each falling rate hits zero
+    alpha = min(1.0, float(reach.min(initial=np.inf)))
+    while alpha > 1e-10:
+        z_new = np.maximum(z + alpha * d, 0.0)
+        z_new[falling[reach == alpha]] = 0.0
+        f_new, g_new = obj.value_and_gradient(z_new)
+        if f_new <= f + 1e-4 * alpha * slope:
+            return z_new, f_new, g_new
+        alpha *= 0.5
+    return None
+
+
 def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: TimeGrid):
     """Optimal static schedule under lognormal turnover.
 
@@ -262,11 +353,17 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     curvature of its temporary-cost and price-variance terms) plus, on its
     diagonal, the Hessian diagonal of the Cov(1/v) and cross-moment terms at
     the iterate clipped at zero and a Levenberg shift mu adapted by a ratio
-    test; the same O(n) active set solves it.  Starts from the
+    test; the same O(n) active set solves it.  Once two accepted steps in a
+    row leave the pinned rates unchanged, the solve finishes on that face
+    with Newton steps: conjugate gradients on the exact Hessian product,
+    preconditioned by the step model, an Armijo line search cut at the first
+    bound it reaches, and one bound released at a time; a damped step is
+    taken whenever no Newton step descends.  Starts from the
     harmonic-mean-proportional schedule, which is already optimal at lam = 0.
-    The status is "converged" only when the KKT residual of the last iterate
-    is within tolerance, "max-iterations" when the iteration budget runs out,
-    and "stalled" when no step lowers the objective any more.
+    `iterations` counts damped and Newton steps together.  The status is
+    "converged" only when the KKT residual of the last iterate is within
+    tolerance, "max-iterations" when the iteration budget runs out, and
+    "stalled" when no step lowers the objective any more.
     """
     u = gbm_harmonic_mean(model, grid).v
     obj = MeanVarianceObjective(0.5 * (u[1:] + u[:-1]), lam, market, Phi, grid, model)
@@ -278,6 +375,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     status = "max-iterations"
     kkt = _kkt_residual(g, z, tau)
     iterations = 0
+    pinned, stable = None, 0  # accepted damped steps in a row with one pinned set
 
     for it in range(1, _SQP_MAX_ITER + 1):
         if kkt <= _KKT_TOL:
@@ -285,6 +383,13 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
         iterations = it
         decrease = None
         diag = H.d + np.maximum(obj.turnover_curvature(z), 0.0)
+        if stable >= 2:
+            step = _face_newton_step(obj, replace(H, d=diag), z, f, g, kkt)
+            if step is not None:
+                z, f, g = step
+                kkt = _kkt_residual(g, z, tau)
+                continue
+            stable = 0
         while mu < 1e12:
             Hd = replace(H, d=diag + mu)
             b = Hd.dot(z) - g
@@ -309,6 +414,8 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
             decrease = f - f_new
             z, f, g = z_new, f_new, g_new
             kkt = _kkt_residual(g, z, tau)
+            stable = stable + 1 if pinned is not None and np.array_equal(pinned, z == 0.0) else 0
+            pinned = z == 0.0
             if ratio > 0.75:
                 mu = 0.0 if mu < 1e-10 else mu / 3.0
             elif ratio < 0.25:

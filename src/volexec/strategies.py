@@ -46,9 +46,7 @@ class Strategy:
             raise ValueError("zeta contains non-finite values")
         if np.any(z < 0.0):
             raise NegativeRateError("execution rate must be nonnegative at every node")
-        Phi = float(self.Phi)
-        if not (Phi > 0.0 and np.isfinite(Phi)):
-            raise ValueError(f"Phi must be positive and finite, got {self.Phi}")
+        Phi = _block_size(self.Phi)
         mass = trapz(z, self.grid.tau)
         if abs(mass - Phi) > SELL_OFF_RTOL * Phi:
             raise InconsistentStrategyError(
@@ -72,9 +70,7 @@ class InventoryCurve:
             raise ValueError(f"phi must have {len(self.grid)} entries, got shape {p.shape}")
         if not np.all(np.isfinite(p)):
             raise ValueError("phi contains non-finite values")
-        Phi = float(self.Phi)
-        if not (Phi > 0.0 and np.isfinite(Phi)):
-            raise ValueError(f"Phi must be positive and finite, got {self.Phi}")
+        Phi = _block_size(self.Phi)
         tol = 1e-12 * max(1.0, Phi)
         if abs(p[0] - Phi) > tol or abs(p[-1]) > tol:
             raise ValueError(
@@ -128,11 +124,17 @@ def _risk_aversion(lam) -> float:
     return lam
 
 
-def _proportional(grid: TimeGrid, weight: np.ndarray, Phi) -> Strategy:
-    """Rate proportional to `weight`, scaled by its trapezoid mass to sell Phi."""
+def _block_size(Phi) -> float:
+    """Phi as a float; ValueError unless it is positive and finite (so NaN fails)."""
     Phi = float(Phi)
     if not (0.0 < Phi < np.inf):
         raise ValueError(f"Phi must be positive and finite, got {Phi}")
+    return Phi
+
+
+def _proportional(grid: TimeGrid, weight: np.ndarray, Phi) -> Strategy:
+    """Rate proportional to `weight`, scaled by its trapezoid mass to sell Phi."""
+    Phi = _block_size(Phi)
     return Strategy(grid=grid, zeta=weight * (Phi / trapz(weight, grid.tau)), Phi=Phi)
 
 
@@ -184,9 +186,7 @@ def ac_closed_form(lam, market, v, grid: TimeGrid, Phi) -> Strategy:
     v = float(v)
     if v <= 0.0:
         raise ValueError(f"turnover must be positive, got {v}")
-    Phi = float(Phi)
-    if Phi <= 0.0:
-        raise ValueError(f"Phi must be positive, got {Phi}")
+    Phi = _block_size(Phi)
     t = grid.nodes
     T = grid.T
     g = np.sqrt(market.sigma_tilde**2 * lam * v / market.kappa_tilde)

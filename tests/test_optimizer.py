@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -388,6 +390,40 @@ def test_turnover_curvature_matches_differences(market_hi):
     assert np.all(det.turnover_curvature(z) == 0.0)
 
 
+def test_hessian_dot_matches_differences(market_hi):
+    """The Hessian product is the exact second derivative of the objective,
+    by central differences of its gradient, column by column; its diagonal is
+    the SQP step model's diagonal before the clip, quad.d + turnover_curvature
+    (plus the inventory term), and without turnover terms it is the rate model."""
+    n = 50
+    g = build_grid(1.0, n)
+    rng = np.random.default_rng(50)
+    z = 0.5 + rng.random(n)
+    z /= g.tau * z.sum()
+    h, eye = 1e-5, np.eye(n)
+    for rho in (-0.9, 0.0, 0.9):
+        for sigma in (0.2, 2.0):
+            model = GbmVolumeModel(1.0, -0.02, sigma, rho=rho)
+            ubar = _interval_means(gbm_harmonic_mean(model, g).v)
+            for lam in (5.0, 1000.0):
+                obj = MeanVarianceObjective(ubar, lam, market_hi, 1.0, g, model)
+                dot = obj.hessian_dot(z)
+                hess = np.column_stack([dot(e) for e in eye])
+                fd = np.column_stack(
+                    [
+                        obj.value_and_gradient(z + h * e)[1] - obj.value_and_gradient(z - h * e)[1]
+                        for e in eye
+                    ]
+                ) / (2.0 * h)
+                assert np.max(np.abs(hess - fd)) <= 5e-8 * np.max(np.abs(fd)), (rho, sigma, lam)
+                step = replace(obj.quad, d=obj.quad.d + obj.turnover_curvature(z))
+                model_diag = np.array([step.dot(e)[i] for i, e in enumerate(eye)])
+                assert np.max(np.abs(np.diag(hess) - model_diag)) <= 1e-13 * np.max(model_diag)
+    det = _objective("deterministic", 1000.0, market_hi, g)
+    v = rng.standard_normal(n)
+    assert np.array_equal(det.hessian_dot(z)(v), det.quad.dot(v))
+
+
 # (sigma, rho, lam) of the solve-sweep benchmark's hard corners and each one's
 # objective before the step model held the turnover curvature, when all three
 # ran out of iterations
@@ -411,6 +447,50 @@ def test_sqp_hard_corners(sigma, rho, lam, previous, market_hi, grid200):
     ubar = _interval_means(gbm_harmonic_mean(model, grid200).v)
     obj = MeanVarianceObjective(ubar, lam, market_hi, 1.0, grid200, model)
     _beats_feasible_perturbations(obj, rep.zeta_intervals, np.random.default_rng(7))
+
+
+# each hard corner's objective when the damped steps finished it alone:
+# sigma=1 ran out of iterations at KKT 2.1e-8, sigma=2, lam=1000 stalled
+DAMPED_ONLY = [0.4963416973336483, 0.7298411308850394, 4.74759279506384]
+
+
+@pytest.mark.parametrize(
+    "corner, previous",
+    zip(HARD_CORNERS, DAMPED_ONLY),
+    ids=["rho-0.9", "sigma2-lam100", "sigma2-lam1000"],
+)
+def test_sqp_hard_corners_finish(corner, previous, market_hi, grid200):
+    """The Newton endgame takes every hard corner to the KKT tolerance well
+    inside the iteration budget, at an objective no higher than the damped
+    steps reached; the rho=-0.9 corner also converges at n=1000, where the
+    final face needs bounds released."""
+    sigma, rho, lam, _ = corner
+    model = GbmVolumeModel(1.0, -0.02, sigma, rho=rho)
+    _, rep = solve_sqp_gbm(model, lam, market_hi, 1.0, grid200)
+    assert rep.status == "converged"
+    assert rep.kkt_residual <= 1e-8
+    assert rep.iterations <= 60
+    assert rep.objective <= previous
+    if rho == -0.9:
+        _, rep = solve_sqp_gbm(model, lam, market_hi, 1.0, build_grid(1.0, 1000))
+        assert rep.status == "converged"
+
+
+@pytest.mark.parametrize("Phi", [np.nan, np.inf, -np.inf, 0.0])
+def test_bad_phi_rejected_before_solving(Phi, market, arcsine500, gbm_model):
+    """Both solvers name a block size that is not positive and finite before
+    any arithmetic on it (a solve on NaN rates would warn first)."""
+    g = arcsine500.grid
+    calls = [
+        lambda: MeanVarianceObjective(np.ones(g.n_steps), 1.0, market, Phi, g),
+        lambda: solve_qp_deterministic(arcsine500, 1.0, market, Phi),
+        lambda: solve_sqp_gbm(gbm_model, 1.0, market, Phi, g),
+    ]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Phi must be positive and finite"):
+                call()
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf], ids=["nan", "inf"])
