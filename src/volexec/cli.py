@@ -206,7 +206,13 @@ def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig
     n_paths = _require(mc, "n_paths", int, "mc", default=20_000)
     if n_paths < 2:
         raise ConfigError("mc.n_paths must be at least 2")
+    antithetic = _require(mc, "antithetic", bool, "mc", default=False)
+    if antithetic and n_paths % 2:
+        raise ConfigError(f"mc.n_paths must be even with mc.antithetic, got {n_paths}")
     seed = seed_override if seed_override is not None else _require(mc, "seed", int, "mc", default=0)
+    if not 0 <= seed < 2**64:
+        source = "--seed" if seed_override is not None else "mc.seed"
+        raise ConfigError(f"{source} must lie in [0, 2^64), got {seed}")
     out_dir = doc.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
@@ -219,7 +225,7 @@ def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig
         rhos=rhos,
         n_paths=n_paths,
         seed=seed,
-        antithetic=_require(mc, "antithetic", bool, "mc", default=False),
+        antithetic=antithetic,
         dump_paths=_require(mc, "dump_paths", bool, "mc", default=False),
         out_dir=out_dir,
     )
@@ -371,6 +377,7 @@ def cmd_simulate(args) -> int:
         for i, row in zip(idx, rows):
             costs[i] = row
     entries = []
+    failed = False
     for (lam, rho, _, rep), row in zip(solved, costs):
         est = moment_estimate(row, run.antithetic)
         entry = {"lambda": lam, "objective": rep.objective, "status": rep.status,
@@ -382,10 +389,13 @@ def cmd_simulate(args) -> int:
             write_csv(out / fname, ["path", "cost"], [range(len(row)), row])
             entry["costs_file"] = fname
         entries.append(entry)
+        if rep.status != "converged":
+            failed = True
+            print(f"solver did not converge for lambda={lam} rho={rho}", file=sys.stderr)
     report = {"schema": SCHEMA_VERSION, "command": "simulate", "results": entries}
     _write_json(out / "simulate.json", report)
     _emit({"command": "simulate", "out_dir": str(out), "n_results": len(entries)})
-    return 0
+    return 3 if failed else 0
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -205,15 +205,18 @@ class _StaticCosts:
             self.direct0 += fixed
             self.temp_w = None
 
-    def __call__(self, price, vol) -> np.ndarray:
-        """Totals of shape (K, paths); `vol` is read only under stochastic turnover."""
+    def __call__(self, price, vol, out=None) -> np.ndarray:
+        """Totals of shape (K, paths); `vol` is read only under stochastic
+        turnover, whose reciprocal goes to the leading rows of `out` (a
+        buffer with at least vol's rows, allocated when None)."""
         both = np.einsum("ij,kj->ik", price, self.price_w)
         total = both[:, : self.k] + self.total0
         direct = both[:, self.k :] + self.direct0
         if self.temp_w is not None:
-            if np.any(vol <= 0.0):
+            if not vol.min() > 0.0:
                 raise ValueError("turnover path must be strictly positive")
-            temporary = np.einsum("ij,kj->ik", 1.0 / vol, self.temp_w)
+            inverse = np.divide(1.0, vol, out=None if out is None else out[: len(vol)])
+            temporary = np.einsum("ij,kj->ik", inverse, self.temp_w)
             total += temporary
             direct += temporary
         _require_agreement(direct, total)

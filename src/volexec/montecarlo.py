@@ -3,25 +3,36 @@ estimation, and the optimality-ordering tournament.
 
 Draws are keyed per block of paths (the volume layer's _BLOCK) and driver
 stream with a counter-based generator, so any path is rebuilt by drawing its
-block up to that row and slicing, and results do not depend on batch size.
-Every estimate runs one pass over batches of _DEFAULT_BATCH paths: each batch
-is drawn once, antithetic twins flip the signs of the normals already drawn,
-and the cost rows of all schedules read the same batch (common random
-numbers), so batch size bounds memory.  A static schedule's cost is affine
-in the price path and in 1/v, so every static row is a pair of weight
-vectors (decomposed and direct form) and one einsum contraction per batch
-prices them all; einsum, unlike a BLAS matmul, gives each entry bits that do
-not depend on the batch's size, offset or schedule count, so results stay
-batch-invariant.  Under deterministic turnover the anticipating schedule is
-static too and joins that contraction; under stochastic turnover its
-per-path schedules get their weight vectors from the same kernel
-(cost._cost_weights) and are priced by row-wise einsum.  The price is
+block up to that row and slicing, and results depend neither on batch size
+nor on which thread draws a path.  Every estimate runs one pass over the
+paths, split into _BLOCK-aligned tasks of at most _TASK drawn paths.  The
+calling thread and one helper thread per further CPU the process may run on
+(os.sched_getaffinity) take tasks from one shared list; with one CPU no
+thread starts.  numpy's normal fills, ufuncs, cumsum and einsum release the
+interpreter lock, so the threads draw and price in parallel.  Each task is
+drawn once into its thread's workspace, which the calling thread allocates
+up front and `_joint_block` fills in place, so a worker allocates no
+path-sized memory for its draws and the workspaces together hold at most
+_DEFAULT_BATCH paths on any CPU count.  Antithetic twins flip the signs of
+the normals already drawn, the cost rows of all schedules read the same
+task (common random numbers), and each task writes its own columns of the
+result, so every row keeps its bits on any CPU count.  A static schedule's
+cost is affine in the price path and in 1/v, so every static row is a pair
+of weight vectors (decomposed and direct form) and one einsum contraction
+per task prices them all; einsum, unlike a BLAS matmul, gives each entry
+bits that do not depend on the task's size, offset or schedule count, so
+results stay batch-invariant.  Under deterministic turnover the
+anticipating schedule is static too and joins that contraction; under
+stochastic turnover its per-path schedules get their weight vectors from
+the same kernel (cost._cost_weights) and are priced by row-wise einsum.  The price is
 arithmetic with volatility sigma_tilde; under a lognormal turnover model its
 driver is correlated with the turnover driver through the model's rho.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Union
 
@@ -30,9 +41,10 @@ import numpy as np
 from .cost import MarketParams, _path_costs, _StaticCosts
 from .grids import TimeGrid, require_same_grid, trapz_weights
 from .strategies import Strategy, expected_vwap_strategy, vwap_strategy
-from .volume import GbmVolumeModel, VolumeProfile, _gbm_block, _normal_block
+from .volume import _BLOCK, GbmVolumeModel, VolumeProfile, _gbm_block, _normal_block
 
-_DEFAULT_BATCH = 2048  # paths per batch: bounds memory; a multiple of _BLOCK
+_DEFAULT_BATCH = 2048  # paths held at once by a pass: bounds memory; a multiple of _BLOCK
+_TASK = 2 * _BLOCK  # most drawn paths per task of a pass
 ANTICIPATING_LABEL = "anticipating-vwap"
 EXPECTED_VWAP_LABEL = "expected-vwap"
 
@@ -78,7 +90,35 @@ class MomentEstimate:
         }
 
 
-def _joint_block(cfg: SimulationConfig, first: int, last: int, mirror: bool = False):
+class _Workspace:
+    """Buffers that `_joint_block` fills in place for up to `rows` drawn
+    paths: the standard normals of driver streams 0 and 1 (which become the
+    scaled increments), and the price and turnover paths of each draw, the
+    antithetic mirror being the second.  Deterministic turnover needs no
+    stream 1 and no turnover buffer: its rows broadcast the profile.  With
+    `inverse`, stochastic turnover also gets the buffer the static cost
+    kernel writes one draw's reciprocal turnover to."""
+
+    def __init__(
+        self, cfg: SimulationConfig, rows: int, mirror: bool = False, inverse: bool = False
+    ):
+        n = cfg.grid.n_steps
+        stochastic = isinstance(cfg.volume, GbmVolumeModel)
+        draws = 2 if mirror else 1
+        self.z = np.empty((rows, n))
+        self.zw = np.empty((rows, n)) if stochastic else None
+        self.price = np.empty((draws, rows, n + 1))
+        self.vol = np.empty((draws, rows, n + 1)) if stochastic else None
+        self.inverse = np.empty((rows, n + 1)) if stochastic and inverse else None
+
+
+def _joint_block(
+    cfg: SimulationConfig,
+    first: int,
+    last: int,
+    mirror: bool = False,
+    out: Optional[_Workspace] = None,
+):
     """Price and turnover paths for path indices [first, last), drawn once.
 
     Returns a list of (price, vol) batches: the drawn paths and, with
@@ -86,35 +126,83 @@ def _joint_block(cfg: SimulationConfig, first: int, last: int, mirror: bool = Fa
     flipped signs.  Turnover draws come from driver stream 0 and
     price-specific noise from stream 1, combined as
     rho * dB + sqrt(1 - rho^2) * dW, so the turnover paths are bit-identical
-    with and without a correlated price leg.
+    with and without a correlated price leg.  The batches are views of `out`
+    (a workspace for at least last - first paths, allocated when None), which
+    is filled in place: no other path-sized memory is allocated.
     """
     grid, market = cfg.grid, cfg.market
-    n = grid.n_steps
-    z = _normal_block(cfg.seed, first, last, stream=0, n=n)
+    n, m = grid.n_steps, last - first
+    ws = _Workspace(cfg, m, mirror) if out is None else out
+    scale = math.sqrt(grid.tau)
+    db = _normal_block(cfg.seed, first, last, stream=0, n=n, out=ws.z[:m])
+    db *= scale
     stochastic = isinstance(cfg.volume, GbmVolumeModel)
     if stochastic:
-        zw = math.sqrt(grid.tau) * _normal_block(cfg.seed, first, last, stream=1, n=n)
         rho = cfg.volume.rho
-        mix = math.sqrt(max(0.0, 1.0 - rho**2))
-    draws = [(z, zw if stochastic else None)]
-    if mirror:
-        draws.append((-z, -zw if stochastic else None))
-    out = []
-    for zs, zws in draws:
-        if stochastic:
-            vol, db = _gbm_block(cfg.volume, grid, zs)
-            dprice = rho * db + mix * zws
-        else:
-            vol = np.broadcast_to(cfg.volume.v, (last - first, n + 1))
-            dprice = math.sqrt(grid.tau) * zs
-        price = np.empty((last - first, n + 1))
+        # the price-specific increments sqrt(1 - rho^2) dW
+        dw = _normal_block(cfg.seed, first, last, stream=1, n=n, out=ws.zw[:m])
+        dw *= scale
+        dw *= math.sqrt(max(0.0, 1.0 - rho**2))
+    batches = []
+    for d in range(2 if mirror else 1):
+        if d:
+            np.negative(db, out=db)
+            if stochastic:
+                np.negative(dw, out=dw)
+        price = ws.price[d, :m]
         price[:, 0] = market.s0
+        dprice = price[:, 1:]
+        if stochastic:
+            vol = _gbm_block(cfg.volume, grid, db, out=ws.vol[d, :m])
+            np.multiply(db, rho, out=dprice)
+            dprice += dw
+        else:
+            vol = np.broadcast_to(cfg.volume.v, (m, n + 1))
+            dprice = db
         # s0 + sigma_tilde * cumsum(dprice), built in place
         np.cumsum(dprice, axis=1, out=price[:, 1:])
         price[:, 1:] *= market.sigma_tilde
         price[:, 1:] += market.s0
-        out.append((price, vol))
-    return out
+        batches.append((price, vol))
+    return batches
+
+
+def _worker_count() -> int:
+    """Threads that price a pass: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _drain(tasks: Sequence, work, spaces: Sequence) -> None:
+    """Call work(task, space) for every task.  The calling thread, with
+    spaces[0], and one helper thread per further space take tasks from one
+    shared list; with a single space no thread starts.  After an exception
+    no thread takes another task, and the first exception is re-raised."""
+    pending = iter(tasks)
+    lock = threading.Lock()
+    errors = []
+
+    def run(space):
+        try:
+            while not errors:
+                with lock:
+                    task = next(pending, None)
+                if task is None:
+                    return
+                work(task, space)
+        except BaseException as e:  # re-raised on the calling thread
+            errors.append(e)
+
+    helpers = [threading.Thread(target=run, args=(space,)) for space in spaces[1:]]
+    for t in helpers:
+        t.start()
+    run(spaces[0])
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def _batches(n: int, size: int):
@@ -131,16 +219,26 @@ def _cost_rows(
 ) -> np.ndarray:
     """Realized cost of every static schedule on every path, one pass.
 
-    Each batch of paths is drawn once and every row reads it.  The static
-    rows come from weight vectors (see cost._StaticCosts): one row-stable
-    einsum contraction per batch prices all of them, direct and decomposed
-    form, and checks the two agree on every path, so no path-sized
-    temporary is made per schedule.  With `anticipating_phi` set, row 0 is
-    the anticipating turnover-proportional schedule for that order size and
-    the static schedules follow.  Under deterministic turnover that schedule
-    is itself static, the volume-proportional one, and joins the contraction;
-    under stochastic turnover it is rebuilt per path as Phi v / (w . v) and
-    priced from its per-path weight vectors (cost._path_costs).
+    The paths are split into tasks of at most _TASK drawn paths, aligned to
+    the keyed blocks when the batch allows it.  The calling thread and one
+    helper thread per further CPU (`_worker_count`), but no more threads
+    than the batch holds blocks, take them from one list.  Each task draws
+    its paths once into its thread's workspace, allocated up front, every
+    row reads them, and the task writes its own columns of the result, so
+    every row keeps its bits on any CPU count.
+    All workspaces together hold at most `batch_size` paths (mirrors
+    included), so batch size bounds memory and never changes a result.
+
+    The static rows come from weight vectors (see cost._StaticCosts): one
+    row-stable einsum contraction per task prices all of them, direct and
+    decomposed form, and checks the two agree on every path, so no
+    path-sized temporary is made per schedule.  With `anticipating_phi` set,
+    row 0 is the anticipating turnover-proportional schedule for that order
+    size and the static schedules follow.  Under deterministic turnover that
+    schedule is itself static, the volume-proportional one, and joins the
+    contraction; under stochastic turnover it is rebuilt per path as
+    Phi v / (w . v) and priced from its per-path weight vectors
+    (cost._path_costs), which each task allocates.
     With antithetic=True (n_paths must be even) the first n_paths/2 columns
     are the drawn paths and column n_paths/2 + i is the mirror of column i.
     Returns an array of shape (rows, n_paths).
@@ -159,21 +257,37 @@ def _cost_rows(
     costs = np.empty((per_path + len(statics), n))
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
-    step = max(1, batch_size // len(offsets))
+    held = max(1, batch_size // len(offsets))  # drawn paths held at once
+    cpus = _worker_count()
+    if held >= _BLOCK:
+        cpus = min(cpus, held // _BLOCK)  # so that every task holds whole blocks
+    size = max(1, held // cpus)
+    if size >= _BLOCK:
+        size = min(_TASK, size - size % _BLOCK)
+    size = min(size, drawn)
+    tasks = list(_batches(drawn, size))
     tau = cfg.grid.tau
     w = trapz_weights(cfg.grid.n_steps, tau)
-    for first, last in _batches(drawn, step):
-        batches = _joint_block(cfg, first, last, mirror=antithetic)
+    spaces = [
+        _Workspace(cfg, size, antithetic, inverse=bool(statics))
+        for _ in range(min(cpus, len(tasks)))
+    ]
+
+    def price_task(task, ws):
+        first, last = task
+        batches = _joint_block(cfg, first, last, mirror=antithetic, out=ws)
         for offset, (price, vol) in zip(offsets, batches):
             cols = slice(offset + first, offset + last)
             if statics:
-                costs[per_path:, cols] = kernel(price, vol)
+                costs[per_path:, cols] = kernel(price, vol, out=ws.inverse)
             if per_path:
                 mass = np.einsum("ij,j->i", vol, w)  # row-stable, unlike vol @ w
                 zeta_paths = vol * (anticipating_phi / mass)[:, None]
                 costs[0, cols] = _path_costs(
                     price, vol, zeta_paths, anticipating_phi, tau, cfg.market
                 )[0]
+
+    _drain(tasks, price_task, spaces)
     return costs
 
 

@@ -8,7 +8,11 @@ values as given.
 
 Random draws are keyed per block of _BLOCK consecutive paths: one Philox
 generator per (seed, block, stream) fills the block's rows in path order, so
-a path's draws never depend on how the paths are batched.
+a path's draws never depend on how the paths are batched, nor on which
+thread draws them: the Monte Carlo pass prices _BLOCK-aligned tasks on every
+CPU the process may run on, and its rows keep their bits on any CPU count.
+The fills write into caller-owned buffers when given one (`out=`), so a
+worker thread draws without allocating path-sized memory.
 """
 from __future__ import annotations
 
@@ -106,14 +110,19 @@ def path_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     (seed, 2*block + stream).
 
     Draws depend only on the key, so batching/partitioning paths across
-    workers cannot change the sampled values.
+    workers cannot change the sampled values.  The seed is one 64-bit key
+    word: a seed outside [0, 2^64) is an error, not wrapped onto another.
     """
-    key = (int(seed) & _MASK64) + (((2 * int(block) + int(stream)) & _MASK64) << 64)
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    key = seed + (((2 * int(block) + int(stream)) & _MASK64) << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _normal_block(seed: int, first: int, last: int, stream: int, n: int) -> np.ndarray:
-    """Standard-normal draws for paths first..last-1, shape (last - first, n).
+def _normal_block(seed: int, first: int, last: int, stream: int, n: int, out=None) -> np.ndarray:
+    """Standard-normal draws for paths first..last-1, shape (last - first, n),
+    written into `out` (C-contiguous, allocated when None).
 
     Path k is row k % _BLOCK of block k // _BLOCK.  A block's generator fills
     its rows in order with one standard_normal call, so the leading rows of a
@@ -123,7 +132,7 @@ def _normal_block(seed: int, first: int, last: int, stream: int, n: int) -> np.n
     consumes a variable number of words per normal, so the generator cannot
     skip ahead to a row.
     """
-    z = np.empty((last - first, n))
+    z = np.empty((last - first, n)) if out is None else out
     for block in range(first // _BLOCK, -(-last // _BLOCK)):
         lo = block * _BLOCK
         hi = min(lo + _BLOCK, last)
@@ -135,13 +144,18 @@ def _normal_block(seed: int, first: int, last: int, stream: int, n: int) -> np.n
     return z
 
 
-def _gbm_block(model: GbmVolumeModel, grid: TimeGrid, z: np.ndarray):
-    """Lognormal paths driven by standard normals z (one row per path);
-    returns (paths, driver increments)."""
-    increments = math.sqrt(grid.tau) * z
+def _gbm_block(model: GbmVolumeModel, grid: TimeGrid, db: np.ndarray, out=None) -> np.ndarray:
+    """Lognormal paths driven by the increments db = sqrt(tau) z of the
+    turnover's Brownian driver (one row per path), written into `out` of
+    shape (rows, n + 1), allocated when None.  The log-turnover is
+    accumulated in place in the paths' own columns, so no temporary is made."""
     drift = (model.mu - 0.5 * model.sigma**2) * grid.tau
-    logv = np.cumsum(drift + model.sigma * increments, axis=1)
-    paths = np.empty((z.shape[0], grid.n_steps + 1))
+    paths = np.empty((db.shape[0], grid.n_steps + 1)) if out is None else out
     paths[:, 0] = model.v0
-    paths[:, 1:] = model.v0 * np.exp(logv)
-    return paths, increments
+    logv = paths[:, 1:]
+    np.multiply(db, model.sigma, out=logv)
+    logv += drift
+    np.cumsum(logv, axis=1, out=logv)
+    np.exp(logv, out=logv)
+    logv *= model.v0
+    return paths

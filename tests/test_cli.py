@@ -195,6 +195,27 @@ def test_simulate_draws_once_per_rho(tmp_path, monkeypatch):
         assert np.array_equal(dumped, costs)
 
 
+def test_simulate_exits_3_when_a_solve_does_not_converge(tmp_path, monkeypatch, capsys):
+    """simulate reports like solve: the results are still written, with each
+    status, but a solve that did not converge makes the command exit 3."""
+    from volexec import cli
+
+    solve = cli.solve_sqp_gbm
+
+    def stalls_at_two(model, lam, *args, **kwargs):
+        s, rep = solve(model, lam, *args, **kwargs)
+        return s, (dataclasses.replace(rep, status="stalled") if lam == 2.0 else rep)
+
+    monkeypatch.setattr(cli, "solve_sqp_gbm", stalls_at_two)
+    doc = gbm_config(grid_n=20, rhos=(0.3,))
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == "solver did not converge for lambda=2.0 rho=0.3\n"
+    sim = json.loads((out / "simulate.json").read_text())
+    assert [e["status"] for e in sim["results"]] == ["converged", "stalled"]
+
+
 def test_validate_small_run(tmp_path):
     cfg = write_config(tmp_path, det_config(grid_n=80, n_paths=600))
     out = tmp_path / "out"
@@ -259,7 +280,9 @@ def test_validate_identity_reads_reported_rows(monkeypatch, market):
     grid = build_grid(1.0, 50)
     call = cost._StaticCosts.__call__
     monkeypatch.setattr(
-        cost._StaticCosts, "__call__", lambda self, price, vol: call(self, price, vol) + 1e-4 * 1.0
+        cost._StaticCosts,
+        "__call__",
+        lambda self, price, vol, out=None: call(self, price, vol, out) + 1e-4 * 1.0,
     )
     report = run_validation(
         arcsine_profile(grid), market, grid, Phi=1.0, n_paths=2000, lambdas=(0.5,)
@@ -292,6 +315,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("mc", "n_paths", 2.5),
         ("mc", "seed", "x"),
         ("mc", "antithetic", "no"),
+        (None, "mc", {"n_paths": 401, "seed": 7, "antithetic": True}),
+        ("mc", "seed", -5),
+        ("mc", "seed", 2**64),
+        ("mc", "seed", 2**70),
         (None, "out_dir", 5),
     ):
         out = tmp_path / "bad_out"
@@ -302,6 +329,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert rc == 2, (key, value)
         assert err.startswith("config error:"), err
         assert not (out / "simulate.json").exists()
+    # a seed override outside the 64-bit key word is rejected the same way
+    case = write_config(tmp_path, dict(det_config(), out_dir=str(out)), "case.json")
+    for seed in ("-1", str(2**64)):
+        rc = main(["simulate", "--config", case, "--seed", seed])
+        assert rc == 2, seed
+        assert capsys.readouterr().err.startswith("config error: --seed"), seed
+        assert not (out / "simulate.json").exists()
+    # the largest seed is a valid key
+    top = write_config(tmp_path, det_config(grid_n=10, n_paths=8), "top.json")
+    assert main(["simulate", "--config", top, "--seed", str(2**64 - 1), "--out", str(out)]) == 0
 
 
 def _extreme(**kw):

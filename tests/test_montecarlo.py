@@ -1,10 +1,12 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from volexec import cost
+from volexec import cost, montecarlo
 from volexec.cost import mv_gbm
 from volexec.errors import ConsistencyError
 from volexec.grids import build_grid, trapz, trapz_weights
@@ -46,7 +48,7 @@ def test_volume_paths_match_reference_sampler(market, gbm_model, grid200):
     cfg = _cfg(gbm_model, market, grid200, n_paths=16, seed=12)
     price, vol = joint_paths(cfg)
     z = _normal_block(12, 0, 16, stream=0, n=grid200.n_steps)
-    ref, _ = _gbm_block(gbm_model, grid200, z)
+    ref = _gbm_block(gbm_model, grid200, np.sqrt(grid200.tau) * z)
     assert np.array_equal(vol, ref)
     assert np.all(price[:, 0] == market.s0)
 
@@ -287,6 +289,77 @@ def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind, an
     monkeypatch.setattr(cost, "_cost_weights", perturbed)
     with pytest.raises(ConsistencyError):
         _cost_rows(cfg, *rows)
+
+    # a pass of eight tasks on two threads: the helper's error reaches the
+    # caller.  The calling thread's checks are silenced, so the error raised
+    # is the helper's, and each thread's first draw waits for the other's,
+    # so the helper holds a task before the calling thread can drain them all.
+    check, draw = cost._require_agreement, montecarlo._joint_block
+    barrier, seen, raised_on = threading.Barrier(2, timeout=30), set(), []
+
+    def recorded(direct, total):
+        try:
+            check(direct, total)
+        except ConsistencyError:
+            raised_on.append(threading.current_thread().name)
+            if threading.current_thread() is not threading.main_thread():
+                raise
+
+    def paired(*args, **kwargs):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(cost, "_require_agreement", recorded)
+    monkeypatch.setattr(montecarlo, "_joint_block", paired)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    with pytest.raises(ConsistencyError):
+        _cost_rows(cfg, *rows, batch_size=16)
+    assert threading.main_thread().name in raised_on  # the perturbation reached both
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_rows_do_not_depend_on_worker_count(monkeypatch, market, workers):
+    """Every row has the same bits whether one thread or several price the
+    pass: gbm rows (the per-path anticipating row included) with and without
+    antithetic twins, and the deterministic tournament's rows, with tasks
+    aligned to the keyed blocks or not, and a ragged last task."""
+    grid50 = build_grid(1.0, 50)
+    gbm = GbmVolumeModel(1.0, -0.02, 0.3, rho=-0.4)
+    arcsine = arcsine_profile(grid50)
+    cases = [
+        (gbm, [_shaped(grid50, 1.5), _shaped(grid50, -0.5)], False),
+        (gbm, [_shaped(grid50, 1.5), _shaped(grid50, -0.5)], True),
+        (arcsine, [_shaped(grid50, 1.5), vwap_strategy(arcsine, 1.0)], False),
+    ]
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    # frequent thread switches: a task taken twice or skipped leaves columns
+    # of the result unwritten, which the comparison sees
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for volume, statics, antithetic in cases:
+            cfg = _cfg(volume, market, grid50, n_paths=1030, seed=25)
+            for batch_size in (7, 2048):
+                monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+                alone = _cost_rows(cfg, statics, 1.0, antithetic=antithetic, batch_size=batch_size)
+                assert not started  # one CPU: the calling thread prices every task
+                monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+                shared = _cost_rows(cfg, statics, 1.0, antithetic=antithetic, batch_size=batch_size)
+                assert len(started) == workers - 1
+                assert not any(t.is_alive() for t in started)
+                started.clear()
+                assert np.array_equal(alone, shared), (volume, antithetic, batch_size)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_batching_is_invisible_deterministic_tournament(market, grid200, twap200):

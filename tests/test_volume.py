@@ -25,7 +25,8 @@ GBM_U_T = 0.9417645335842487
 def _gbm_paths(model, grid, n_paths, seed):
     """Turnover paths 0..n_paths-1 and their driver increments, as the Monte
     Carlo engine draws them."""
-    return _gbm_block(model, grid, _normal_block(seed, 0, n_paths, stream=0, n=grid.n_steps))
+    db = np.sqrt(grid.tau) * _normal_block(seed, 0, n_paths, stream=0, n=grid.n_steps)
+    return _gbm_block(model, grid, db), db
 
 
 def test_constant_profile_cumulatives_exact():
@@ -140,3 +141,15 @@ def test_path_rng_streams_are_distinct():
     again = path_rng(9, 4, stream=0).standard_normal(8)
     assert np.array_equal(z0, again)
     assert not np.array_equal(z0, z1)
+
+
+def test_path_rng_rejects_seeds_outside_the_key_word():
+    # the seed is one 64-bit key word: 2^64 and 2^70 would wrap onto seed 0,
+    # and -5 onto 2^64 - 5, so they are errors
+    for seed in (-5, -1, 2**64, 2**70):
+        with pytest.raises(ValueError, match="seed"):
+            path_rng(seed, 0)
+        with pytest.raises(ValueError, match="seed"):
+            _normal_block(seed, 0, 4, stream=0, n=3)
+    top = path_rng(2**64 - 1, 0).standard_normal(8)
+    assert not np.array_equal(top, path_rng(0, 0).standard_normal(8))
