@@ -24,26 +24,35 @@ _RESIDUAL_RTOL = 1e-10
 _PIVOT_RTOL = 1e-13
 
 
-def _solve_tridiagonal(lower, diag, upper, rhs, row_scale) -> np.ndarray:
-    """x with lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i], by elimination
+def _eliminate(lower, diag, upper, row_scale):
+    """Forward elimination of lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]
     on Python floats (rounded as float64 arrays are, indexed several times
-    faster); SolverFailureError(pivot_index=row) on a pivot below 1e-13 * row_scale."""
-    lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
-    b, row_scale = rhs.tolist(), row_scale.tolist()
-    m = len(b)
+    faster): the factors (multipliers, pivots, upper) that _substitute applies to
+    any rhs; SolverFailureError(pivot_index=row) on a pivot below 1e-13 * row_scale."""
+    diag, upper, row_scale = diag.tolist(), upper.tolist(), row_scale.tolist()
+    mult = [0.0] + lower[1:].tolist()
+    m = len(diag)
     for i in range(m):
         if abs(diag[i]) <= _PIVOT_RTOL * row_scale[i]:
             raise SolverFailureError(
                 f"tridiagonal elimination hit a vanishing pivot at node {i + 1}", pivot_index=i + 1
             )
         if i + 1 < m:
-            w = lower[i + 1] / diag[i]
-            diag[i + 1] -= w * upper[i]
-            b[i + 1] -= w * b[i]
-    x = [0.0] * (m + 1)
-    for i in range(m - 1, -1, -1):
+            mult[i + 1] /= diag[i]
+            diag[i + 1] -= mult[i + 1] * upper[i]
+    return mult, diag, upper
+
+
+def _substitute(factors, rhs) -> np.ndarray:
+    """x from the factors of _eliminate and one right-hand side."""
+    mult, diag, upper = factors
+    b = rhs.tolist()
+    for i in range(1, len(b)):
+        b[i] -= mult[i] * b[i - 1]
+    x = [0.0] * (len(b) + 1)
+    for i in range(len(b) - 1, -1, -1):
         x[i] = (b[i] - upper[i] * x[i + 1]) / diag[i]
-    return np.array(x[:m])
+    return np.array(x[:-1])
 
 
 def _solve_bvp(grid: TimeGrid, a, c, rhs, left, right) -> np.ndarray:
@@ -82,12 +91,8 @@ def _solve_bvp(grid: TimeGrid, a, c, rhs, left, right) -> np.ndarray:
     b[-1] -= upper[-1] * right
 
     row_scale = 2.0 * inv2 + np.abs(ai) / tau + np.abs(ci)
-    x = _solve_tridiagonal(lower, diag, upper, b, row_scale)
-
-    phi = np.empty(n)
-    phi[0] = left
-    phi[-1] = right
-    phi[1:-1] = x
+    x = _substitute(_eliminate(lower, diag, upper, row_scale), b)
+    phi = np.concatenate([[left], x, [right]])
 
     applied = (
         (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) * inv2

@@ -83,26 +83,23 @@ def _value(value, kind, name):
     float takes a finite JSON number, int an integral one; bool, list and
     dict take JSON true/false, arrays and objects.
     """
-    wrong = ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
     if kind in (bool, list, dict):
-        if not isinstance(value, kind):
-            raise wrong
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise wrong
-    if kind is int and isinstance(value, int):
-        return value
-    try:
-        out = float(value)
-    except OverflowError:
-        out = math.inf
-    if not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    if kind is int:
-        if not out.is_integer():
-            raise wrong
-        return int(out)
-    return out
+        if isinstance(value, kind):
+            return value
+    elif not isinstance(value, bool) and isinstance(value, (int, float)):
+        if kind is int and isinstance(value, int):
+            return value
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if not math.isfinite(out):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if kind is float:
+            return out
+        if out.is_integer():
+            return int(out)
+    raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
 def _require(mapping, key, kind, where, default=_MISSING):
@@ -114,7 +111,15 @@ def _require(mapping, key, kind, where, default=_MISSING):
 
 
 def _require_list(mapping, key, kind, where, default=_MISSING):
+    """Finite JSON numbers are checked in bulk, anything else one by one for the message."""
     values = _require(mapping, key, list, where, default)
+    if kind is float and set(map(type, values)) <= {int, float}:
+        try:
+            out = np.asarray(values, dtype=float)
+            if np.isfinite(out).all():
+                return out.tolist()
+        except OverflowError:
+            pass
     return [_value(x, kind, f"{where}.{key}[{i}]") for i, x in enumerate(values)]
 
 
@@ -201,6 +206,13 @@ def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig
         raise ConfigError("rhos only applies to a gbm volume model")
     if any(abs(r) > 1.0 for r in rhos):
         raise ConfigError("rhos must lie in [-1, 1]")
+    for key, values in (("lambdas", lambdas), ("rhos", rhos)):
+        first = {}  # artifact name -> the value that wrote it
+        for x in values:
+            name = _fmt(x)
+            if name in first:
+                raise ConfigError(f"{key} {first[name]!r} and {x!r} share the artifact name {name!r}")
+            first[name] = x
 
     mc = _require(doc, "mc", dict, "config", default={})
     n_paths = _require(mc, "n_paths", int, "mc", default=20_000)

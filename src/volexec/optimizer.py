@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bvp import _solve_tridiagonal
+from .bvp import _eliminate, _substitute
 from .cost import (
     MarketParams,
     _cross_moment,
@@ -78,29 +78,39 @@ class _RateModel:
         return self.d * z + self.k * np.cumsum(self.w[:-1] * x)
 
     def solve(self, b, tau, Phi, fixed):
-        """(z, nu) minimizing 1/2 z'Hz - b'z s.t. tau sum(z) = Phi and z[fixed] = 0,
-        with nu the sell-off multiplier.  In the inventory, with x_0 = Phi/tau
-        and x_n = 0, the problem is tridiagonal; a pinned rate merges the nodes
-        at its two ends, whose weights add up."""
+        """The face of `fixed` applied to the one right-hand side b."""
+        return self.face(tau, fixed)(b, Phi)
+
+    def face(self, tau, fixed):
+        """(b, Phi) -> (z, nu) minimizing 1/2 z'Hz - b'z s.t. tau sum(z) = Phi and
+        z[fixed] = 0, with nu the sell-off multiplier; eliminated once for every
+        right-hand side.  In the inventory, with x_0 = Phi/tau and x_n = 0, the
+        problem is tridiagonal; a pinned rate merges the nodes at its two ends,
+        whose weights add up."""
         free = np.flatnonzero(~fixed)
         if free.size == 0:
             raise SolverFailureError("all decision variables pinned at zero")
-        c, dfree = Phi / tau, self.d[free]
+        dfree, f0 = self.d[free], free[0]
         # merged node j runs from after free rate j-1 to free rate j; rows are
         # scaled so that their couplings sum to 2, as in the boundary problem's
         # stencil, and the small node term of the diagonal survives rounding
         scale = 2.0 / (dfree[:-1] + dfree[1:])
         lower, upper = -scale * dfree[:-1], -scale * dfree[1:]
         diag = 2.0 + scale * self.k * np.add.reduceat(self.w[: free[-1] + 1], free[:-1] + 1)
-        rhs = scale * np.diff(b[free])
-        rhs[:1] -= lower[:1] * c
-        x = np.concatenate([[c], _solve_tridiagonal(lower, diag, upper, rhs, diag + 2.0), [0.0]])
-        z = np.zeros(b.size)
-        z[free] = x[:-1] - x[1:]
-        # stationarity in the first free rate; the inventory is c up to it
-        f0 = free[0]
-        grad0 = dfree[0] * z[f0] + self.k * c * float(np.sum(self.w[: f0 + 1])) - b[f0]
-        return z, -float(grad0) / tau
+        factors = _eliminate(lower, diag, upper, diag + 2.0)
+
+        def solve(b, Phi):
+            c = Phi / tau
+            rhs = scale * np.diff(b[free])
+            rhs[:1] -= lower[:1] * c
+            x = np.concatenate([[c], _substitute(factors, rhs), [0.0]])
+            z = np.zeros(b.size)
+            z[free] = x[:-1] - x[1:]
+            # stationarity in the first free rate; the inventory is c up to it
+            grad0 = dfree[0] * z[f0] + self.k * c * float(np.sum(self.w[: f0 + 1])) - b[f0]
+            return z, -float(grad0) / tau
+
+        return solve
 
 
 def _active_set_qp(model: _RateModel, b, tau, Phi):
@@ -296,9 +306,10 @@ def _face_newton_direction(hess, g, model: _RateModel, tau, fixed, forcing):
     sum(d) = 0.  Stops when the preconditioned residual has fallen by
     `forcing`, or on non-positive curvature (returning the steepest
     preconditioned direction if that comes first)."""
+    solve = model.face(tau, fixed)
     d = np.zeros(g.size)
     r = g.copy()
-    y = model.solve(r, tau, 0.0, fixed)[0]
+    y = solve(r, 0.0)[0]
     p, ry = -y, float(r @ y)
     stop = forcing**2 * ry
     for j in range(int(np.count_nonzero(~fixed))):
@@ -309,7 +320,7 @@ def _face_newton_direction(hess, g, model: _RateModel, tau, fixed, forcing):
         alpha = ry / curvature
         d += alpha * p
         r += alpha * hp
-        y = model.solve(r, tau, 0.0, fixed)[0]
+        y = solve(r, 0.0)[0]
         ry, ry_old = float(r @ y), ry
         if ry <= stop:
             break

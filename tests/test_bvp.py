@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from volexec.bvp import _solve_bvp, matched_log_derivative, optimal_inventory_ode
+from volexec.bvp import (
+    _PIVOT_RTOL,
+    _eliminate,
+    _solve_bvp,
+    _substitute,
+    matched_log_derivative,
+    optimal_inventory_ode,
+)
 from volexec.errors import SolverFailureError
 from volexec.grids import build_grid, cumtrapz, trapz
 from volexec.volume import arcsine_profile, constant_profile, profile_from_samples
@@ -101,6 +108,65 @@ def test_pivot_failure_reports_location(grid200):
     with pytest.raises(SolverFailureError) as err:
         _solve_bvp(grid200, np.zeros(n), c, np.ones(n), 0.0, 0.0)
     assert err.value.pivot_index is not None
+
+
+def _fused_tridiagonal(lower, diag, upper, rhs, row_scale):
+    """Elimination and substitution in one pass over the rows, on Python floats."""
+    lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
+    b, row_scale = rhs.tolist(), row_scale.tolist()
+    m = len(b)
+    for i in range(m):
+        if abs(diag[i]) <= _PIVOT_RTOL * row_scale[i]:
+            raise SolverFailureError("vanishing pivot", pivot_index=i + 1)
+        if i + 1 < m:
+            w = lower[i + 1] / diag[i]
+            diag[i + 1] -= w * upper[i]
+            b[i + 1] -= w * b[i]
+    x = [0.0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        x[i] = (b[i] - upper[i] * x[i + 1]) / diag[i]
+    return np.array(x[:m])
+
+
+def _random_system(rng, m):
+    lower, upper = -rng.random(m), -rng.random(m)
+    diag = 1.0 + rng.random(m) * 2.0
+    return lower, diag, upper, np.abs(lower) + np.abs(diag) + np.abs(upper)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 50, 777])
+def test_split_elimination_matches_fused_pass(m):
+    """One elimination reused for several right-hand sides gives the bits of
+    a fused elimination-and-substitution pass on each, and leaves its
+    factors as they were."""
+    rng = np.random.default_rng(m)
+    lower, diag, upper, row_scale = _random_system(rng, m)
+    factors = _eliminate(lower, diag, upper, row_scale)
+    frozen = [list(f) for f in factors]
+    for _ in range(3):
+        rhs = rng.standard_normal(m) * 10.0 ** rng.integers(-5, 5)
+        ref = _fused_tridiagonal(lower, diag, upper, rhs, row_scale)
+        assert np.array_equal(_substitute(factors, rhs), ref)
+    assert [list(f) for f in factors] == frozen
+
+
+@pytest.mark.parametrize("row", [0, 1, 40])
+def test_elimination_reports_vanishing_pivot_row(row):
+    """A pivot that vanishes at `row` raises SolverFailureError with the same
+    pivot_index from the elimination alone as from the fused pass."""
+    rng = np.random.default_rng(row)
+    lower, diag, upper, row_scale = _random_system(rng, 60)
+    if row:
+        # pivot[row] = diag[row] - lower[row] upper[row-1] / pivot[row-1]
+        pivots = _eliminate(lower[:row], diag[:row], upper[:row], row_scale[:row])[1]
+        diag[row] = lower[row] / pivots[-1] * upper[row - 1]
+    else:
+        diag[0] = 0.0
+    with pytest.raises(SolverFailureError) as ref:
+        _fused_tridiagonal(lower, diag, upper, np.ones(60), row_scale)
+    with pytest.raises(SolverFailureError) as err:
+        _eliminate(lower, diag, upper, row_scale)
+    assert err.value.pivot_index == ref.value.pivot_index == row + 1
 
 
 def test_solution_stays_in_boundary_range(market):

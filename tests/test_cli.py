@@ -320,6 +320,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("mc", "seed", 2**64),
         ("mc", "seed", 2**70),
         (None, "out_dir", 5),
+        (None, "lambdas", [1.0, 1.0000001]),
     ):
         out = tmp_path / "bad_out"
         doc = dict(det_config(), out_dir=str(out))
@@ -329,6 +330,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert rc == 2, (key, value)
         assert err.startswith("config error:"), err
         assert not (out / "simulate.json").exists()
+    # two sweep values that would write one artifact name are named together
+    doc = dict(det_config(lambdas=(0.0, 1.0, 1.0000001)), out_dir=str(out))
+    assert main(["solve", "--config", write_config(tmp_path, doc, "case.json")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: lambdas 1.0 and 1.0000001 share the artifact name '1'\n"
+    )
+    doc = dict(gbm_config(rhos=(0.5, -0.25, 0.50000004)), out_dir=str(out))
+    assert main(["solve", "--config", write_config(tmp_path, doc, "case.json")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: rhos 0.5 and 0.50000004 share the artifact name '0.5'\n"
+    )
+    assert not (out / "report.json").exists()
     # a seed override outside the 64-bit key word is rejected the same way
     case = write_config(tmp_path, dict(det_config(), out_dir=str(out)), "case.json")
     for seed in ("-1", str(2**64)):
@@ -339,6 +352,77 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # the largest seed is a valid key
     top = write_config(tmp_path, det_config(grid_n=10, n_paths=8), "top.json")
     assert main(["simulate", "--config", top, "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+
+
+# one bad element of a numeric list and the message that names its index
+_BAD_ELEMENTS = {
+    "true": (True, "must be a number, got True"),
+    "string": ("x", "must be a number, got 'x'"),
+    "null": (None, "must be a number, got None"),
+    "nan": (float("nan"), "must be finite, got nan"),
+    "infinity": (float("inf"), "must be finite, got inf"),
+    "huge-int": (10**400, f"must be finite, got {10**400!r}"),
+    "nested": ([1.0], "must be a number, got [1.0]"),
+}
+
+
+@pytest.mark.parametrize("key", ["volume.values", "lambdas"])
+@pytest.mark.parametrize("bad", sorted(_BAD_ELEMENTS))
+def test_bad_list_element_names_its_index(tmp_path, capsys, key, bad):
+    from volexec.cli import main
+
+    value, message = _BAD_ELEMENTS[bad]
+    doc = det_config(grid_n=10)
+    if key == "lambdas":
+        doc["lambdas"] = [0.0, 0.5, value, 2.0]
+        where = "config.lambdas[2]"
+    else:
+        doc["volume"] = {"type": "samples", "values": [1.0] * 3 + [value] + [2] * 7}
+        where = "volume.values[3]"
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {where} {message}\n"
+    assert not (out / "report.json").exists()
+
+
+def test_bulk_list_read_matches_per_element():
+    """A list of JSON numbers read in bulk gives the floats of the
+    element-by-element reader, bit for bit: ints past 2^53 round to nearest
+    even, past 2^64 too, and -0.0 keeps its sign."""
+    from volexec.cli import _require_list, _value
+
+    rng = np.random.default_rng(5)
+    ints = [2**53 + 1, 2**53 + 3, 2**54 + 2, 2**63 - 1, 2**63 + 1, 2**64 - 1, -(2**63) - 1]
+    ints += [(2**53 + 1) << 20, 2**64 + 2**11, 10**300 + 1, 7]
+    ints += [int(x) for x in rng.integers(-(2**62), 2**62, 50)]
+    ints += [int(x) << int(s) for x, s in zip(rng.integers(1, 2**62, 50), rng.integers(0, 300, 50))]
+    floats = [0.0, -0.0, 5e-324, 1.7976931348623157e308, *rng.standard_normal(50).tolist()]
+    values = [(ints + floats)[i] for i in rng.permutation(len(ints) + len(floats))]
+    got = _require_list({"v": values}, "v", float, "w")
+    ref = [_value(x, float, "w") for x in values]
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in ref]
+
+
+def test_valid_samples_are_read_in_bulk(monkeypatch):
+    """A valid 4001-sample profile and its sweep lists are checked without
+    one per-element call."""
+    from volexec import cli
+
+    names, value = [], cli._value
+
+    def counted(x, kind, name):
+        names.append(name)
+        return value(x, kind, name)
+
+    monkeypatch.setattr(cli, "_value", counted)
+    samples = [1 + i % 7 if i % 3 else 0.5 + i / 4000.0 for i in range(4001)]
+    doc = det_config(grid_n=4000, lambdas=(0, 0.5, 1, 2.0))
+    doc["volume"] = {"type": "samples", "values": samples}
+    run = cli._build_run(json.loads(json.dumps(doc)))
+    assert names and not [n for n in names if "[" in n]
+    assert np.array_equal(run.volume.v, np.array(samples, dtype=float))
+    assert run.lambdas == [0.0, 0.5, 1.0, 2.0]
 
 
 def _extreme(**kw):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from volexec import optimizer
 from volexec.bvp import optimal_inventory_ode
 from volexec.cost import MarketParams, MvValue, mv_deterministic, mv_gbm
 from volexec.errors import SolverFailureError
@@ -208,6 +209,45 @@ def test_rate_model_pinned_solve_matches_dense(n):
             assert abs(nu - nu_ref) <= 1e-12 * max(abs(nu_ref), np.max(np.abs(b)) / tau)
         with pytest.raises(SolverFailureError):
             model.solve(np.zeros(n), tau, 1.0, np.ones(n, dtype=bool))
+
+
+def test_face_reuse_matches_fresh_solves():
+    """A face eliminated once gives, for every right-hand side, the bits of a
+    fresh solve on it: with the first or last rate pinned, a single free rate,
+    and a nonzero sell-off target."""
+    rng = np.random.default_rng(11)
+    n = 40
+    model, tau = _random_model(rng, n)
+    single = np.ones(n, dtype=bool)
+    single[17] = False
+    masks = [np.zeros(n, dtype=bool), np.arange(n) == 0, np.arange(n) == n - 1, single]
+    masks += [rng.random(n) < 0.4 for _ in range(3)]
+    for fixed in masks:
+        face = model.face(tau, fixed)
+        for Phi in (0.0, 1.0, 0.37):
+            for _ in range(3):
+                b = rng.standard_normal(n) * np.max(model.d)
+                z, nu = face(b, Phi)
+                z_ref, nu_ref = model.solve(b, tau, Phi, fixed)
+                assert np.array_equal(z, z_ref) and nu == nu_ref
+                assert np.all(z[fixed] == 0.0)
+
+
+def test_face_vanishing_pivot_reported_like_solve():
+    """A face whose first merged node has no curvature left fails when it is
+    built, with the pivot_index a solve on it reports."""
+    n = 6
+    tau = 1.0 / n
+    w = trapz_weights(n, tau)
+    d = np.ones(n)
+    k = -2.0 / float(w[1])  # zeroes 2 + k w_1, the first pivot with nothing pinned
+    model = _RateModel(d=d, k=k, w=w)
+    fixed = np.zeros(n, dtype=bool)
+    with pytest.raises(SolverFailureError) as built:
+        model.face(tau, fixed)
+    with pytest.raises(SolverFailureError) as solved:
+        model.solve(np.ones(n), tau, 1.0, fixed)
+    assert built.value.pivot_index == solved.value.pivot_index == 1
 
 
 def test_report_dict_fields():
@@ -474,6 +514,30 @@ def test_sqp_hard_corners_finish(corner, previous, market_hi, grid200):
     if rho == -0.9:
         _, rep = solve_sqp_gbm(model, lam, market_hi, 1.0, build_grid(1.0, 1000))
         assert rep.status == "converged"
+
+
+def test_face_newton_direction_eliminates_once(monkeypatch, market_hi, grid200):
+    """Every CG iteration of a Newton direction reuses one elimination of its
+    face, on the rho=-0.9 hard corner."""
+    eliminations, per_call = [0], []
+    eliminate, direction = optimizer._eliminate, optimizer._face_newton_direction
+
+    def counted_eliminate(*args):
+        eliminations[0] += 1
+        return eliminate(*args)
+
+    def counted_direction(*args):
+        before = eliminations[0]
+        d = direction(*args)
+        per_call.append(eliminations[0] - before)
+        return d
+
+    monkeypatch.setattr(optimizer, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(optimizer, "_face_newton_direction", counted_direction)
+    sigma, rho, lam, _ = HARD_CORNERS[0]
+    _, rep = solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, sigma, rho=rho), lam, market_hi, 1.0, grid200)
+    assert rep.status == "converged"
+    assert per_call and per_call == [1] * len(per_call)
 
 
 @pytest.mark.parametrize("Phi", [np.nan, np.inf, -np.inf, 0.0])
