@@ -10,7 +10,8 @@ and it decomposes exactly (by summation by parts, see _cost_weights) into
 permanent impact, temporary impact, and a zero-mean price-risk term.  The
 cost is affine in the price path and in 1/v, so one kernel, _cost_weights,
 turns a schedule (or one schedule per path) into weight vectors, and every
-realized cost in the package is a contraction of paths with them.  The
+realized cost in the package contracts them, moved onto the price
+increments (_price_weights), with the increments' driver draws.  The
 expected/variance formulas below reproduce that decomposition in closed form
 for deterministic turnover and for the lognormal turnover model, whose
 variance is one formula with its Cov(1/v) double integral in O(n).
@@ -101,21 +102,6 @@ class MvValue:
         }
 
 
-def _check_paths(price_path, volume_path, s: Strategy):
-    price = np.asarray(price_path, dtype=float)
-    vol = np.asarray(volume_path, dtype=float)
-    n = len(s.grid)
-    if price.shape[-1] != n or vol.shape[-1] != n:
-        raise ValueError(
-            f"paths must have {n} nodes along the last axis, got {price.shape} and {vol.shape}"
-        )
-    if price.shape != vol.shape:
-        raise ValueError(f"path shapes differ: {price.shape} vs {vol.shape}")
-    if np.any(vol <= 0.0):
-        raise ValueError("turnover path must be strictly positive")
-    return price, vol
-
-
 def _cost_weights(zeta, Phi, tau, market: MarketParams):
     """A schedule's realized cost, affine in the price path S and 1/v.
 
@@ -166,50 +152,74 @@ def _require_agreement(direct, total):
         )
 
 
-def _path_costs(price, vol, zeta, Phi, tau, market: MarketParams):
+def _price_weights(w):
+    """Node weights w moved onto the price increments: with dS_i = S_{i+1} - S_i,
+    summation by parts gives S . w = S_0 sum(w) + dS . W, W_i = sum_{k>i} w_k."""
+    return w.sum(axis=-1), np.cumsum(w[..., :0:-1], axis=-1)[..., ::-1]
+
+
+def _price_terms(start, draws, w):
+    """S . w, row-wise, for prices that start at `start` and move by the sum
+    of scale * x over the (x, scale) pairs of `draws`."""
+    total, suffix = _price_weights(w)
+    return start * total + sum(scale * _dot(x, suffix) for x, scale in draws)
+
+
+def _path_costs(start, draws, vol, zeta, Phi, tau, market: MarketParams):
     """Realized cost on paths (rows) of one schedule, or of one schedule per
-    path: (total, permanent, temporary, price_risk), after the direct form is
-    checked against the total."""
+    path, priced as in _price_terms: (total, permanent, temporary,
+    price_risk), after the direct form is checked against the total."""
     risk, direct, temp, total0, direct0 = _cost_weights(zeta, Phi, tau, market)
     temporary = _dot(1.0 / vol, temp)
-    price_risk = _dot(price, risk)
+    price_risk = _price_terms(start, draws, risk)
     total = price_risk + total0 + temporary
-    _require_agreement(_dot(price, direct) + direct0 + temporary, total)
+    _require_agreement(_price_terms(start, draws, direct) + direct0 + temporary, total)
     return total, total0, temporary, price_risk
 
 
 class _StaticCosts:
-    """Realized cost of K static schedules on a batch of paths, one contraction.
+    """Realized cost of K static schedules on a batch of draws, one
+    contraction per driver.
 
-    Both weight vectors of every schedule are stacked into one C-contiguous
-    (2K, n+1) matrix and each batch is contracted once with
-    einsum("ij,kj->ik"), whose entries do not depend on the batch's row count
-    or offset nor on K (BLAS matmul does: its rows change bitwise with them).
-    Under deterministic turnover (`v` given) the 1/v terms are constants per
+    Prices start at s0 and move by dS = sum_d scales[d] x_d over the driver
+    draws x_d.  By _price_weights, each schedule's weight vectors (decomposed
+    and direct form) price s0 times their sums plus the draws contracted with
+    scales[d] times their suffix sums: one (2K, n) matrix per driver, applied
+    with einsum("ij,kj->ik"), whose entries do not depend on the batch's rows
+    nor on K (a BLAS matmul's do).  Under deterministic turnover (`v` given) the 1/v terms are constants per
     schedule; otherwise one more contraction of 1/vol prices them.  The
-    direct and decomposed totals must agree on every path, as in _path_costs.
+    direct and decomposed totals must agree on every path.
     """
 
-    def __init__(self, schedules: Sequence[Strategy], market: MarketParams, v=None):
+    def __init__(self, schedules: Sequence[Strategy], market: MarketParams, scales, v=None):
         risk, direct, temp, total0, direct0 = zip(
             *(_cost_weights(s.zeta, s.Phi, s.grid.tau, market) for s in schedules)
         )
         self.k = len(risk)
-        self.price_w = np.array(risk + direct)
+        sums, suffix = _price_weights(np.array(risk + direct))
+        self.price_w = [scale * suffix for scale in scales]
         self.temp_w = np.array(temp)
-        self.total0 = np.array(total0)
-        self.direct0 = np.array(direct0)
+        self.total0 = np.array(total0) + market.s0 * sums[: self.k]
+        self.direct0 = np.array(direct0) + market.s0 * sums[self.k :]
         if v is not None:
             fixed = np.einsum("kj,j->k", self.temp_w, 1.0 / v)
             self.total0 += fixed
             self.direct0 += fixed
             self.temp_w = None
 
-    def __call__(self, price, vol, out=None) -> np.ndarray:
-        """Totals of shape (K, paths); `vol` is read only under stochastic
-        turnover, whose reciprocal goes to the leading rows of `out` (a
-        buffer with at least vol's rows, allocated when None)."""
-        both = np.einsum("ij,kj->ik", price, self.price_w)
+    def contract(self, draws) -> np.ndarray:
+        """Price terms of every weight vector, shape (rows, 2K), from one
+        draw array per driver; a mirrored draw's are their negation."""
+        both = np.einsum("ij,kj->ik", draws[0], self.price_w[0])
+        for x, w in zip(draws[1:], self.price_w[1:]):
+            both += np.einsum("ij,kj->ik", x, w)
+        return both
+
+    def totals(self, both, vol=None, out=None) -> np.ndarray:
+        """Totals of shape (K, paths) from the price terms of `contract`;
+        `vol` is read only under stochastic turnover, whose reciprocal goes
+        to the leading rows of `out` (a buffer with at least vol's rows,
+        allocated when None)."""
         total = both[:, : self.k] + self.total0
         direct = both[:, self.k :] + self.direct0
         if self.temp_w is not None:
@@ -230,10 +240,14 @@ def realized_is_cost(price_path, volume_path, s: Strategy, market: MarketParams)
     weights; the direct evaluation must agree with their total within 1e-8
     relative (it does to rounding by construction), else ConsistencyError.
     """
-    price, vol = _check_paths(price_path, volume_path, s)
-    if price.ndim != 1:
-        raise ValueError(f"expected a single path, got shape {price.shape}")
-    return CostBreakdown(*map(float, _path_costs(price, vol, s.zeta, s.Phi, s.grid.tau, market)))
+    price = np.asarray(price_path, dtype=float)
+    vol = np.asarray(volume_path, dtype=float)
+    if price.shape != (len(s.grid),) or vol.shape != price.shape:
+        raise ValueError(f"expected one path of {len(s.grid)} nodes, got {price.shape}, {vol.shape}")
+    if np.any(vol <= 0.0):
+        raise ValueError("turnover path must be strictly positive")
+    costs = _path_costs(price[0], [(np.diff(price), 1.0)], vol, s.zeta, s.Phi, s.grid.tau, market)
+    return CostBreakdown(*map(float, costs))
 
 
 def market_vwap(price_path, volume_path):

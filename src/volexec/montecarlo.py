@@ -8,25 +8,24 @@ nor on which thread draws a path.  Every estimate runs one pass over the
 paths, split into _BLOCK-aligned tasks of at most _TASK drawn paths.  The
 calling thread and one helper thread per further CPU the process may run on
 (os.sched_getaffinity) take tasks from one shared list; with one CPU no
-thread starts.  numpy's normal fills, ufuncs, cumsum and einsum release the
-interpreter lock, so the threads draw and price in parallel.  Each task is
-drawn once into its thread's workspace, which the calling thread allocates
-up front and `_joint_block` fills in place, so a worker allocates no
-path-sized memory for its draws and the workspaces together hold at most
-_DEFAULT_BATCH paths on any CPU count.  Antithetic twins flip the signs of
-the normals already drawn, the cost rows of all schedules read the same
-task (common random numbers), and each task writes its own columns of the
-result, so every row keeps its bits on any CPU count.  A static schedule's
-cost is affine in the price path and in 1/v, so every static row is a pair
-of weight vectors (decomposed and direct form) and one einsum contraction
-per task prices them all; einsum, unlike a BLAS matmul, gives each entry
-bits that do not depend on the task's size, offset or schedule count, so
-results stay batch-invariant.  Under deterministic turnover the
-anticipating schedule is static too and joins that contraction; under
-stochastic turnover its per-path schedules get their weight vectors from
-the same kernel (cost._cost_weights) and are priced by row-wise einsum.  The price is
-arithmetic with volatility sigma_tilde; under a lognormal turnover model its
-driver is correlated with the turnover driver through the model's rho.
+thread starts.  numpy's normal fills, ufuncs and einsum release the
+interpreter lock, so the threads draw and price in parallel.  Each task's
+normals are drawn once into its thread's workspace, allocated up front, so
+a worker allocates no path-sized memory for its draws.  All schedules'
+rows read the same draws (common random numbers) and each task writes its
+own columns of the result, so every row keeps its bits on any CPU count.
+The pass prices the draws, not the paths: a price path is s0 plus the
+running sum of fixed multiples of the normals (its driver is correlated
+with a lognormal turnover's through the model's rho), so every static row
+is a constant plus the normals contracted with the schedule's weight
+vectors moved onto the increments, and one einsum per driver stream prices
+all of them; an antithetic twin's price terms are the negated ones.
+einsum, unlike a BLAS matmul, gives each entry bits that do not depend on
+the task's size, offset or schedule count.  Under deterministic turnover
+the anticipating schedule is static too; under stochastic turnover its
+per-path schedules get weight vectors from the same kernel
+(cost._cost_weights) and contract the same draws row by row.  Only
+`_joint_block` builds price paths, for `validate`'s path checks.
 """
 from __future__ import annotations
 
@@ -91,78 +90,50 @@ class MomentEstimate:
 
 
 class _Workspace:
-    """Buffers that `_joint_block` fills in place for up to `rows` drawn
-    paths: the standard normals of driver streams 0 and 1 (which become the
-    scaled increments), and the price and turnover paths of each draw, the
-    antithetic mirror being the second.  Deterministic turnover needs no
-    stream 1 and no turnover buffer: its rows broadcast the profile.  With
-    `inverse`, stochastic turnover also gets the buffer the static cost
-    kernel writes one draw's reciprocal turnover to."""
+    """Buffers one task of the pass fills in place for up to `rows` drawn
+    paths: the normals of driver stream 0 and, under stochastic turnover, of
+    stream 1 and one turnover path per row (a mirror rebuilds it) and, with
+    `inverse`, the static cost kernel's reciprocal turnover."""
 
-    def __init__(
-        self, cfg: SimulationConfig, rows: int, mirror: bool = False, inverse: bool = False
-    ):
+    def __init__(self, cfg: SimulationConfig, rows: int, inverse: bool):
         n = cfg.grid.n_steps
         stochastic = isinstance(cfg.volume, GbmVolumeModel)
-        draws = 2 if mirror else 1
         self.z = np.empty((rows, n))
         self.zw = np.empty((rows, n)) if stochastic else None
-        self.price = np.empty((draws, rows, n + 1))
-        self.vol = np.empty((draws, rows, n + 1)) if stochastic else None
+        self.vol = np.empty((rows, n + 1)) if stochastic else None
         self.inverse = np.empty((rows, n + 1)) if stochastic and inverse else None
 
 
-def _joint_block(
-    cfg: SimulationConfig,
-    first: int,
-    last: int,
-    mirror: bool = False,
-    out: Optional[_Workspace] = None,
-):
-    """Price and turnover paths for path indices [first, last), drawn once.
+def _joint_block(cfg: SimulationConfig, first: int, last: int, mirror: bool = False):
+    """Price and turnover paths for path indices [first, last), from the
+    draws the pass prices: the paths `validate`'s path checks read.
 
     Returns a list of (price, vol) batches: the drawn paths and, with
     mirror=True, their antithetic twins, built from the same normals with
     flipped signs.  Turnover draws come from driver stream 0 and
     price-specific noise from stream 1, combined as
     rho * dB + sqrt(1 - rho^2) * dW, so the turnover paths are bit-identical
-    with and without a correlated price leg.  The batches are views of `out`
-    (a workspace for at least last - first paths, allocated when None), which
-    is filled in place: no other path-sized memory is allocated.
+    with and without a correlated price leg.
     """
     grid, market = cfg.grid, cfg.market
-    n, m = grid.n_steps, last - first
-    ws = _Workspace(cfg, m, mirror) if out is None else out
-    scale = math.sqrt(grid.tau)
-    db = _normal_block(cfg.seed, first, last, stream=0, n=n, out=ws.z[:m])
-    db *= scale
+    n, root = grid.n_steps, math.sqrt(grid.tau)
+    db = _normal_block(cfg.seed, first, last, stream=0, n=n) * root
     stochastic = isinstance(cfg.volume, GbmVolumeModel)
     if stochastic:
         rho = cfg.volume.rho
-        # the price-specific increments sqrt(1 - rho^2) dW
-        dw = _normal_block(cfg.seed, first, last, stream=1, n=n, out=ws.zw[:m])
-        dw *= scale
-        dw *= math.sqrt(max(0.0, 1.0 - rho**2))
+        dw = _normal_block(cfg.seed, first, last, stream=1, n=n) * root
+        dw *= math.sqrt(max(0.0, 1.0 - rho**2))  # the price-specific increments
     batches = []
-    for d in range(2 if mirror else 1):
-        if d:
-            np.negative(db, out=db)
-            if stochastic:
-                np.negative(dw, out=dw)
-        price = ws.price[d, :m]
-        price[:, 0] = market.s0
-        dprice = price[:, 1:]
+    for sign in (1.0, -1.0)[: 1 + mirror]:
         if stochastic:
-            vol = _gbm_block(cfg.volume, grid, db, out=ws.vol[d, :m])
-            np.multiply(db, rho, out=dprice)
-            dprice += dw
+            vol = _gbm_block(cfg.volume, grid, sign * db)
+            dprice = (sign * db) * rho + sign * dw
         else:
-            vol = np.broadcast_to(cfg.volume.v, (m, n + 1))
-            dprice = db
-        # s0 + sigma_tilde * cumsum(dprice), built in place
-        np.cumsum(dprice, axis=1, out=price[:, 1:])
-        price[:, 1:] *= market.sigma_tilde
-        price[:, 1:] += market.s0
+            vol = np.broadcast_to(cfg.volume.v, (last - first, n + 1))
+            dprice = sign * db
+        price = np.empty((last - first, n + 1))
+        price[:, 0] = market.s0
+        price[:, 1:] = market.s0 + market.sigma_tilde * np.cumsum(dprice, axis=1)
         batches.append((price, vol))
     return batches
 
@@ -223,22 +194,24 @@ def _cost_rows(
     the keyed blocks when the batch allows it.  The calling thread and one
     helper thread per further CPU (`_worker_count`), but no more threads
     than the batch holds blocks, take them from one list.  Each task draws
-    its paths once into its thread's workspace, allocated up front, every
+    its normals once into its thread's workspace, allocated up front, every
     row reads them, and the task writes its own columns of the result, so
-    every row keeps its bits on any CPU count.
-    All workspaces together hold at most `batch_size` paths (mirrors
-    included), so batch size bounds memory and never changes a result.
+    every row keeps its bits on any CPU count.  All workspaces together hold
+    at most `batch_size` paths, mirrors counted (a mirror reuses its draw's
+    buffers), so batch size bounds memory and never changes a result.
 
-    The static rows come from weight vectors (see cost._StaticCosts): one
-    row-stable einsum contraction per task prices all of them, direct and
-    decomposed form, and checks the two agree on every path, so no
-    path-sized temporary is made per schedule.  With `anticipating_phi` set,
-    row 0 is the anticipating turnover-proportional schedule for that order
-    size and the static schedules follow.  Under deterministic turnover that
-    schedule is itself static, the volume-proportional one, and joins the
-    contraction; under stochastic turnover it is rebuilt per path as
-    Phi v / (w . v) and priced from its per-path weight vectors
-    (cost._path_costs), which each task allocates.
+    No price path is built: the price moves by sigma_tilde sqrt(tau) times
+    the normals under deterministic turnover; under stochastic turnover by
+    sigma_tilde (rho dB + sqrt(tau (1 - rho^2)) z_1), with dB = sqrt(tau) z_0
+    the turnover driver's increments.  cost._StaticCosts prices every static row in direct
+    and decomposed form and checks they agree; a mirror's price terms are
+    its draw's, negated.
+    With `anticipating_phi` set, row 0 is the anticipating
+    turnover-proportional schedule for that order size and the static
+    schedules follow.  Under deterministic turnover that schedule is itself
+    static, the volume-proportional one, and joins the contraction; under
+    stochastic turnover it is rebuilt per path as Phi v / (w . v) and priced
+    from the same draws by its per-path weight vectors (cost._path_costs).
     With antithetic=True (n_paths must be even) the first n_paths/2 columns
     are the drawn paths and column n_paths/2 + i is the mirror of column i.
     Returns an array of shape (rows, n_paths).
@@ -248,12 +221,18 @@ def _cost_rows(
     n = cfg.n_paths
     if antithetic and n % 2:
         raise ValueError(f"antithetic pairing needs an even n_paths, got {n}")
+    grid, market = cfg.grid, cfg.market
     stochastic = isinstance(cfg.volume, GbmVolumeModel)
     per_path = int(anticipating_phi is not None and stochastic)
     if anticipating_phi is not None and not stochastic:
         statics = [vwap_strategy(cfg.volume, anticipating_phi), *statics]
+    root = math.sqrt(grid.tau)
+    scales = (market.sigma_tilde * root,)
+    if stochastic:
+        rho = cfg.volume.rho
+        scales = (market.sigma_tilde * rho, scales[0] * math.sqrt(max(0.0, 1.0 - rho**2)))
     if statics:
-        kernel = _StaticCosts(statics, cfg.market, v=None if stochastic else cfg.volume.v)
+        kernel = _StaticCosts(statics, market, scales, v=None if stochastic else cfg.volume.v)
     costs = np.empty((per_path + len(statics), n))
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
@@ -266,25 +245,37 @@ def _cost_rows(
         size = min(_TASK, size - size % _BLOCK)
     size = min(size, drawn)
     tasks = list(_batches(drawn, size))
-    tau = cfg.grid.tau
-    w = trapz_weights(cfg.grid.n_steps, tau)
-    spaces = [
-        _Workspace(cfg, size, antithetic, inverse=bool(statics))
-        for _ in range(min(cpus, len(tasks)))
-    ]
+    w = trapz_weights(grid.n_steps, grid.tau)
+    spaces = [_Workspace(cfg, size, inverse=bool(statics)) for _ in range(min(cpus, len(tasks)))]
 
     def price_task(task, ws):
         first, last = task
-        batches = _joint_block(cfg, first, last, mirror=antithetic, out=ws)
-        for offset, (price, vol) in zip(offsets, batches):
+        m = last - first
+        draws = [
+            _normal_block(cfg.seed, first, last, stream=d, n=grid.n_steps, out=out[:m])
+            for d, out in enumerate((ws.z, ws.zw)[: 1 + stochastic])
+        ]
+        z = draws[0]
+        if stochastic:
+            z *= root  # the turnover driver's increments, which _gbm_block reads
+        both = kernel.contract(draws) if statics else None
+        for d, offset in enumerate(offsets):
+            if d and statics:
+                np.negative(both, out=both)
+            if d and stochastic:  # the mirror's turnover, and its price
+                np.negative(z, out=z)
+                if per_path:
+                    np.negative(draws[1], out=draws[1])
             cols = slice(offset + first, offset + last)
+            vol = _gbm_block(cfg.volume, grid, z, out=ws.vol[:m]) if stochastic else None
             if statics:
-                costs[per_path:, cols] = kernel(price, vol, out=ws.inverse)
+                costs[per_path:, cols] = kernel.totals(both, vol, out=ws.inverse)
             if per_path:
                 mass = np.einsum("ij,j->i", vol, w)  # row-stable, unlike vol @ w
                 zeta_paths = vol * (anticipating_phi / mass)[:, None]
                 costs[0, cols] = _path_costs(
-                    price, vol, zeta_paths, anticipating_phi, tau, cfg.market
+                    market.s0, list(zip(draws, scales)), vol, zeta_paths,
+                    anticipating_phi, grid.tau, market,
                 )[0]
 
     _drain(tasks, price_task, spaces)

@@ -278,11 +278,11 @@ def test_validate_identity_reads_reported_rows(monkeypatch, market):
     from volexec.volume import arcsine_profile
 
     grid = build_grid(1.0, 50)
-    call = cost._StaticCosts.__call__
+    totals = cost._StaticCosts.totals
     monkeypatch.setattr(
         cost._StaticCosts,
-        "__call__",
-        lambda self, price, vol, out=None: call(self, price, vol, out) + 1e-4 * 1.0,
+        "totals",
+        lambda self, both, vol=None, out=None: totals(self, both, vol, out) + 1e-4 * 1.0,
     )
     report = run_validation(
         arcsine_profile(grid), market, grid, Phi=1.0, n_paths=2000, lambdas=(0.5,)

@@ -107,7 +107,8 @@ def test_realized_cost_invariant_under_price_shift(market, grid200, twap200):
 
 def test_paths_variant_matches_singles(market, grid200, twap200):
     price, vol = _seeded_paths(grid200, market.s0, 5, seed=3)
-    batch = _path_costs(price, vol, twap200.zeta, twap200.Phi, grid200.tau, market)[0]
+    steps = [(np.diff(price), 1.0)]
+    batch = _path_costs(price[:, 0], steps, vol, twap200.zeta, twap200.Phi, grid200.tau, market)[0]
     singles = np.array(
         [realized_is_cost(price[i], vol[i], twap200, market).total for i in range(5)]
     )
@@ -244,7 +245,8 @@ def test_nan_node_raises(market, grid200, twap200):
     price[1, 50] = np.nan
     with pytest.raises(ConsistencyError):
         realized_is_cost(price[1], vol[1], twap200, market)
+    kernel = _StaticCosts([twap200], market, (1.0,))
     with pytest.raises(ConsistencyError):
-        _StaticCosts([twap200], market)(price, vol)
+        kernel.totals(kernel.contract([np.diff(price)]), vol)
     with pytest.raises(ConsistencyError):
         CostBreakdown(total=np.nan, permanent=0.0, temporary=0.0, price_risk=0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 import threading
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from volexec import cost, montecarlo
-from volexec.cost import mv_gbm
+from volexec.cost import _StaticCosts, mv_deterministic, mv_gbm
 from volexec.errors import ConsistencyError
 from volexec.grids import build_grid, trapz, trapz_weights
 from volexec.montecarlo import (
@@ -15,10 +16,12 @@ from volexec.montecarlo import (
     _cost_rows,
     _joint_block,
     estimate_cost_moments,
+    moment_estimate,
     validate_theorem_orderings,
 )
 from volexec.optimizer import solve_sqp_gbm
 from volexec.strategies import Strategy, expected_vwap_strategy, vwap_strategy
+from volexec.validation import _independent_direct_cost
 from volexec.volume import (
     GbmVolumeModel,
     _gbm_block,
@@ -266,6 +269,68 @@ def test_cost_rows_match_decompose(market_hi, grid200, kind, antithetic, k):
         assert np.max(np.abs(row - expected)) <= tol
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize(
+    "kind, rho", [("arcsine", 0.0), ("gbm", -0.9), ("gbm", 0.0), ("gbm", 1.0)]
+)
+def test_rows_match_path_oracle(market_hi, grid200, kind, rho, antithetic):
+    """The pass prices the draws and builds no path: every row, the
+    anticipating one included, is the shortfall evaluated from its
+    definition on the paths built from the same draws (mirrors included)."""
+    cfg = _cfg(_volume(kind, grid200, rho=rho), market_hi, grid200, n_paths=300, seed=26)
+    statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)]
+    rows = _cost_rows(cfg, statics, anticipating_phi=1.0, antithetic=antithetic)
+    if antithetic:
+        batches = _joint_block(cfg, 0, cfg.n_paths // 2, mirror=True)
+        price = np.concatenate([b[0] for b in batches])
+        vol = np.concatenate([b[1] for b in batches])
+    else:
+        price, vol = joint_paths(cfg)
+    w = trapz_weights(grid200.n_steps, grid200.tau)
+    zetas = [vol * (1.0 / np.einsum("ij,j->i", vol, w))[:, None]] + [s.zeta for s in statics]
+    for row, zeta in zip(rows, zetas):
+        ref = _independent_direct_cost(price, vol, zeta, 1.0, grid200.tau, market_hi)
+        assert np.all(np.abs(row - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _increment_kernel(statics, profile, market):
+    """The pass's static kernel under deterministic turnover: the price
+    moves by sigma_tilde sqrt(tau) times the standard normals."""
+    scale = market.sigma_tilde * math.sqrt(profile.grid.tau)
+    return _StaticCosts(statics, market, (scale,), v=profile.v)
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_deterministic_rows_have_exact_moments(market_hi, seed):
+    """Under deterministic turnover a static row is c_k + z . G_k with z the
+    standard normals, so its mean is the kernel's constant c_k and its
+    variance |G_k|^2: the Monte Carlo moments match both within 3 SE."""
+    grid = build_grid(1.0, 100)
+    profile = arcsine_profile(grid)
+    statics = [vwap_strategy(profile, 1.0), _shaped(grid, 1.5), _shaped(grid, -0.5)]
+    rows = _cost_rows(_cfg(profile, market_hi, grid, n_paths=20_000, seed=seed), statics)
+    kernel = _increment_kernel(statics, profile, market_hi)
+    for k, row in enumerate(rows):
+        est = moment_estimate(row)
+        g = kernel.price_w[0][k]
+        assert abs(est.mean - kernel.total0[k]) <= 3.0 * est.std_error_mean
+        assert abs(est.variance - g @ g) <= 3.0 * est.std_error_variance
+
+
+def test_exact_variance_tends_to_mv_deterministic(market_hi):
+    """|G|^2, the exact variance of a row on the grid, meets the continuous
+    sigma_tilde^2 int phi^2 at O(tau^2): each doubling of n cuts the gap
+    to at most 0.3 of itself."""
+    gaps = []
+    for n in (50, 100, 200):
+        grid = build_grid(1.0, n)
+        profile = arcsine_profile(grid)
+        s = make_twap(grid)
+        g = _increment_kernel([s], profile, market_hi).price_w[0][0]
+        gaps.append(abs(g @ g - mv_deterministic(s, profile, 0.0, market_hi).variance))
+    assert gaps[1] <= 0.3 * gaps[0] and gaps[2] <= 0.3 * gaps[1], gaps
+
+
 @pytest.mark.parametrize(
     "kind, anticipating",
     [("arcsine", False), ("gbm", False), ("gbm", True)],
@@ -294,7 +359,7 @@ def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind, an
     # caller.  The calling thread's checks are silenced, so the error raised
     # is the helper's, and each thread's first draw waits for the other's,
     # so the helper holds a task before the calling thread can drain them all.
-    check, draw = cost._require_agreement, montecarlo._joint_block
+    check, draw = cost._require_agreement, montecarlo._normal_block
     barrier, seen, raised_on = threading.Barrier(2, timeout=30), set(), []
 
     def recorded(direct, total):
@@ -312,7 +377,7 @@ def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind, an
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(cost, "_require_agreement", recorded)
-    monkeypatch.setattr(montecarlo, "_joint_block", paired)
+    monkeypatch.setattr(montecarlo, "_normal_block", paired)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     with pytest.raises(ConsistencyError):
         _cost_rows(cfg, *rows, batch_size=16)
