@@ -442,7 +442,7 @@ def main(argv=None) -> int:
     except SolverFailureError as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return 3
-    except (ValueError, ConsistencyError) as e:
+    except (ValueError, ArithmeticError, ConsistencyError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
 

@@ -2,7 +2,7 @@
 estimation, and the optimality-ordering tournament.
 
 Draws are keyed per block of paths (the volume layer's _BLOCK) and driver
-stream with a counter-based generator, so any path is rebuilt by drawing its
+stream with one SFC64 generator per key, so any path is rebuilt by drawing its
 block up to that row and slicing, and results depend neither on batch size
 nor on which thread draws a path.  Every estimate runs one pass over the
 paths, split into _BLOCK-aligned tasks of at most _TASK drawn paths.  The

@@ -51,6 +51,11 @@ def _check(name, passed, **detail):
     return {"name": name, "passed": passed, "skipped": False, "detail": detail}
 
 
+def _z(gap, se):
+    """z-score of a Monte Carlo gap; NaN, which fails its check, when the SE is 0."""
+    return float(gap / se) if se > 0.0 else math.nan
+
+
 def _skip(name, reason):
     return {"name": name, "passed": True, "skipped": True, "detail": {"reason": reason}}
 
@@ -114,12 +119,12 @@ def run_validation(
     for name, s in probes.items():
         est = moment_estimate(rows[name])
         ec = expected_cost(s, volume, market)
-        zm = (est.mean - ec) / est.std_error_mean
+        zm = _z(est.mean - ec, est.std_error_mean)
         if stochastic:
             analytic_var = mv_gbm(s, volume, 1.0, corrupted).variance
         else:
             analytic_var = mv_deterministic(s, volume, 1.0, corrupted).variance
-        zv = (est.variance - analytic_var) / est.std_error_variance
+        zv = _z(est.variance - analytic_var, est.std_error_variance)
         mean_detail[name] = {"mc": est.mean, "analytic": ec, "z": zm}
         var_detail[name] = {"mc": est.variance, "analytic": analytic_var, "z": zv}
         mean_ok &= abs(zm) <= 3.0
@@ -165,8 +170,7 @@ def run_validation(
     checks.append(_check("vwap_slippage_zero", slip <= 1e-10, max_abs_slippage=slip))
 
     terminal = price[:, -1]
-    se = float(terminal.std(ddof=1) / math.sqrt(terminal.size))
-    zt = float((terminal.mean() - market.s0) / se)
+    zt = _z(terminal.mean() - market.s0, terminal.std(ddof=1) / math.sqrt(terminal.size))
     checks.append(_check("martingale_price", abs(zt) <= 3.0, z=zt, mean_terminal=float(terminal.mean())))
 
     # --- turnover model statistics ---------------------------------------
@@ -182,8 +186,7 @@ def run_validation(
         hz, hd = 0.0, {}
         for j in probe_nodes:
             inv = 1.0 / vol[:, j]
-            se_inv = float(inv.std(ddof=1) / math.sqrt(inv.size))
-            z = float((inv.mean() - 1.0 / u[j]) / se_inv)
+            z = _z(inv.mean() - 1.0 / u[j], inv.std(ddof=1) / math.sqrt(inv.size))
             hd[f"node_{j}"] = {"mc": float(inv.mean()), "analytic": 1.0 / u[j], "z": z}
             hz = max(hz, abs(z))
         checks.append(_check("harmonic_mean_check", hz <= 3.0, **hd))

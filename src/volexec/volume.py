@@ -6,7 +6,7 @@ pass all read v alone.  Families with a closed form (constant, arcsine, the
 lognormal harmonic mean) evaluate it at the nodes; sampled profiles take the
 values as given.
 
-Random draws are keyed per block of _BLOCK consecutive paths: one Philox
+Random draws are keyed per block of _BLOCK consecutive paths: one SFC64
 generator per (seed, block, stream) fills the block's rows in path order, so
 a path's draws never depend on how the paths are batched, nor on which
 thread draws them: the Monte Carlo pass prices _BLOCK-aligned tasks on every
@@ -23,7 +23,6 @@ import numpy as np
 
 from .grids import TimeGrid, _frozen
 
-_MASK64 = (1 << 64) - 1
 _BLOCK = 256  # paths per keyed generator
 
 
@@ -106,18 +105,19 @@ def gbm_harmonic_mean(model: GbmVolumeModel, grid: TimeGrid) -> VolumeProfile:
 
 
 def path_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based RNG of one block of paths: a Philox stream keyed by
-    (seed, 2*block + stream).
+    """RNG of one block of paths: SFC64 seeded by SeedSequence(seed,
+    spawn_key=(2*block + stream,)), which pads the seed to its full pool
+    before it mixes in the spawn key, so no two keys share a state.
 
     Draws depend only on the key, so batching/partitioning paths across
-    workers cannot change the sampled values.  The seed is one 64-bit key
-    word: a seed outside [0, 2^64) is an error, not wrapped onto another.
+    workers cannot change the sampled values.  The seed is one 64-bit word:
+    a seed outside [0, 2^64) is an error.
     """
     seed = int(seed)
-    if not 0 <= seed <= _MASK64:
+    if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    key = seed + (((2 * int(block) + int(stream)) & _MASK64) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.random.SeedSequence(seed, spawn_key=(2 * int(block) + int(stream),))
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def _normal_block(seed: int, first: int, last: int, stream: int, n: int, out=None) -> np.ndarray:

@@ -481,6 +481,40 @@ def test_extreme_configs_exit_without_traceback(tmp_path, name):
             assert r.stderr.splitlines()[-1].startswith(prefix), r.stderr
 
 
+@pytest.mark.parametrize("n_paths", [2, 3])
+def test_validate_with_too_few_paths_fails_its_checks(tmp_path, capsys, n_paths):
+    """With 2 or 3 paths the variance's standard error is exactly 0; its
+    z-score fails the check and is written as null instead of raising."""
+    from volexec.cli import main
+
+    doc = det_config(grid_n=20, n_paths=n_paths)
+    doc["mc"]["seed"] = 3
+    out = tmp_path / "out"
+    assert main(["validate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith("validation check failed:")
+    report = json.loads((out / "validation.json").read_text(), parse_constant=_reject_constant)
+    variance = next(c for c in report["checks"] if c["name"] == "variance_matches_mv")
+    assert not variance["passed"] and None in [d["z"] for d in variance["detail"].values()]
+    assert not report["all_passed"]
+
+
+@pytest.mark.parametrize("horizon", [1e300, 5e-324])
+def test_extreme_horizon_exits_without_traceback(tmp_path, capsys, horizon):
+    """A horizon whose square overflows, or whose step tau is 0, ends every
+    command in one message line and exit 2 or 3, never in an exception."""
+    from volexec.cli import main
+
+    doc = dict(det_config(grid_n=10, n_paths=64), horizon=horizon)
+    doc["volume"] = {"type": "constant", "level": 1.0}
+    cfg = write_config(tmp_path, doc)
+    for command in ("solve", "validate", "simulate", "expand"):
+        code = main([command, "--config", cfg, "--out", str(tmp_path / command)])
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert code in (2, 3), command
+        prefix = "config error:" if code == 2 else "numerical failure:"
+        assert last.startswith(prefix), (command, last)
+
+
 def test_config_and_preset_conflict(tmp_path):
     cfg = write_config(tmp_path, det_config())
     r = run_cli("solve", "--config", cfg, "--preset", "fig1", "--out", str(tmp_path))

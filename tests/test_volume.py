@@ -153,3 +153,32 @@ def test_path_rng_rejects_seeds_outside_the_key_word():
             _normal_block(seed, 0, 4, stream=0, n=3)
     top = path_rng(2**64 - 1, 0).standard_normal(8)
     assert not np.array_equal(top, path_rng(0, 0).standard_normal(8))
+
+
+def test_path_rng_keys_do_not_alias():
+    # seeds and blocks at the 32- and 64-bit word edges; no normal is shared,
+    # so no key's stream is another's, shifted
+    draws = np.concatenate(
+        [
+            path_rng(seed, block, stream=stream).standard_normal(8)
+            for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+            for block in (0, 1, 2**31)
+            for stream in (0, 1)
+        ]
+    )
+    assert np.unique(draws).size == draws.size == 240
+
+
+def test_path_rng_draws_are_pinned():
+    # every Monte Carlo number follows from these; a change of the generator
+    # or of its key must be made on purpose
+    np.testing.assert_allclose(
+        path_rng(0, 0).standard_normal(4),
+        [-0.5504811808293575, 0.5197080686753037, 0.23055672602603425, 0.5962049767396235],
+        rtol=1e-14,
+    )
+    np.testing.assert_allclose(
+        path_rng(2**64 - 1, 3, stream=1).standard_normal(4),
+        [0.26611537924973383, -0.32866726326535484, 0.33126348204586276, -0.32901832229832695],
+        rtol=1e-14,
+    )
