@@ -141,14 +141,19 @@ def _dot(a, b):
     return np.einsum("...j,...j->...", a, b)
 
 
-def _require_agreement(direct, total):
+def _require_agreement(direct, total, path=0, rows=(0,)):
     """ConsistencyError unless the direct and decomposed totals agree to 1e-8
-    (a NaN on either side is a disagreement)."""
+    (a NaN on either side is a disagreement).  The message names the first
+    such path (axis 0), as `path` plus its offset, and on it the first
+    schedule (axis 1, if any) by its entry of `rows`."""
     gap = np.abs(direct - total)
-    if not np.all(gap <= _DECOMP_RTOL * np.maximum(1.0, np.abs(direct))):
-        at = np.unravel_index(np.argmax(gap), gap.shape)
+    bad = ~(gap <= _DECOMP_RTOL * np.maximum(1.0, np.abs(direct)))
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        i, k = (*map(int, at), 0, 0)[:2]
         raise ConsistencyError(
-            f"direct cost and decomposition disagree by {gap[at]!r} at index {at}"
+            f"direct cost and decomposition disagree by {float(gap[at])!r} "
+            f"on path {path + i} in schedule row {rows[k]}"
         )
 
 
@@ -165,15 +170,16 @@ def _price_terms(start, draws, w):
     return start * total + sum(scale * _dot(x, suffix) for x, scale in draws)
 
 
-def _path_costs(start, draws, vol, zeta, Phi, tau, market: MarketParams):
+def _path_costs(start, draws, vol, zeta, Phi, tau, market: MarketParams, path=0):
     """Realized cost on paths (rows) of one schedule, or of one schedule per
     path, priced as in _price_terms: (total, permanent, temporary,
-    price_risk), after the direct form is checked against the total."""
+    price_risk), after the direct form is checked against the total; the
+    first row is path number `path` of the run."""
     risk, direct, temp, total0, direct0 = _cost_weights(zeta, Phi, tau, market)
     temporary = _dot(1.0 / vol, temp)
     price_risk = _price_terms(start, draws, risk)
     total = price_risk + total0 + temporary
-    _require_agreement(_price_terms(start, draws, direct) + direct0 + temporary, total)
+    _require_agreement(_price_terms(start, draws, direct) + direct0 + temporary, total, path)
     return total, total0, temporary, price_risk
 
 
@@ -215,11 +221,12 @@ class _StaticCosts:
             both += np.einsum("ij,kj->ik", x, w)
         return both
 
-    def totals(self, both, vol=None, out=None) -> np.ndarray:
+    def totals(self, both, vol=None, out=None, path=0, rows=None) -> np.ndarray:
         """Totals of shape (K, paths) from the price terms of `contract`;
         `vol` is read only under stochastic turnover, whose reciprocal goes
         to the leading rows of `out` (a buffer with at least vol's rows,
-        allocated when None)."""
+        allocated when None).  A disagreement names the path, the first
+        being `path`, and schedule k as `rows[k]` (k by default)."""
         total = both[:, : self.k] + self.total0
         direct = both[:, self.k :] + self.direct0
         if self.temp_w is not None:
@@ -229,7 +236,7 @@ class _StaticCosts:
             temporary = np.einsum("ij,kj->ik", inverse, self.temp_w)
             total += temporary
             direct += temporary
-        _require_agreement(direct, total)
+        _require_agreement(direct, total, path, range(self.k) if rows is None else rows)
         return total.T
 
 

@@ -5,15 +5,17 @@ Draws are keyed per block of paths (the volume layer's _BLOCK) and driver
 stream with one SFC64 generator per key, so any path is rebuilt by drawing its
 block up to that row and slicing, and results depend neither on batch size
 nor on which thread draws a path.  Every estimate runs one pass over the
-paths, split into _BLOCK-aligned tasks of at most _TASK drawn paths.  The
-calling thread and one helper thread per further CPU the process may run on
-(os.sched_getaffinity) take tasks from one shared list; with one CPU no
-thread starts.  numpy's normal fills, ufuncs and einsum release the
-interpreter lock, so the threads draw and price in parallel.  Each task's
-normals are drawn once into its thread's workspace, allocated up front, so
-a worker allocates no path-sized memory for its draws.  All schedules'
-rows read the same draws (common random numbers) and each task writes its
-own columns of the result, so every row keeps its bits on any CPU count.
+paths, split into _BLOCK-aligned tasks of at most _TASK drawn paths.  One
+helper thread per further CPU the process may run on (os.sched_getaffinity)
+takes tasks from one shared list at once; the calling thread first runs the
+work it was given beside the pass (`validate`'s checks that do not read the
+rows), then takes tasks too.  With one CPU no thread starts, and that work
+runs before the pass.  numpy's normal fills, ufuncs and einsum release the
+interpreter lock, so the threads draw and price in parallel, each into its
+workspace allocated up front.  All schedules' rows read the same draws
+(common random numbers), a schedule listed twice is priced once, and each
+task writes its own columns of the result, so every row keeps its bits on
+any CPU count.
 The pass prices the draws, not the paths: a price path is s0 plus the
 running sum of fixed multiples of the normals (its driver is correlated
 with a lognormal turnover's through the model's rho), so every static row
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Union
 
@@ -104,38 +107,35 @@ class _Workspace:
         self.inverse = np.empty((rows, n + 1)) if stochastic and inverse else None
 
 
-def _joint_block(cfg: SimulationConfig, first: int, last: int, mirror: bool = False):
+def _joint_block(cfg: SimulationConfig, first: int, last: int):
     """Price and turnover paths for path indices [first, last), from the
     draws the pass prices: the paths `validate`'s path checks read.
 
-    Returns a list of (price, vol) batches: the drawn paths and, with
-    mirror=True, their antithetic twins, built from the same normals with
-    flipped signs.  Turnover draws come from driver stream 0 and
-    price-specific noise from stream 1, combined as
-    rho * dB + sqrt(1 - rho^2) * dW, so the turnover paths are bit-identical
-    with and without a correlated price leg.
+    Turnover draws come from driver stream 0 and price-specific noise from
+    stream 1, combined as rho * dB + sqrt(1 - rho^2) * dW, so the turnover
+    paths are bit-identical with and without a correlated price leg.  The
+    price increments are summed in place in the paths' own columns.
     """
     grid, market = cfg.grid, cfg.market
     n, root = grid.n_steps, math.sqrt(grid.tau)
-    db = _normal_block(cfg.seed, first, last, stream=0, n=n) * root
-    stochastic = isinstance(cfg.volume, GbmVolumeModel)
-    if stochastic:
+    db = _normal_block(cfg.seed, first, last, stream=0, n=n)
+    db *= root
+    if isinstance(cfg.volume, GbmVolumeModel):
         rho = cfg.volume.rho
-        dw = _normal_block(cfg.seed, first, last, stream=1, n=n) * root
+        vol = _gbm_block(cfg.volume, grid, db)
+        dw = _normal_block(cfg.seed, first, last, stream=1, n=n)
+        dw *= root
         dw *= math.sqrt(max(0.0, 1.0 - rho**2))  # the price-specific increments
-    batches = []
-    for sign in (1.0, -1.0)[: 1 + mirror]:
-        if stochastic:
-            vol = _gbm_block(cfg.volume, grid, sign * db)
-            dprice = (sign * db) * rho + sign * dw
-        else:
-            vol = np.broadcast_to(cfg.volume.v, (last - first, n + 1))
-            dprice = sign * db
-        price = np.empty((last - first, n + 1))
-        price[:, 0] = market.s0
-        price[:, 1:] = market.s0 + market.sigma_tilde * np.cumsum(dprice, axis=1)
-        batches.append((price, vol))
-    return batches
+        db *= rho
+        db += dw
+    else:
+        vol = np.broadcast_to(cfg.volume.v, (last - first, n + 1))
+    price = np.empty((last - first, n + 1))
+    price[:, 0] = market.s0
+    np.cumsum(db, axis=1, out=price[:, 1:])
+    price[:, 1:] *= market.sigma_tilde
+    price[:, 1:] += market.s0
+    return price, vol
 
 
 def _worker_count() -> int:
@@ -146,34 +146,67 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _drain(tasks: Sequence, work, spaces: Sequence) -> None:
-    """Call work(task, space) for every task.  The calling thread, with
-    spaces[0], and one helper thread per further space take tasks from one
-    shared list; with a single space no thread starts.  After an exception
-    no thread takes another task, and the first exception is re-raised."""
-    pending = iter(tasks)
+class _Outcome:
+    """Zero-argument work to run beside a pass (see _drain).  A call keeps
+    its value or exception and, in place of the warnings numpy would issue
+    on this thread, their messages; get() issues those, then returns the
+    value or re-raises the exception, so work never read leaves no trace."""
+
+    def __init__(self, fn):
+        self.fn, self.value, self.error, self.warned = fn, None, None, []
+
+    def __call__(self):
+        logged = {k: "log" if v == "warn" else v for k, v in np.geterr().items()}
+        try:
+            with np.errstate(**logged, call=self):
+                self.value = self.fn()
+        except BaseException as e:  # re-raised where the result is read
+            self.error = e
+
+    def write(self, message):  # numpy's log of a floating-point error
+        self.warned.append(message.removeprefix("Warning: ").strip())
+
+    def get(self):
+        for message in self.warned:
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def _drain(tasks: Sequence, work, spaces: Sequence, alongside: Sequence = ()) -> None:
+    """Call work(task, space) for every task.  One helper thread per space
+    after the first takes tasks from one shared list at once; the calling
+    thread first runs each of `alongside` (_Outcome instances) in order,
+    then takes tasks with spaces[0].  With one space no thread starts.
+    After an exception no thread takes another task, and once all have
+    stopped the lowest failed task's exception is re-raised: every task
+    before it was taken, so a serial run stops at the same task."""
+    pending = iter(enumerate(tasks))
     lock = threading.Lock()
-    errors = []
+    errors = {}
 
     def run(space):
-        try:
-            while not errors:
-                with lock:
-                    task = next(pending, None)
-                if task is None:
-                    return
+        while not errors:
+            with lock:
+                index, task = next(pending, (None, None))
+            if index is None:
+                return
+            try:
                 work(task, space)
-        except BaseException as e:  # re-raised on the calling thread
-            errors.append(e)
+            except BaseException as e:  # re-raised on the calling thread
+                errors[index] = e
 
     helpers = [threading.Thread(target=run, args=(space,)) for space in spaces[1:]]
     for t in helpers:
         t.start()
+    for call in alongside:
+        call()
     run(spaces[0])
     for t in helpers:
         t.join()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
 
 
 def _batches(n: int, size: int):
@@ -187,25 +220,24 @@ def _cost_rows(
     anticipating_phi: Optional[float] = None,
     antithetic: bool = False,
     batch_size: int = _DEFAULT_BATCH,
+    alongside: Sequence[_Outcome] = (),
 ) -> np.ndarray:
     """Realized cost of every static schedule on every path, one pass.
 
     The paths are split into tasks of at most _TASK drawn paths, aligned to
-    the keyed blocks when the batch allows it.  The calling thread and one
-    helper thread per further CPU (`_worker_count`), but no more threads
-    than the batch holds blocks, take them from one list.  Each task draws
-    its normals once into its thread's workspace, allocated up front, every
-    row reads them, and the task writes its own columns of the result, so
-    every row keeps its bits on any CPU count.  All workspaces together hold
-    at most `batch_size` paths, mirrors counted (a mirror reuses its draw's
-    buffers), so batch size bounds memory and never changes a result.
+    the keyed blocks when the batch allows it, and drained (`_drain`) by one
+    thread per CPU (`_worker_count`), but no more threads than the batch
+    holds blocks; the calling thread runs `alongside` first.  All
+    workspaces together hold at most `batch_size` paths, mirrors counted (a
+    mirror reuses its draw's buffers), so batch size bounds memory and
+    never changes a result.
 
-    No price path is built: the price moves by sigma_tilde sqrt(tau) times
-    the normals under deterministic turnover; under stochastic turnover by
-    sigma_tilde (rho dB + sqrt(tau (1 - rho^2)) z_1), with dB = sqrt(tau) z_0
-    the turnover driver's increments.  cost._StaticCosts prices every static row in direct
-    and decomposed form and checks they agree; a mirror's price terms are
-    its draw's, negated.
+    No price path is built: the price moves by sigma_tilde sqrt(tau) z under
+    deterministic turnover, by sigma_tilde (rho dB + sqrt(tau (1 - rho^2)) z_1)
+    under stochastic turnover, dB = sqrt(tau) z_0 being the turnover driver's
+    increments.  cost._StaticCosts prices each distinct static schedule once,
+    in direct and decomposed form that must agree; a mirror's price terms
+    are its draw's, negated.
     With `anticipating_phi` set, row 0 is the anticipating
     turnover-proportional schedule for that order size and the static
     schedules follow.  Under deterministic turnover that schedule is itself
@@ -231,9 +263,13 @@ def _cost_rows(
     if stochastic:
         rho = cfg.volume.rho
         scales = (market.sigma_tilde * rho, scales[0] * math.sqrt(max(0.0, 1.0 - rho**2)))
+    costs = np.empty((per_path + len(statics), n))
+    unique = {(s.Phi, s.zeta.tobytes()): s for s in statics}  # each is contracted once
+    slot = [list(unique).index((s.Phi, s.zeta.tobytes())) for s in statics]
+    row_of = [per_path + slot.index(k) for k in range(len(unique))]  # names a failing schedule
+    statics = list(unique.values())
     if statics:
         kernel = _StaticCosts(statics, market, scales, v=None if stochastic else cfg.volume.v)
-    costs = np.empty((per_path + len(statics), n))
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
     held = max(1, batch_size // len(offsets))  # drawn paths held at once
@@ -246,7 +282,8 @@ def _cost_rows(
     size = min(size, drawn)
     tasks = list(_batches(drawn, size))
     w = trapz_weights(grid.n_steps, grid.tau)
-    spaces = [_Workspace(cfg, size, inverse=bool(statics)) for _ in range(min(cpus, len(tasks)))]
+    count = min(cpus, len(tasks) + bool(alongside))  # a helper starts beside `alongside`
+    spaces = [_Workspace(cfg, size, inverse=bool(statics)) for _ in range(count)]
 
     def price_task(task, ws):
         first, last = task
@@ -269,16 +306,16 @@ def _cost_rows(
             cols = slice(offset + first, offset + last)
             vol = _gbm_block(cfg.volume, grid, z, out=ws.vol[:m]) if stochastic else None
             if statics:
-                costs[per_path:, cols] = kernel.totals(both, vol, out=ws.inverse)
+                costs[per_path:, cols] = kernel.totals(both, vol, ws.inverse, cols.start, row_of)[slot]
             if per_path:
                 mass = np.einsum("ij,j->i", vol, w)  # row-stable, unlike vol @ w
                 zeta_paths = vol * (anticipating_phi / mass)[:, None]
                 costs[0, cols] = _path_costs(
                     market.s0, list(zip(draws, scales)), vol, zeta_paths,
-                    anticipating_phi, grid.tau, market,
+                    anticipating_phi, grid.tau, market, cols.start,
                 )[0]
 
-    _drain(tasks, price_task, spaces)
+    _drain(tasks, price_task, spaces, alongside)
     return costs
 
 
@@ -302,7 +339,8 @@ def moment_estimate(costs: np.ndarray, antithetic: bool = False) -> MomentEstima
     else:
         mean = float(costs.mean())
         se_mean = float(costs.std(ddof=1) / math.sqrt(n))
-        m4 = float(np.mean((costs - costs.mean()) ** 4))
+        with np.errstate(over="ignore"):  # an infinite m4 gives an infinite SE: a failed check
+            m4 = float(np.mean((costs - costs.mean()) ** 4))
         se_var = math.sqrt(max(m4 - variance**2, 0.0) / n)
     return MomentEstimate(
         mean=mean,
@@ -333,7 +371,10 @@ def estimate_cost_moments(
 
 
 def validate_theorem_orderings(
-    cfg: SimulationConfig, candidates: Dict[str, Strategy], return_costs: bool = False
+    cfg: SimulationConfig,
+    candidates: Dict[str, Strategy],
+    return_costs: bool = False,
+    alongside: Sequence[_Outcome] = (),
 ):
     """Paired-sample tournament checking the model's optimality orderings.
 
@@ -346,7 +387,9 @@ def validate_theorem_orderings(
 
     An ordering is confirmed when mean(better - worse) <= 3 standard errors
     of the paired difference.  Returns a plain-dict report and, with
-    return_costs=True, also the cost row of every schedule by name.
+    return_costs=True, also the cost row of every schedule by name.  The
+    calling thread runs `alongside` while the pass's helpers price its first
+    tasks (see _drain).
     """
     if not candidates:
         raise ValueError("need at least one candidate strategy")
@@ -371,7 +414,8 @@ def validate_theorem_orderings(
     static.update(candidates)
 
     n = cfg.n_paths
-    matrix = _cost_rows(cfg, [static[name] for name in rows[1:]], anticipating_phi=Phi)
+    statics = [static[name] for name in rows[1:]]
+    matrix = _cost_rows(cfg, statics, anticipating_phi=Phi, alongside=alongside)
     costs = dict(zip(rows, matrix))
     by_name = {
         name: {

@@ -2,14 +2,17 @@
 optimizers, and the Monte Carlo layer to one another.
 
 Statistical checks run on the supplied configuration: the moment checks,
-the orderings and the pathwise cost identity all read the tournament's cost
+the orderings and the pathwise cost identity read the tournament's cost
 rows, and the path checks rebuild its first paths from the keyed draws.
-Structural checks
-(discretization agreement, small-risk expansion) run on fixed internal
-fixtures so their outcome does not depend on the run configuration.  The
-report is a plain dict of named checks, each with a passed flag and numeric
-detail, and is deliberately free of timestamps or environment data so that
-repeated runs with the same inputs serialize to identical bytes.
+Structural checks (discretization agreement, small-risk expansion) run on
+fixed internal fixtures, so their outcome does not depend on the run
+configuration.  The calling thread runs the path and structural checks
+while the pass's helper threads price the rows, and reads every outcome in
+the report's order, so an exception surfaces as in a serial run: the
+pass's first, then the first in the report's order.  The report is a plain
+dict of named checks, each with a passed flag and numeric detail, and is
+deliberately free of timestamps or environment data so that repeated runs
+with the same inputs serialize to identical bytes.
 """
 from __future__ import annotations
 
@@ -29,7 +32,13 @@ from .cost import (
     mv_gbm_quadrature_check,
 )
 from .grids import TimeGrid, build_grid, trapz_weights
-from .montecarlo import SimulationConfig, _joint_block, moment_estimate, validate_theorem_orderings
+from .montecarlo import (
+    SimulationConfig,
+    _joint_block,
+    _Outcome,
+    moment_estimate,
+    validate_theorem_orderings,
+)
 from .optimizer import solve_qp_deterministic, solve_sqp_gbm
 from .strategies import Strategy, asymptotic_expansion, expected_vwap_strategy, vwap_strategy
 from .volume import GbmVolumeModel, VolumeProfile, arcsine_profile, gbm_harmonic_mean
@@ -52,8 +61,9 @@ def _check(name, passed, **detail):
 
 
 def _z(gap, se):
-    """z-score of a Monte Carlo gap; NaN, which fails its check, when the SE is 0."""
-    return float(gap / se) if se > 0.0 else math.nan
+    """z-score of a Monte Carlo gap; NaN, which fails its check, when the SE
+    is 0 or not finite."""
+    return float(gap / se) if 0.0 < se < math.inf else math.nan
 
 
 def _skip(name, reason):
@@ -84,7 +94,8 @@ def run_validation(
     lambdas=(0.5, 1.0, 2.0),
     _corrupt_kappa_tilde: float = 1.0,
 ) -> dict:
-    """Run every check and return the report dict.
+    """Run every check and return the report dict (see the module docstring
+    for which thread runs what).
 
     `_corrupt_kappa_tilde` rescales the temporary-impact coefficient inside
     the *analytic* variance computation only; it exists so tests can prove
@@ -101,6 +112,7 @@ def run_validation(
         probes["expected-vwap"] = expected_vwap_strategy(volume, grid, Phi)
     else:
         probes["vwap"] = vwap_strategy(volume, Phi)
+    probe_name, probe = next(iter(probes.items()))
 
     corrupted = MarketParams(
         kappa=market.kappa,
@@ -108,12 +120,123 @@ def run_validation(
         sigma_tilde=market.sigma_tilde,
         s0=market.s0,
     )
+
+    # --- path checks, turnover model statistics and determinism -----------
+    def path_checks():
+        # the pass builds no price path: its first paths are rebuilt from
+        # the keyed draws, bit for bit, for the checks that read paths
+        price, vol = _joint_block(cfg, 0, min(n_paths, 1000))
+        direct = _independent_direct_cost(price, vol, probe.zeta, probe.Phi, grid.tau, market)
+
+        # the trader's VWAP of the per-path volume-proportional schedule
+        zeta_paths = vol * (probe.Phi / (vol @ trapz_weights(grid.n_steps, grid.tau)))[:, None]
+        slip = float(np.max(np.abs(market_vwap(price, zeta_paths) - market_vwap(price, vol))))
+        out = [_check("vwap_slippage_zero", slip <= 1e-10, max_abs_slippage=slip)]
+
+        terminal = price[:, -1]
+        zt = _z(terminal.mean() - market.s0, terminal.std(ddof=1) / math.sqrt(terminal.size))
+        out.append(
+            _check("martingale_price", abs(zt) <= 3.0, z=zt, mean_terminal=float(terminal.mean()))
+        )
+
+        if not stochastic or degenerate:
+            reason = "deterministic turnover configuration"
+            if degenerate:
+                reason = "turnover volatility is zero"
+            out += [_skip("harmonic_mean_check", reason), _skip("cross_check_quadrature", reason)]
+        else:
+            u = gbm_harmonic_mean(volume, grid).v
+            probe_nodes = [grid.n_steps // 4, grid.n_steps // 2, grid.n_steps]
+            hz, hd = 0.0, {}
+            for j in probe_nodes:
+                inv = 1.0 / vol[:, j]
+                z = _z(inv.mean() - 1.0 / u[j], inv.std(ddof=1) / math.sqrt(inv.size))
+                hd[f"node_{j}"] = {"mc": float(inv.mean()), "analytic": 1.0 / u[j], "z": z}
+                hz = max(hz, abs(z))
+            out.append(_check("harmonic_mean_check", hz <= 3.0, **hd))
+
+            rel = 0.0
+            qd = {}
+            for name, s in probes.items():
+                a = mv_gbm(s, volume, 1.0, market)
+                b = mv_gbm_quadrature_check(s, volume, 1.0, market)
+                r = abs(a.variance - b.variance) / max(abs(a.variance), 1e-300)
+                qd[name] = {"reduced": a.variance, "quadrature": b.variance, "rel_gap": r}
+                rel = max(rel, r)
+            out.append(_check("cross_check_quadrature", rel <= 1e-6, **qd))
+
+        # the first paths drawn alone against the same rows, listed last
+        k = min(len(price), 64)
+        pa, va = _joint_block(cfg, 0, k)
+        det = bool(np.array_equal(pa, price[:k]) and np.array_equal(va, vol[:k]))
+        return direct, out, _check("determinism_repeat", det, bitwise_equal=det)
+
+    # --- structural checks on fixed fixtures ------------------------------
+    def structural_checks():
+        g1k = build_grid(1.0, 1000)
+        p1k = arcsine_profile(g1k)
+        worst = 0.0
+        bq = {}
+        for lam in lambdas:
+            # the rate-space QP against the divergence-matched boundary problem
+            _, rep = solve_qp_deterministic(p1k, lam, _STRUCTURAL_MARKET, 1.0)
+            phi_ode = optimal_inventory_ode(p1k, lam, _STRUCTURAL_MARKET, 1.0).phi
+            gap = float(np.max(np.abs(1.0 - g1k.tau * np.cumsum(rep.zeta_intervals) - phi_ode[1:])))
+            bq[f"lam_{lam}"] = gap
+            worst = max(worst, gap)
+        out = [_check("bvp_qp_agreement", worst <= 1e-4, **bq)]
+
+        g500 = build_grid(1.0, 500)
+        p500 = arcsine_profile(g500)
+        s0_, rep0 = solve_qp_deterministic(p500, 0.0, _STRUCTURAL_MARKET, 1.0)
+        vbar = 0.5 * (p500.v[1:] + p500.v[:-1])
+        ref = vbar / (g500.tau * vbar.sum())
+        rel = float(np.max(np.abs(rep0.zeta_intervals - ref) / ref))
+        out.append(_check("qp_lambda0_vwap", rel <= 1e-8, rel_sup_gap=rel))
+
+        sqp_model = volume if (stochastic and not degenerate) else _STRUCTURAL_MODEL
+        g200 = build_grid(1.0, 200)
+        _, rep_s = solve_sqp_gbm(sqp_model, 0.0, _STRUCTURAL_MARKET, 1.0, g200)
+        u200 = gbm_harmonic_mean(sqp_model, g200).v
+        ubar = 0.5 * (u200[1:] + u200[:-1])
+        ref_u = ubar / (g200.tau * ubar.sum())
+        rel_u = float(np.max(np.abs(rep_s.zeta_intervals - ref_u) / ref_u))
+        out.append(
+            _check(
+                "sqp_lambda0_expected_vwap",
+                rel_u <= 1e-6 and rep_s.status == "converged",
+                rel_sup_gap=rel_u,
+                status=rep_s.status,
+            )
+        )
+
+        _, zeta1 = asymptotic_expansion(p500, _STRUCTURAL_MARKET, 0.0, 1.0)
+        m = {}
+        for lam in (1e-2, 1e-3):
+            sl, _ = solve_qp_deterministic(p500, lam, _STRUCTURAL_MARKET, 1.0)
+            m[lam] = float(np.max(np.abs((sl.zeta - s0_.zeta) / lam - zeta1)))
+        ratio = m[1e-3] / m[1e-2]
+        out.append(
+            _check(
+                "expansion_small_lambda",
+                ratio <= 0.5,
+                m_1e2=m[1e-2],
+                m_1e3=m[1e-3],
+                ratio=ratio,
+            )
+        )
+        return out
+
+    paths, structural = _Outcome(path_checks), _Outcome(structural_checks)
+
     # --- moment matching and optimality orderings on common paths --------
     # one pass draws every path once; the tournament builds its own
     # anticipating and harmonic-mean rows, so only probes that do not shadow
     # those reserved names enter, and the moment checks read the same rows
     entrants = {k: v for k, v in probes.items() if k not in ("expected-vwap",)}
-    tournament, rows = validate_theorem_orderings(cfg, entrants, return_costs=True)
+    tournament, rows = validate_theorem_orderings(
+        cfg, entrants, return_costs=True, alongside=(paths, structural)
+    )
     mean_detail, var_detail = {}, {}
     mean_ok = var_ok = True
     for name, s in probes.items():
@@ -155,112 +278,13 @@ def run_validation(
         )
 
     # --- pathwise identities ---------------------------------------------
-    # the tournament's rows of the first m paths against the independent
-    # direct evaluation; keyed draws rebuild those paths bit for bit
-    m = min(n_paths, 1000)
-    price, vol = _joint_block(cfg, 0, m)[0]
-    name, probe = next(iter(probes.items()))
-    direct = _independent_direct_cost(price, vol, probe.zeta, probe.Phi, grid.tau, market)
-    gap = float(np.max(np.abs(rows[name][:m] - direct) / np.maximum(1.0, np.abs(direct))))
+    # the tournament's rows of the rebuilt paths against the independent
+    # direct evaluation
+    direct, more, determinism = paths.get()
+    m = len(direct)
+    gap = float(np.max(np.abs(rows[probe_name][:m] - direct) / np.maximum(1.0, np.abs(direct))))
     checks.append(_check("cost_identity_pathwise", gap <= 1e-8, max_rel_gap=gap))
-
-    # the trader's VWAP of the per-path volume-proportional schedule
-    zeta_paths = vol * (probe.Phi / (vol @ trapz_weights(grid.n_steps, grid.tau)))[:, None]
-    slip = float(np.max(np.abs(market_vwap(price, zeta_paths) - market_vwap(price, vol))))
-    checks.append(_check("vwap_slippage_zero", slip <= 1e-10, max_abs_slippage=slip))
-
-    terminal = price[:, -1]
-    zt = _z(terminal.mean() - market.s0, terminal.std(ddof=1) / math.sqrt(terminal.size))
-    checks.append(_check("martingale_price", abs(zt) <= 3.0, z=zt, mean_terminal=float(terminal.mean())))
-
-    # --- turnover model statistics ---------------------------------------
-    if not stochastic:
-        checks.append(_skip("harmonic_mean_check", "deterministic turnover configuration"))
-        checks.append(_skip("cross_check_quadrature", "deterministic turnover configuration"))
-    elif degenerate:
-        checks.append(_skip("harmonic_mean_check", "turnover volatility is zero"))
-        checks.append(_skip("cross_check_quadrature", "turnover volatility is zero"))
-    else:
-        u = gbm_harmonic_mean(volume, grid).v
-        probe_nodes = [grid.n_steps // 4, grid.n_steps // 2, grid.n_steps]
-        hz, hd = 0.0, {}
-        for j in probe_nodes:
-            inv = 1.0 / vol[:, j]
-            z = _z(inv.mean() - 1.0 / u[j], inv.std(ddof=1) / math.sqrt(inv.size))
-            hd[f"node_{j}"] = {"mc": float(inv.mean()), "analytic": 1.0 / u[j], "z": z}
-            hz = max(hz, abs(z))
-        checks.append(_check("harmonic_mean_check", hz <= 3.0, **hd))
-
-        rel = 0.0
-        qd = {}
-        for name, s in probes.items():
-            a = mv_gbm(s, volume, 1.0, market)
-            b = mv_gbm_quadrature_check(s, volume, 1.0, market)
-            r = abs(a.variance - b.variance) / max(abs(a.variance), 1e-300)
-            qd[name] = {"reduced": a.variance, "quadrature": b.variance, "rel_gap": r}
-            rel = max(rel, r)
-        checks.append(_check("cross_check_quadrature", rel <= 1e-6, **qd))
-
-    # --- structural checks on fixed fixtures ------------------------------
-    g1k = build_grid(1.0, 1000)
-    p1k = arcsine_profile(g1k)
-    worst = 0.0
-    bq = {}
-    for lam in lambdas:
-        # the rate-space QP against the divergence-matched boundary problem
-        _, rep = solve_qp_deterministic(p1k, lam, _STRUCTURAL_MARKET, 1.0)
-        phi_ode = optimal_inventory_ode(p1k, lam, _STRUCTURAL_MARKET, 1.0).phi
-        gap = float(np.max(np.abs(1.0 - g1k.tau * np.cumsum(rep.zeta_intervals) - phi_ode[1:])))
-        bq[f"lam_{lam}"] = gap
-        worst = max(worst, gap)
-    checks.append(_check("bvp_qp_agreement", worst <= 1e-4, **bq))
-
-    g500 = build_grid(1.0, 500)
-    p500 = arcsine_profile(g500)
-    s0_, rep0 = solve_qp_deterministic(p500, 0.0, _STRUCTURAL_MARKET, 1.0)
-    vbar = 0.5 * (p500.v[1:] + p500.v[:-1])
-    ref = vbar / (g500.tau * vbar.sum())
-    rel = float(np.max(np.abs(rep0.zeta_intervals - ref) / ref))
-    checks.append(_check("qp_lambda0_vwap", rel <= 1e-8, rel_sup_gap=rel))
-
-    sqp_model = volume if (stochastic and not degenerate) else _STRUCTURAL_MODEL
-    g200 = build_grid(1.0, 200)
-    _, rep_s = solve_sqp_gbm(sqp_model, 0.0, _STRUCTURAL_MARKET, 1.0, g200)
-    u200 = gbm_harmonic_mean(sqp_model, g200).v
-    ubar = 0.5 * (u200[1:] + u200[:-1])
-    ref_u = ubar / (g200.tau * ubar.sum())
-    rel_u = float(np.max(np.abs(rep_s.zeta_intervals - ref_u) / ref_u))
-    checks.append(
-        _check(
-            "sqp_lambda0_expected_vwap",
-            rel_u <= 1e-6 and rep_s.status == "converged",
-            rel_sup_gap=rel_u,
-            status=rep_s.status,
-        )
-    )
-
-    _, zeta1 = asymptotic_expansion(p500, _STRUCTURAL_MARKET, 0.0, 1.0)
-    m = {}
-    for lam in (1e-2, 1e-3):
-        sl, _ = solve_qp_deterministic(p500, lam, _STRUCTURAL_MARKET, 1.0)
-        m[lam] = float(np.max(np.abs((sl.zeta - s0_.zeta) / lam - zeta1)))
-    ratio = m[1e-3] / m[1e-2]
-    checks.append(
-        _check(
-            "expansion_small_lambda",
-            ratio <= 0.5,
-            m_1e2=m[1e-2],
-            m_1e3=m[1e-3],
-            ratio=ratio,
-        )
-    )
-
-    # --- determinism -------------------------------------------------------
-    # the first paths drawn alone against the same rows of the path checks
-    k = min(len(price), 64)
-    pa, va = _joint_block(cfg, 0, k)[0]
-    det = bool(np.array_equal(pa, price[:k]) and np.array_equal(va, vol[:k]))
-    checks.append(_check("determinism_repeat", det, bitwise_equal=det))
+    checks += more + structural.get() + [determinism]
 
     return {
         "schema": 1,

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from volexec import cost, montecarlo
 from volexec.cost import MarketParams
 from volexec.errors import SolverFailureError
 from volexec.grids import build_grid, trapz_weights
@@ -59,7 +62,33 @@ def joint_paths(cfg):
     """Test oracle: every (price, turnover) path of a simulation config, shape
     (n_paths, n+1), as the Monte Carlo pass draws them; deterministic
     turnover rows are a read-only broadcast of the profile."""
-    return _joint_block(cfg, 0, cfg.n_paths)[0]
+    return _joint_block(cfg, 0, cfg.n_paths)
+
+
+def antithetic_paths(cfg):
+    """Test oracle: the paths of an antithetic pass, its n_paths/2 drawn
+    paths followed by their twins, which are built from the same normals
+    negated."""
+    draw = montecarlo._normal_block
+    half = cfg.n_paths // 2
+    price, vol = _joint_block(cfg, 0, half)
+    with mock.patch.object(montecarlo, "_normal_block", lambda *a, **k: -draw(*a, **k)):
+        twin_price, twin_vol = _joint_block(cfg, 0, half)
+    return np.concatenate([price, twin_price]), np.concatenate([vol, twin_vol])
+
+
+def perturbed_cost_weights(size):
+    """Test fault: cost._cost_weights with size * Phi added to the middle
+    weight of the direct form, which the per-path identity check must catch."""
+    build = cost._cost_weights
+
+    def perturbed(zeta, Phi, tau, market):
+        risk, direct, *rest = build(zeta, Phi, tau, market)
+        direct = direct.copy()
+        direct[..., direct.shape[-1] // 2] += size * Phi
+        return (risk, direct, *rest)
+
+    return perturbed
 
 
 def decompose(price, vol, zeta, Phi, tau, market):

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from volexec.grids import build_grid, trapz, trapz_weights
 from volexec.montecarlo import (
     SimulationConfig,
     _cost_rows,
-    _joint_block,
     estimate_cost_moments,
     moment_estimate,
     validate_theorem_orderings,
@@ -32,7 +33,7 @@ from volexec.volume import (
     profile_from_samples,
 )
 
-from conftest import decompose, joint_paths, make_twap
+from conftest import antithetic_paths, decompose, joint_paths, make_twap, perturbed_cost_weights
 
 
 def _cfg(volume, market, grid, n_paths=2000, seed=0):
@@ -255,10 +256,7 @@ def test_cost_rows_match_decompose(market_hi, grid200, kind, antithetic, k):
     cfg = _cfg(_volume(kind, grid200, rho=-0.6), market_hi, grid200, n_paths=300, seed=21)
     statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)[:k]]
     rows = _cost_rows(cfg, statics, anticipating_phi=1.0, antithetic=antithetic)
-    drawn = cfg.n_paths // 2 if antithetic else cfg.n_paths
-    batches = _joint_block(cfg, 0, drawn, mirror=antithetic)
-    price = np.concatenate([b[0] for b in batches])
-    vol = np.concatenate([b[1] for b in batches])
+    price, vol = antithetic_paths(cfg) if antithetic else joint_paths(cfg)
     w = trapz_weights(grid200.n_steps, grid200.tau)
     zeta_paths = vol * (1.0 / (vol @ w))[:, None]
     ref = [decompose(price, vol, zeta_paths, 1.0, grid200.tau, market_hi)[0]]
@@ -280,12 +278,7 @@ def test_rows_match_path_oracle(market_hi, grid200, kind, rho, antithetic):
     cfg = _cfg(_volume(kind, grid200, rho=rho), market_hi, grid200, n_paths=300, seed=26)
     statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)]
     rows = _cost_rows(cfg, statics, anticipating_phi=1.0, antithetic=antithetic)
-    if antithetic:
-        batches = _joint_block(cfg, 0, cfg.n_paths // 2, mirror=True)
-        price = np.concatenate([b[0] for b in batches])
-        vol = np.concatenate([b[1] for b in batches])
-    else:
-        price, vol = joint_paths(cfg)
+    price, vol = antithetic_paths(cfg) if antithetic else joint_paths(cfg)
     w = trapz_weights(grid200.n_steps, grid200.tau)
     zetas = [vol * (1.0 / np.einsum("ij,j->i", vol, w))[:, None]] + [s.zeta for s in statics]
     for row, zeta in zip(rows, zetas):
@@ -340,18 +333,10 @@ def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind, an
     """The direct form has its own weights: a small error in one of them
     breaks the per-path identity and raises, for the static rows and for
     the per-path anticipating row alike."""
-    build = cost._cost_weights
-
-    def perturbed(zeta, Phi, tau, market):
-        risk, direct, *rest = build(zeta, Phi, tau, market)
-        direct = direct.copy()
-        direct[..., direct.shape[-1] // 2] += 1e-8 * Phi
-        return (risk, direct, *rest)
-
     cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=64, seed=22)
     rows = ([], 1.0) if anticipating else ([twap200], None)
     _cost_rows(cfg, *rows)
-    monkeypatch.setattr(cost, "_cost_weights", perturbed)
+    monkeypatch.setattr(cost, "_cost_weights", perturbed_cost_weights(1e-8))
     with pytest.raises(ConsistencyError):
         _cost_rows(cfg, *rows)
 
@@ -362,9 +347,9 @@ def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind, an
     check, draw = cost._require_agreement, montecarlo._normal_block
     barrier, seen, raised_on = threading.Barrier(2, timeout=30), set(), []
 
-    def recorded(direct, total):
+    def recorded(*args):
         try:
-            check(direct, total)
+            check(*args)
         except ConsistencyError:
             raised_on.append(threading.current_thread().name)
             if threading.current_thread() is not threading.main_thread():
@@ -425,6 +410,121 @@ def test_rows_do_not_depend_on_worker_count(monkeypatch, market, workers):
                 assert np.array_equal(alone, shared), (volume, antithetic, batch_size)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["arcsine", "gbm"])
+def test_failing_pass_raises_the_same_error_on_any_cpu_count(monkeypatch, market, grid200, kind):
+    """Every task of a perturbed pass fails; the error re-raised is the
+    lowest task's, where a serial run stops, and its message names the
+    path's index in the run and the schedule's row in plain numbers."""
+    cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=2000, seed=22)
+    statics = [_shaped(grid200, 1.5), _shaped(grid200, -0.5)]
+    monkeypatch.setattr(cost, "_cost_weights", perturbed_cost_weights(1e-8))
+    messages = []
+    for workers in (1, 2, 1, 2):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        with pytest.raises(ConsistencyError) as raised:
+            _cost_rows(cfg, statics, 1.0, antithetic=True, batch_size=16)
+        messages.append(str(raised.value))
+    assert len(set(messages)) == 1, messages
+    assert "np." not in messages[0]
+    assert re.fullmatch(
+        r"direct cost and decomposition disagree by \S+ on path \d+ in schedule row [012]",
+        messages[0],
+    )
+
+
+def test_message_names_path_and_row_of_the_run(monkeypatch, market, grid200, twap200):
+    """A disagreement in a later task names the path's index in the whole
+    run and the row of the result, a repeated schedule by its first row."""
+    p = arcsine_profile(grid200)
+    cfg = _cfg(p, market, grid200, n_paths=1200, seed=4)
+    totals = cost._StaticCosts.totals
+
+    def broken(self, both, vol, out, path, rows):
+        both = both.copy()
+        if path <= 700 < path + len(both):
+            both[700 - path, self.k + 1] += 1.0  # the direct form of the second distinct schedule
+        return totals(self, both, vol, out, path, rows)
+
+    monkeypatch.setattr(cost._StaticCosts, "totals", broken)
+    with pytest.raises(ConsistencyError, match=r"on path 700 in schedule row 2$"):
+        _cost_rows(cfg, [vwap_strategy(p, 1.0), vwap_strategy(p, 1.0), twap200])
+
+
+def test_repeated_schedule_is_priced_once(monkeypatch, market, grid200, twap200):
+    """A schedule listed twice (under deterministic turnover the anticipating
+    row and the volume-proportional probe) is contracted once and copied:
+    each row has the bits of the schedule priced alone."""
+    p = arcsine_profile(grid200)
+    vwap = vwap_strategy(p, 1.0)
+    cfg = _cfg(p, market, grid200, n_paths=700, seed=4)
+    built = []
+    kernel = montecarlo._StaticCosts
+
+    def counted(schedules, *args, **kwargs):
+        built.append(len(schedules))
+        return kernel(schedules, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_StaticCosts", counted)
+    rows = _cost_rows(cfg, [twap200, vwap], 1.0)
+    assert built == [2]
+    assert np.array_equal(rows[0], _cost_rows(cfg, [vwap])[0])
+    assert np.array_equal(rows[1], _cost_rows(cfg, [twap200])[0])
+    assert np.array_equal(rows[2], rows[0])
+
+
+@pytest.mark.parametrize("n_paths", [64, 3000])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_work_beside_the_pass(monkeypatch, market, grid200, twap200, workers, n_paths):
+    """The calling thread runs the work given beside the pass in order; with
+    one CPU before the first task, otherwise while a helper prices the
+    tasks, which starts even for a pass of one task.  A failing piece of
+    work keeps its error for the reader and stops neither the rest nor the
+    pass, and numpy's warnings of its call are issued when it is read."""
+    cfg = _cfg(arcsine_profile(grid200), market, grid200, n_paths=n_paths, seed=9)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+    alone = _cost_rows(cfg, [twap200], 1.0)
+
+    events, started = [], []
+    draw = montecarlo._normal_block
+
+    def logged(*args, **kwargs):
+        events.append(("task", threading.current_thread() is threading.main_thread()))
+        return draw(*args, **kwargs)
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def boom():
+        events.append(("boom", threading.current_thread() is threading.main_thread()))
+        np.array([1e300]) * 1e300  # an overflow numpy would warn about
+        raise ValueError("beside")
+
+    def value():
+        events.append(("value", threading.current_thread() is threading.main_thread()))
+        return 7
+
+    beside = [montecarlo._Outcome(boom), montecarlo._Outcome(value)]
+    monkeypatch.setattr(montecarlo, "_normal_block", logged)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = _cost_rows(cfg, [twap200], 1.0, alongside=beside)
+        assert not caught  # held until the outcome is read
+        with pytest.raises(ValueError, match="beside"):
+            beside[0].get()
+    assert [str(w.message) for w in caught] == ["overflow encountered in multiply"]
+    assert beside[1].get() == 7
+    assert np.array_equal(rows, alone)
+    assert len(started) == workers - 1
+    work = [e for e in events if e[0] != "task"]
+    assert work == [("boom", True), ("value", True)]
+    if workers == 1:
+        assert events.index(("value", True)) < events.index(("task", True))
 
 
 def test_batching_is_invisible_deterministic_tournament(market, grid200, twap200):
