@@ -9,11 +9,13 @@ turnover path v is
 and it decomposes exactly (by summation by parts, see _cost_weights) into
 permanent impact, temporary impact, and a zero-mean price-risk term.  The
 cost is affine in the price path and in 1/v, so one kernel, _cost_weights,
-turns a schedule (or one schedule per path) into weight vectors, and every
-realized cost in the package contracts them, moved onto the price
-increments (_price_weights), with the increments' driver draws.  The
-expected/variance formulas below reproduce that decomposition in closed form
-for deterministic turnover and for the lognormal turnover model, whose
+turns a schedule into weight vectors, which the Monte Carlo pass contracts,
+moved onto the price increments (_price_weights), with the increments'
+driver draws.  The turnover-proportional schedule Phi v / (w . v), rebuilt
+on each path, pays the same temporary cost on every path, and its rows are
+that identity in closed form (_anticipating_costs).  The expected/variance
+formulas below reproduce the decomposition in closed form for
+deterministic turnover and for the lognormal turnover model, whose
 variance is one formula with its Cov(1/v) double integral in O(n).
 """
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyError
-from .grids import cumtrapz, trapz, trapz_weights
+from .grids import cumtrapz, require_same_grid, trapz, trapz_weights
 from .strategies import Strategy, _risk_aversion, inventory_from_rate
 from .volume import GbmVolumeModel, VolumeProfile, gbm_harmonic_mean
 
@@ -105,8 +107,7 @@ class MvValue:
 def _cost_weights(zeta, Phi, tau, market: MarketParams):
     """A schedule's realized cost, affine in the price path S and 1/v.
 
-    `zeta` is one schedule or, with leading path axes, one per path.  Returns
-    (risk, direct, temporary, total0, direct0) such that
+    Returns (risk, direct, temporary, total0, direct0) such that
 
         total  = S . risk   + (1/v) . temporary + total0
         direct = S . direct + (1/v) . temporary + direct0
@@ -121,17 +122,16 @@ def _cost_weights(zeta, Phi, tau, market: MarketParams):
     exact (sum Psi_bar dPsi = Psi_N^2 / 2, and S0_0 Phi - sum S0_bar dPsi =
     S0_N phi_N - sum phi_bar dS0), so the two forms agree to rounding.
     """
-    zero = np.zeros(zeta.shape[:-1] + (1,))
-    sold = tau * 0.5 * (zeta[..., 1:] + zeta[..., :-1])  # shares sold per interval
-    psi = np.concatenate([zero, np.cumsum(sold, axis=-1)], axis=-1)
-    padded = np.concatenate([zero, sold, zero], axis=-1)
-    c = 0.5 * (padded[..., 1:] + padded[..., :-1])  # node weights of the proceeds
+    sold = tau * 0.5 * (zeta[1:] + zeta[:-1])  # shares sold per interval
+    psi = np.concatenate([[0.0], np.cumsum(sold)])
+    padded = np.concatenate([[0.0], sold, [0.0]])
+    c = 0.5 * (padded[1:] + padded[:-1])  # node weights of the proceeds
     direct = -c
-    direct[..., 0] += Phi
+    direct[0] += Phi
     phi = Phi - psi
-    phi_bar = 0.5 * (phi[..., 1:] + phi[..., :-1])
-    risk = np.diff(np.concatenate([zero, phi_bar, phi[..., -1:]], axis=-1), axis=-1)
-    total0 = market.kappa * psi[..., -1] ** 2 / 2.0
+    phi_bar = 0.5 * (phi[1:] + phi[:-1])
+    risk = np.diff(np.concatenate([[0.0], phi_bar, phi[-1:]]))
+    total0 = market.kappa * psi[-1] ** 2 / 2.0
     direct0 = market.kappa * _dot(psi, c)
     return risk, direct, market.kappa_tilde * zeta * c, total0, direct0
 
@@ -163,26 +163,6 @@ def _price_weights(w):
     return w.sum(axis=-1), np.cumsum(w[..., :0:-1], axis=-1)[..., ::-1]
 
 
-def _price_terms(start, draws, w):
-    """S . w, row-wise, for prices that start at `start` and move by the sum
-    of scale * x over the (x, scale) pairs of `draws`."""
-    total, suffix = _price_weights(w)
-    return start * total + sum(scale * _dot(x, suffix) for x, scale in draws)
-
-
-def _path_costs(start, draws, vol, zeta, Phi, tau, market: MarketParams, path=0):
-    """Realized cost on paths (rows) of one schedule, or of one schedule per
-    path, priced as in _price_terms: (total, permanent, temporary,
-    price_risk), after the direct form is checked against the total; the
-    first row is path number `path` of the run."""
-    risk, direct, temp, total0, direct0 = _cost_weights(zeta, Phi, tau, market)
-    temporary = _dot(1.0 / vol, temp)
-    price_risk = _price_terms(start, draws, risk)
-    total = price_risk + total0 + temporary
-    _require_agreement(_price_terms(start, draws, direct) + direct0 + temporary, total, path)
-    return total, total0, temporary, price_risk
-
-
 class _StaticCosts:
     """Realized cost of K static schedules on a batch of draws, one
     contraction per driver.
@@ -192,9 +172,10 @@ class _StaticCosts:
     and direct form) price s0 times their sums plus the draws contracted with
     scales[d] times their suffix sums: one (2K, n) matrix per driver, applied
     with einsum("ij,kj->ik"), whose entries do not depend on the batch's rows
-    nor on K (a BLAS matmul's do).  Under deterministic turnover (`v` given) the 1/v terms are constants per
-    schedule; otherwise one more contraction of 1/vol prices them.  The
-    direct and decomposed totals must agree on every path.
+    nor on K (a BLAS matmul's do).  Under deterministic turnover (`v`
+    given) the 1/v terms are constants per schedule; otherwise one more
+    contraction of 1/vol prices them.  The direct and decomposed totals
+    must agree on every path.
     """
 
     def __init__(self, schedules: Sequence[Strategy], market: MarketParams, scales, v=None):
@@ -240,6 +221,26 @@ class _StaticCosts:
         return total.T
 
 
+def _anticipating_costs(draws, scales, vol, Phi, tau, market: MarketParams, out):
+    """Realized cost of the anticipating schedule zeta = Phi v / M, M = w . v
+    (trapezoid weights w), on each turnover path (row) of `vol`, from the
+    draws as in _StaticCosts.  It pays kappa_tilde Phi^2 / M of temporary
+    impact on every path and holds phi_j = Phi (1 - tau P_j / M), P_j the
+    running trapezoid turnover (written to `out`, a buffer of vol's shape):
+    cost = kappa Phi^2 / 2 + kappa_tilde Phi^2 / M - sum_i dS_i (phi_i + phi_{i+1}) / 2.
+    """
+    mass = np.einsum("ij,j->i", vol, trapz_weights(vol.shape[1] - 1, tau))  # row-stable
+    out[:, 0] = 0.0
+    np.add(vol[:, 1:], vol[:, :-1], out=out[:, 1:])
+    out[:, 1:] *= 0.5
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
+    terms = list(zip(draws, scales))
+    flat = sum(scale * np.einsum("ij->i", x) for x, scale in terms)
+    ramp = sum(scale * (_dot(x, out[:, :-1]) + _dot(x, out[:, 1:])) for x, scale in terms)
+    over_mass = market.kappa_tilde * Phi + 0.5 * tau * ramp  # the terms in Phi / M
+    return market.kappa * Phi**2 / 2.0 - Phi * flat + (Phi / mass) * over_mass
+
+
 def realized_is_cost(price_path, volume_path, s: Strategy, market: MarketParams) -> CostBreakdown:
     """Realized shortfall of a schedule on one (price, turnover) path.
 
@@ -253,8 +254,11 @@ def realized_is_cost(price_path, volume_path, s: Strategy, market: MarketParams)
         raise ValueError(f"expected one path of {len(s.grid)} nodes, got {price.shape}, {vol.shape}")
     if np.any(vol <= 0.0):
         raise ValueError("turnover path must be strictly positive")
-    costs = _path_costs(price[0], [(np.diff(price), 1.0)], vol, s.zeta, s.Phi, s.grid.tau, market)
-    return CostBreakdown(*map(float, costs))
+    risk, direct, temp, total0, direct0 = _cost_weights(s.zeta, s.Phi, s.grid.tau, market)
+    temporary, price_risk = _dot(1.0 / vol, temp), _dot(price, risk)
+    total = price_risk + total0 + temporary
+    _require_agreement(_dot(price, direct) + direct0 + temporary, total)
+    return CostBreakdown(*map(float, (total, total0, temporary, price_risk)))
 
 
 def market_vwap(price_path, volume_path):
@@ -278,8 +282,6 @@ def expected_cost(s: Strategy, profile, market: MarketParams) -> float:
     since E[1/v_t] = 1/u_t.
     """
     if isinstance(profile, VolumeProfile):
-        from .grids import require_same_grid
-
         require_same_grid(profile.grid, s.grid, "profile and strategy")
         v = profile.v
     elif isinstance(profile, GbmVolumeModel):

@@ -24,9 +24,9 @@ vectors moved onto the increments, and one einsum per driver stream prices
 all of them; an antithetic twin's price terms are the negated ones.
 einsum, unlike a BLAS matmul, gives each entry bits that do not depend on
 the task's size, offset or schedule count.  Under deterministic turnover
-the anticipating schedule is static too; under stochastic turnover its
-per-path schedules get weight vectors from the same kernel
-(cost._cost_weights) and contract the same draws row by row.  Only
+the anticipating schedule is static too; under stochastic turnover its row
+is the paper's pathwise identity in closed form, row-wise dots of the same
+draws (cost._anticipating_costs), which `validate` checks.  Only
 `_joint_block` builds price paths, for `validate`'s path checks.
 """
 from __future__ import annotations
@@ -40,8 +40,8 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from .cost import MarketParams, _path_costs, _StaticCosts
-from .grids import TimeGrid, require_same_grid, trapz_weights
+from .cost import MarketParams, _anticipating_costs, _StaticCosts
+from .grids import TimeGrid, require_same_grid
 from .strategies import Strategy, expected_vwap_strategy, vwap_strategy
 from .volume import _BLOCK, GbmVolumeModel, VolumeProfile, _gbm_block, _normal_block
 
@@ -95,16 +95,16 @@ class MomentEstimate:
 class _Workspace:
     """Buffers one task of the pass fills in place for up to `rows` drawn
     paths: the normals of driver stream 0 and, under stochastic turnover, of
-    stream 1 and one turnover path per row (a mirror rebuilds it) and, with
-    `inverse`, the static cost kernel's reciprocal turnover."""
+    stream 1, a turnover path per row (a mirror rebuilds it) and a spare one
+    (the static kernel's 1/v, then the anticipating row's running turnover)."""
 
-    def __init__(self, cfg: SimulationConfig, rows: int, inverse: bool):
+    def __init__(self, cfg: SimulationConfig, rows: int):
         n = cfg.grid.n_steps
         stochastic = isinstance(cfg.volume, GbmVolumeModel)
         self.z = np.empty((rows, n))
         self.zw = np.empty((rows, n)) if stochastic else None
         self.vol = np.empty((rows, n + 1)) if stochastic else None
-        self.inverse = np.empty((rows, n + 1)) if stochastic and inverse else None
+        self.spare = np.empty((rows, n + 1)) if stochastic else None
 
 
 def _joint_block(cfg: SimulationConfig, first: int, last: int):
@@ -242,8 +242,8 @@ def _cost_rows(
     turnover-proportional schedule for that order size and the static
     schedules follow.  Under deterministic turnover that schedule is itself
     static, the volume-proportional one, and joins the contraction; under
-    stochastic turnover it is rebuilt per path as Phi v / (w . v) and priced
-    from the same draws by its per-path weight vectors (cost._path_costs).
+    stochastic turnover it is Phi v / (w . v) on each path, priced from the
+    same draws in closed form (cost._anticipating_costs), unchecked.
     With antithetic=True (n_paths must be even) the first n_paths/2 columns
     are the drawn paths and column n_paths/2 + i is the mirror of column i.
     Returns an array of shape (rows, n_paths).
@@ -281,9 +281,8 @@ def _cost_rows(
         size = min(_TASK, size - size % _BLOCK)
     size = min(size, drawn)
     tasks = list(_batches(drawn, size))
-    w = trapz_weights(grid.n_steps, grid.tau)
     count = min(cpus, len(tasks) + bool(alongside))  # a helper starts beside `alongside`
-    spaces = [_Workspace(cfg, size, inverse=bool(statics)) for _ in range(count)]
+    spaces = [_Workspace(cfg, size) for _ in range(count)]
 
     def price_task(task, ws):
         first, last = task
@@ -306,19 +305,23 @@ def _cost_rows(
             cols = slice(offset + first, offset + last)
             vol = _gbm_block(cfg.volume, grid, z, out=ws.vol[:m]) if stochastic else None
             if statics:
-                costs[per_path:, cols] = kernel.totals(both, vol, ws.inverse, cols.start, row_of)[slot]
+                costs[per_path:, cols] = kernel.totals(both, vol, ws.spare, cols.start, row_of)[slot]
             if per_path:
-                mass = np.einsum("ij,j->i", vol, w)  # row-stable, unlike vol @ w
-                zeta_paths = vol * (anticipating_phi / mass)[:, None]
-                costs[0, cols] = _path_costs(
-                    market.s0, list(zip(draws, scales)), vol, zeta_paths,
-                    anticipating_phi, grid.tau, market, cols.start,
-                )[0]
+                costs[0, cols] = _anticipating_costs(
+                    draws, scales, vol, anticipating_phi, grid.tau, market, ws.spare[:m]
+                )
 
     _drain(tasks, price_task, spaces, alongside)
     return costs
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite statistic fails its check
+def _mean_and_se(x):
+    """Sample mean of x and its standard error."""
+    return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as in _mean_and_se
 def moment_estimate(costs: np.ndarray, antithetic: bool = False) -> MomentEstimate:
     """Sample mean/variance of one cost row, as laid out by `_cost_rows`.
 
@@ -331,16 +334,12 @@ def moment_estimate(costs: np.ndarray, antithetic: bool = False) -> MomentEstima
     variance = float(costs.var(ddof=1))
     if antithetic:
         half = n // 2
-        pair_means = 0.5 * (costs[:half] + costs[half:])
-        se_mean = float(pair_means.std(ddof=1) / math.sqrt(half))
-        mean = float(pair_means.mean())
+        mean, se_mean = _mean_and_se(0.5 * (costs[:half] + costs[half:]))
         sq = (costs - costs.mean()) ** 2
-        se_var = float((0.5 * (sq[:half] + sq[half:])).std(ddof=1) / math.sqrt(half))
+        se_var = _mean_and_se(0.5 * (sq[:half] + sq[half:]))[1]
     else:
-        mean = float(costs.mean())
-        se_mean = float(costs.std(ddof=1) / math.sqrt(n))
-        with np.errstate(over="ignore"):  # an infinite m4 gives an infinite SE: a failed check
-            m4 = float(np.mean((costs - costs.mean()) ** 4))
+        mean, se_mean = _mean_and_se(costs)
+        m4 = float(np.mean((costs - costs.mean()) ** 4))
         se_var = math.sqrt(max(m4 - variance**2, 0.0) / n)
     return MomentEstimate(
         mean=mean,
@@ -417,13 +416,7 @@ def validate_theorem_orderings(
     statics = [static[name] for name in rows[1:]]
     matrix = _cost_rows(cfg, statics, anticipating_phi=Phi, alongside=alongside)
     costs = dict(zip(rows, matrix))
-    by_name = {
-        name: {
-            "mean": float(costs[name].mean()),
-            "se_mean": float(costs[name].std(ddof=1) / math.sqrt(n)),
-        }
-        for name in rows
-    }
+    by_name = {name: dict(zip(("mean", "se_mean"), _mean_and_se(costs[name]))) for name in rows}
     pairs = [(ANTICIPATING_LABEL, other) for other in rows[1:]]
     if stochastic:
         pairs += [(EXPECTED_VWAP_LABEL, name) for name in names]
@@ -433,9 +426,7 @@ def validate_theorem_orderings(
     tie_slack = 1e-12 * max(1.0, cfg.market.s0 * Phi)
     orderings = []
     for better, worse in pairs:
-        diff = costs[better] - costs[worse]
-        mean_diff = float(diff.mean())
-        se_diff = float(diff.std(ddof=1) / math.sqrt(n))
+        mean_diff, se_diff = _mean_and_se(costs[better] - costs[worse])
         orderings.append(
             {
                 "better": better,

@@ -33,6 +33,7 @@ from .cost import (
 )
 from .grids import TimeGrid, build_grid, trapz_weights
 from .montecarlo import (
+    ANTICIPATING_LABEL,
     SimulationConfig,
     _joint_block,
     _Outcome,
@@ -126,10 +127,13 @@ def run_validation(
         # the pass builds no price path: its first paths are rebuilt from
         # the keyed draws, bit for bit, for the checks that read paths
         price, vol = _joint_block(cfg, 0, min(n_paths, 1000))
-        direct = _independent_direct_cost(price, vol, probe.zeta, probe.Phi, grid.tau, market)
-
-        # the trader's VWAP of the per-path volume-proportional schedule
+        # the per-path volume-proportional schedule: the pass prices it in
+        # closed form, unchecked, under stochastic turnover
         zeta_paths = vol * (probe.Phi / (vol @ trapz_weights(grid.n_steps, grid.tau)))[:, None]
+        checked = [(probe_name, probe.zeta)] + [(ANTICIPATING_LABEL, zeta_paths)] * stochastic
+        direct = {k: _independent_direct_cost(price, vol, z, Phi, grid.tau, market) for k, z in checked}
+
+        # the trader's VWAP of that schedule
         slip = float(np.max(np.abs(market_vwap(price, zeta_paths) - market_vwap(price, vol))))
         out = [_check("vwap_slippage_zero", slip <= 1e-10, max_abs_slippage=slip)]
 
@@ -278,11 +282,12 @@ def run_validation(
         )
 
     # --- pathwise identities ---------------------------------------------
-    # the tournament's rows of the rebuilt paths against the independent
+    # the tournament's rows of the rebuilt paths (the probe's and, under
+    # stochastic turnover, the anticipating one's) against the independent
     # direct evaluation
     direct, more, determinism = paths.get()
-    m = len(direct)
-    gap = float(np.max(np.abs(rows[probe_name][:m] - direct) / np.maximum(1.0, np.abs(direct))))
+    gaps = [np.abs(rows[k][: len(d)] - d) / np.maximum(1.0, np.abs(d)) for k, d in direct.items()]
+    gap = float(np.max(gaps))
     checks.append(_check("cost_identity_pathwise", gap <= 1e-8, max_rel_gap=gap))
     checks += more + structural.get() + [determinism]
 

@@ -95,6 +95,7 @@ def profile_from_samples(grid: TimeGrid, samples: np.ndarray) -> VolumeProfile:
     return VolumeProfile(grid=grid, v=samples)
 
 
+@np.errstate(over="ignore")  # VolumeProfile rejects an infinite curve
 def gbm_harmonic_mean(model: GbmVolumeModel, grid: TimeGrid) -> VolumeProfile:
     """Harmonic-mean turnover u_t = 1/E[1/v_t] = v0*exp((mu - sigma^2) t).
 

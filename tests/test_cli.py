@@ -440,18 +440,29 @@ def _extreme_gbm(**kw):
 # the exit codes of solve, validate, simulate and expand; turnover near 1e300
 # leaves the deterministic optimum well defined (temporary impact vanishes, so
 # the whole block sells in the first interval) and its solves succeed; expand
-# takes deterministic turnover only
+# takes deterministic turnover only.  The flag says stderr holds contract
+# lines only (no numpy warning); gbm-v0-1e-300 still warns from the SQP and
+# the path checks
 _EXTREME = {
-    "samples-1e300": (_extreme(type="samples", values=[1e300] * 11), (0, 0, 0, 0)),
-    "samples-1e-300": (_extreme(type="samples", values=[1e-300] * 11), (0, 3, 3, 0)),
+    "samples-1e300": (_extreme(type="samples", values=[1e300] * 11), (0, 0, 0, 0), True),
+    "samples-1e-300": (_extreme(type="samples", values=[1e-300] * 11), (0, 3, 3, 0), True),
     "samples-alternating": (
         _extreme(type="samples", values=[1e300 if i % 2 else 1e-300 for i in range(11)]),
         (0, 3, 0, 0),
+        True,
     ),
-    "gbm-v0-1e-300": (_extreme_gbm(v0=1e-300), (3, 3, 3, 2)),
-    "gbm-mu-1e3": (_extreme_gbm(mu=1e3), (2, 2, 2, 2)),
-    "gbm-sigma-50": (_extreme_gbm(sigma=50.0), (2, 2, 2, 2)),
+    "gbm-v0-1e-300": (_extreme_gbm(v0=1e-300), (3, 3, 3, 2), False),
+    "gbm-mu-1e3": (_extreme_gbm(mu=1e3), (2, 2, 2, 2), True),
+    "gbm-sigma-50": (_extreme_gbm(sigma=50.0), (2, 2, 2, 2), True),
 }
+# the sample profiles again with antithetic pairs, whose statistics differ
+_EXTREME.update(
+    {
+        f"{name}-antithetic": ({**doc, "mc": {**doc["mc"], "antithetic": True}}, codes, clean)
+        for name, (doc, codes, clean) in _EXTREME.items()
+        if name.startswith("samples")
+    }
+)
 
 
 def _reject_constant(name):
@@ -463,13 +474,16 @@ def test_extreme_configs_exit_without_traceback(tmp_path, name):
     """Extreme but schema-valid numbers end in a config error (2) or a
     one-line numerical failure (3), never in a traceback; a validate that
     exits 3 writes a strict-JSON report whose non-finite statistics fail
-    their checks."""
-    doc, codes = _EXTREME[name]
+    their checks.  Where flagged clean, stderr holds those lines only."""
+    doc, codes, clean = _EXTREME[name]
     cfg = write_config(tmp_path, doc)
     for command, code in zip(("solve", "validate", "simulate", "expand"), codes):
         r = run_cli(command, "--config", cfg, "--out", str(tmp_path / command))
         assert r.returncode == code, (command, r.stderr)
         assert "Traceback" not in r.stderr
+        if clean:
+            contract = ("config error:", "numerical failure:", "validation check failed:")
+            assert all(line.startswith(contract) for line in r.stderr.splitlines()), r.stderr
         if code == 3 and command == "validate":
             assert r.stderr.splitlines()[-1].startswith("validation check failed:"), r.stderr
             text = (tmp_path / command / "validation.json").read_text()
@@ -518,6 +532,84 @@ def test_extreme_horizon_exits_without_traceback(tmp_path, capsys, horizon):
         assert code in (2, 3), command
         prefix = "config error:" if code == 2 else "numerical failure:"
         assert len(lines) == 1 and lines[0].startswith(prefix), (command, lines)
+
+
+def _fuzz_config(rng):
+    """A random schema-valid config whose numbers span 10^-e to 10^e, with e
+    of 2, 20 or 300, so that some overflow, underflow or stall a solve."""
+    e = float(rng.choice([2, 20, 300]))
+
+    def num():
+        return float(10.0 ** rng.uniform(-e, e))
+
+    grid_n = int(rng.integers(2, 40))
+    kind = str(rng.choice(["arcsine", "constant", "samples", "gbm"]))
+    volume = {
+        "arcsine": {},
+        "constant": {"level": num()},
+        "samples": {"values": [num() for _ in range(grid_n + 1)]},
+        "gbm": {"v0": num(), "mu": float(rng.normal(0.0, 3.0)), "sigma": min(num(), 10.0),
+                "rho": float(rng.uniform(-1.0, 1.0))},
+    }[kind]
+    doc = {
+        "schema": 1,
+        "volume": {"type": kind, **volume},
+        "market": {k: num() for k in ("kappa", "kappa_tilde", "sigma_tilde", "s0")},
+        "phi": num(),
+        "horizon": num(),
+        "grid_n": grid_n,
+        "lambdas": [0.0, num()][: int(rng.integers(1, 3))],
+        "mc": {"n_paths": 2 * int(rng.integers(1, 33)), "seed": int(rng.integers(2**63)),
+               "antithetic": bool(rng.integers(2)), "dump_paths": bool(rng.integers(2))},
+    }
+    if kind == "gbm" and rng.integers(2):
+        doc["rhos"] = [float(rng.uniform(-1.0, 1.0))]
+    return doc
+
+
+def _artifacts(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+
+
+def test_cli_contracts_hold_on_random_configs(tmp_path, capsys):
+    """Seeded fuzzing of main in-process over random configs and all four
+    commands: the exit code is 0, 2 or 3 and no exception escapes; every
+    JSON artifact is strict; a converged solve met the KKT tolerance; exit 0
+    means every solve converged and every check passed; validate and
+    simulate rerun to the same bytes.  Stray numpy warnings are recorded,
+    not asserted on."""
+    from volexec.cli import main
+
+    rng = np.random.default_rng(20260419)
+    seen = {}
+    for case in range(100):
+        doc = _fuzz_config(rng)
+        cfg = write_config(tmp_path, doc, name=f"fuzz{case}.json")
+        for command in ("solve", "validate", "simulate", "expand"):
+            outs = []
+            for run in range(2 if command in ("validate", "simulate") else 1):
+                out = tmp_path / f"{case}-{command}-{run}"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main([command, "--config", cfg, "--out", str(out)])
+                for w in caught:
+                    seen.setdefault((w.category.__name__, str(w.message)), (case, command))
+                capsys.readouterr()
+                assert code in (0, 2, 3), (case, command, doc)
+                outs.append(_artifacts(out))
+            assert outs[0] == outs[-1], (case, command)
+            for name, data in outs[0].items():
+                if not name.endswith(".json"):
+                    continue
+                report = json.loads(data, parse_constant=_reject_constant)
+                results = report.get("results", [])
+                for r in results:
+                    if r["status"] == "converged" and "kkt_residual" in r:
+                        assert r["kkt_residual"] <= 1e-8, (case, command, r)
+                if code == 0:
+                    assert all(r["status"] == "converged" for r in results), (case, command)
+                    assert report.get("all_passed", True), (case, command)
+    print("warnings seen:", *sorted(seen.items()), sep="\n  ")
 
 
 def test_config_and_preset_conflict(tmp_path):

@@ -13,7 +13,6 @@ from volexec.cost import (
     realized_is_cost,
     _inverse_turnover_cov_dot,
     _inverse_turnover_factors,
-    _path_costs,
     _StaticCosts,
 )
 from volexec.errors import ConsistencyError
@@ -103,16 +102,6 @@ def test_realized_cost_invariant_under_price_shift(market, grid200, twap200):
     b = realized_is_cost(price[0] + 7.5, vol[0], twap200, market)
     # a parallel shift moves the mark and the proceeds by the same amount
     assert abs(a.total - b.total) < 1e-10
-
-
-def test_paths_variant_matches_singles(market, grid200, twap200):
-    price, vol = _seeded_paths(grid200, market.s0, 5, seed=3)
-    steps = [(np.diff(price), 1.0)]
-    batch = _path_costs(price[:, 0], steps, vol, twap200.zeta, twap200.Phi, grid200.tau, market)[0]
-    singles = np.array(
-        [realized_is_cost(price[i], vol[i], twap200, market).total for i in range(5)]
-    )
-    assert np.allclose(batch, singles, rtol=1e-14, atol=0)
 
 
 def test_decomposition_consistency_on_noise(market, grid200, twap200):

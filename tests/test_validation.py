@@ -45,6 +45,28 @@ def test_report_does_not_depend_on_worker_count(monkeypatch, kind, n_paths):
     assert json.loads(reports[0])["all_passed"]
 
 
+def test_identity_check_catches_an_anticipating_row_error(monkeypatch):
+    """Under stochastic turnover the pass prices the anticipating row in
+    closed form; `cost_identity_pathwise` checks it against the shortfall's
+    definition, so an error of 1e-6 Phi in that row fails the check."""
+
+    def identity():
+        report = _run("gbm")
+        return next(c for c in report["checks"] if c["name"] == "cost_identity_pathwise")
+
+    assert identity()["passed"]
+    rows = montecarlo._cost_rows
+
+    def shifted(cfg, statics, anticipating_phi=None, **kwargs):
+        out = rows(cfg, statics, anticipating_phi, **kwargs)
+        out[0] += 1e-6 * anticipating_phi
+        return out
+
+    monkeypatch.setattr(montecarlo, "_cost_rows", shifted)
+    check = identity()
+    assert not check["passed"] and check["detail"]["max_rel_gap"] > 1e-8
+
+
 def _fail_pass(monkeypatch):
     monkeypatch.setattr(cost, "_cost_weights", perturbed_cost_weights(1e-6))
 
