@@ -221,6 +221,8 @@ def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig
     antithetic = _require(mc, "antithetic", bool, "mc", default=False)
     if antithetic and n_paths % 2:
         raise ConfigError(f"mc.n_paths must be even with mc.antithetic, got {n_paths}")
+    if antithetic and n_paths < 4:  # one antithetic pair has no standard error
+        raise ConfigError("mc.n_paths must be at least 4 with mc.antithetic")
     seed = seed_override if seed_override is not None else _require(mc, "seed", int, "mc", default=0)
     if not 0 <= seed < 2**64:
         source = "--seed" if seed_override is not None else "mc.seed"

@@ -11,9 +11,11 @@ permanent impact, temporary impact, and a zero-mean price-risk term.  The
 cost is affine in the price path and in 1/v, so one kernel, _cost_weights,
 turns a schedule into weight vectors, which the Monte Carlo pass contracts,
 moved onto the price increments (_price_weights), with the increments'
-driver draws.  The turnover-proportional schedule Phi v / (w . v), rebuilt
-on each path, pays the same temporary cost on every path, and its rows are
-that identity in closed form (_anticipating_costs).  The expected/variance
+driver draws; the direct form's weights are checked against the
+decomposition's once per schedule, not on every path.  The
+turnover-proportional schedule Phi v / (w . v), rebuilt on each path, pays
+the same temporary cost on every path, and its rows are that identity in
+closed form (_anticipating_costs).  The expected/variance
 formulas below reproduce the decomposition in closed form for
 deterministic turnover and for the lognormal turnover model, whose
 variance is one formula with its Cov(1/v) double integral in O(n).
@@ -141,19 +143,16 @@ def _dot(a, b):
     return np.einsum("...j,...j->...", a, b)
 
 
-def _require_agreement(direct, total, path=0, rows=(0,)):
-    """ConsistencyError unless the direct and decomposed totals agree to 1e-8
-    (a NaN on either side is a disagreement).  The message names the first
-    such path (axis 0), as `path` plus its offset, and on it the first
-    schedule (axis 1, if any) by its entry of `rows`."""
-    gap = np.abs(direct - total)
-    bad = ~(gap <= _DECOMP_RTOL * np.maximum(1.0, np.abs(direct)))
+def _require_agreement(gap, size):
+    """ConsistencyError unless every gap between the direct and decomposed
+    costs is at most 1e-8 max(1, size) (a NaN is a disagreement); the
+    message names the first schedule whose gap is not."""
+    gap = np.atleast_1d(gap)
+    bad = ~(gap <= _DECOMP_RTOL * np.maximum(1.0, size))
     if bad.any():
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        i, k = (*map(int, at), 0, 0)[:2]
+        k = int(np.argmax(bad))
         raise ConsistencyError(
-            f"direct cost and decomposition disagree by {float(gap[at])!r} "
-            f"on path {path + i} in schedule row {rows[k]}"
+            f"direct cost and decomposition disagree by {float(gap[k])!r} in schedule {k}"
         )
 
 
@@ -168,56 +167,62 @@ class _StaticCosts:
     contraction per driver.
 
     Prices start at s0 and move by dS = sum_d scales[d] x_d over the driver
-    draws x_d.  By _price_weights, each schedule's weight vectors (decomposed
-    and direct form) price s0 times their sums plus the draws contracted with
-    scales[d] times their suffix sums: one (2K, n) matrix per driver, applied
-    with einsum("ij,kj->ik"), whose entries do not depend on the batch's rows
-    nor on K (a BLAS matmul's do).  Under deterministic turnover (`v`
-    given) the 1/v terms are constants per schedule; otherwise one more
-    contraction of 1/vol prices them.  The direct and decomposed totals
-    must agree on every path.
+    draws x_d, of standard deviations sds[d].  By
+    _price_weights, each schedule's decomposed weights price a constant c
+    (s0 times their sums, plus the permanent impact) plus the draws
+    contracted with G_d, scales[d] times their suffix sums: one (K, n)
+    matrix per driver, applied with einsum("ij,kj->ik"), whose entries do
+    not depend on the batch's rows nor on K (a BLAS matmul's do).  Under
+    deterministic turnover (`v` given) the 1/v terms join c; otherwise one
+    more contraction of 1/vol prices them.  The direct form, c' and G', is
+    checked once, on the weights: on a path the two forms differ by a
+    Gaussian of mean c - c' and standard deviation |G - G'| (the 1/v term is
+    common to both), and ConsistencyError unless
+    |c - c'| + 6 |G - G'| <= 1e-8 max(1, |c'| - 6 |G'|), so every path
+    within 6 standard deviations meets the per-path test at 1e-8.
     """
 
-    def __init__(self, schedules: Sequence[Strategy], market: MarketParams, scales, v=None):
-        risk, direct, temp, total0, direct0 = zip(
-            *(_cost_weights(s.zeta, s.Phi, s.grid.tau, market) for s in schedules)
+    def __init__(self, schedules: Sequence[Strategy], market: MarketParams, scales, sds, v=None):
+        risk, direct, temp, total0, direct0 = map(
+            np.array, zip(*(_cost_weights(s.zeta, s.Phi, s.grid.tau, market) for s in schedules))
         )
-        self.k = len(risk)
-        sums, suffix = _price_weights(np.array(risk + direct))
+        sums, suffix = _price_weights(risk)
+        direct_sums, direct_suffix = _price_weights(direct)
         self.price_w = [scale * suffix for scale in scales]
-        self.temp_w = np.array(temp)
-        self.total0 = np.array(total0) + market.s0 * sums[: self.k]
-        self.direct0 = np.array(direct0) + market.s0 * sums[self.k :]
+        self.temp_w = temp
+        self.total0 = total0 + market.s0 * sums
+        direct0 = direct0 + market.s0 * direct_sums
         if v is not None:
             fixed = np.einsum("kj,j->k", self.temp_w, 1.0 / v)
             self.total0 += fixed
-            self.direct0 += fixed
+            direct0 += fixed
             self.temp_w = None
 
-    def contract(self, draws) -> np.ndarray:
-        """Price terms of every weight vector, shape (rows, 2K), from one
-        draw array per driver; a mirrored draw's are their negation."""
-        both = np.einsum("ij,kj->ik", draws[0], self.price_w[0])
-        for x, w in zip(draws[1:], self.price_w[1:]):
-            both += np.einsum("ij,kj->ik", x, w)
-        return both
+        def spread(w):  # standard deviation of sum_d x_d . (scales[d] w)
+            return np.sqrt(sum((scale * sd) ** 2 * _dot(w, w) for scale, sd in zip(scales, sds)))
 
-    def totals(self, both, vol=None, out=None, path=0, rows=None) -> np.ndarray:
+        gap = np.abs(self.total0 - direct0) + 6.0 * spread(suffix - direct_suffix)
+        _require_agreement(gap, np.abs(direct0) - 6.0 * spread(direct_suffix))
+
+    def contract(self, draws) -> np.ndarray:
+        """Price terms of every schedule, shape (rows, K), from one draw
+        array per driver; a mirrored draw's are their negation."""
+        terms = np.einsum("ij,kj->ik", draws[0], self.price_w[0])
+        for x, w in zip(draws[1:], self.price_w[1:]):
+            terms += np.einsum("ij,kj->ik", x, w)
+        return terms
+
+    def totals(self, terms, vol=None, out=None) -> np.ndarray:
         """Totals of shape (K, paths) from the price terms of `contract`;
         `vol` is read only under stochastic turnover, whose reciprocal goes
         to the leading rows of `out` (a buffer with at least vol's rows,
-        allocated when None).  A disagreement names the path, the first
-        being `path`, and schedule k as `rows[k]` (k by default)."""
-        total = both[:, : self.k] + self.total0
-        direct = both[:, self.k :] + self.direct0
+        allocated when None)."""
+        total = terms + self.total0
         if self.temp_w is not None:
             if not vol.min() > 0.0:
                 raise ValueError("turnover path must be strictly positive")
             inverse = np.divide(1.0, vol, out=None if out is None else out[: len(vol)])
-            temporary = np.einsum("ij,kj->ik", inverse, self.temp_w)
-            total += temporary
-            direct += temporary
-        _require_agreement(direct, total, path, range(self.k) if rows is None else rows)
+            total += np.einsum("ij,kj->ik", inverse, self.temp_w)
         return total.T
 
 
@@ -257,7 +262,8 @@ def realized_is_cost(price_path, volume_path, s: Strategy, market: MarketParams)
     risk, direct, temp, total0, direct0 = _cost_weights(s.zeta, s.Phi, s.grid.tau, market)
     temporary, price_risk = _dot(1.0 / vol, temp), _dot(price, risk)
     total = price_risk + total0 + temporary
-    _require_agreement(_dot(price, direct) + direct0 + temporary, total)
+    direct_total = _dot(price, direct) + direct0 + temporary
+    _require_agreement(abs(direct_total - total), abs(direct_total))
     return CostBreakdown(*map(float, (total, total0, temporary, price_risk)))
 
 

@@ -2,10 +2,10 @@
 estimation, and the optimality-ordering tournament.
 
 Draws are keyed per block of paths (the volume layer's _BLOCK) and driver
-stream with one SFC64 generator per key, so any path is rebuilt by drawing its
-block up to that row and slicing, and results depend neither on batch size
-nor on which thread draws a path.  Every estimate runs one pass over the
-paths, split into _BLOCK-aligned tasks of at most _TASK drawn paths.  One
+stream with one SFC64 generator per key, and every draw starts on a block,
+so results depend neither on the task split nor on which thread draws a
+path.  Every estimate runs one pass over the paths, split into
+_BLOCK-aligned tasks of at most _TASK drawn paths.  One
 helper thread per further CPU the process may run on (os.sched_getaffinity)
 takes tasks from one shared list at once; the calling thread first runs the
 work it was given beside the pass (`validate`'s checks that do not read the
@@ -21,7 +21,9 @@ running sum of fixed multiples of the normals (its driver is correlated
 with a lognormal turnover's through the model's rho), so every static row
 is a constant plus the normals contracted with the schedule's weight
 vectors moved onto the increments, and one einsum per driver stream prices
-all of them; an antithetic twin's price terms are the negated ones.
+all of them; an antithetic twin's price terms are the negated ones.  Each
+schedule's direct form is checked against its decomposition once, on the
+weights, before any draw (cost._StaticCosts).
 einsum, unlike a BLAS matmul, gives each entry bits that do not depend on
 the task's size, offset or schedule count.  Under deterministic turnover
 the anticipating schedule is static too; under stochastic turnover its row
@@ -219,25 +221,24 @@ def _cost_rows(
     statics: Sequence[Strategy],
     anticipating_phi: Optional[float] = None,
     antithetic: bool = False,
-    batch_size: int = _DEFAULT_BATCH,
     alongside: Sequence[_Outcome] = (),
 ) -> np.ndarray:
     """Realized cost of every static schedule on every path, one pass.
 
-    The paths are split into tasks of at most _TASK drawn paths, aligned to
-    the keyed blocks when the batch allows it, and drained (`_drain`) by one
-    thread per CPU (`_worker_count`), but no more threads than the batch
-    holds blocks; the calling thread runs `alongside` first.  All
-    workspaces together hold at most `batch_size` paths, mirrors counted (a
-    mirror reuses its draw's buffers), so batch size bounds memory and
-    never changes a result.
+    The paths are split into tasks of at most _TASK drawn paths, each
+    starting on a keyed block, and drained (`_drain`) by one thread per CPU
+    (`_worker_count`), but no more threads than _DEFAULT_BATCH holds
+    blocks; the calling thread runs `alongside` first.  All workspaces
+    together hold at most _DEFAULT_BATCH paths, mirrors counted (a mirror
+    reuses its draw's buffers), so memory is bounded on any CPU count, and
+    the task split never changes a result.
 
     No price path is built: the price moves by sigma_tilde sqrt(tau) z under
     deterministic turnover, by sigma_tilde (rho dB + sqrt(tau (1 - rho^2)) z_1)
     under stochastic turnover, dB = sqrt(tau) z_0 being the turnover driver's
     increments.  cost._StaticCosts prices each distinct static schedule once,
-    in direct and decomposed form that must agree; a mirror's price terms
-    are its draw's, negated.
+    its direct and decomposed weights checked against each other once; a
+    mirror's price terms are its draw's, negated.
     With `anticipating_phi` set, row 0 is the anticipating
     turnover-proportional schedule for that order size and the static
     schedules follow.  Under deterministic turnover that schedule is itself
@@ -259,27 +260,22 @@ def _cost_rows(
     if anticipating_phi is not None and not stochastic:
         statics = [vwap_strategy(cfg.volume, anticipating_phi), *statics]
     root = math.sqrt(grid.tau)
-    scales = (market.sigma_tilde * root,)
+    scales, sds = (market.sigma_tilde * root,), (1.0,)
     if stochastic:
         rho = cfg.volume.rho
         scales = (market.sigma_tilde * rho, scales[0] * math.sqrt(max(0.0, 1.0 - rho**2)))
+        sds = (root, 1.0)  # the turnover driver's draws are its increments
     costs = np.empty((per_path + len(statics), n))
     unique = {(s.Phi, s.zeta.tobytes()): s for s in statics}  # each is contracted once
     slot = [list(unique).index((s.Phi, s.zeta.tobytes())) for s in statics]
-    row_of = [per_path + slot.index(k) for k in range(len(unique))]  # names a failing schedule
     statics = list(unique.values())
     if statics:
-        kernel = _StaticCosts(statics, market, scales, v=None if stochastic else cfg.volume.v)
+        kernel = _StaticCosts(statics, market, scales, sds, None if stochastic else cfg.volume.v)
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
-    held = max(1, batch_size // len(offsets))  # drawn paths held at once
-    cpus = _worker_count()
-    if held >= _BLOCK:
-        cpus = min(cpus, held // _BLOCK)  # so that every task holds whole blocks
-    size = max(1, held // cpus)
-    if size >= _BLOCK:
-        size = min(_TASK, size - size % _BLOCK)
-    size = min(size, drawn)
+    held = _DEFAULT_BATCH // len(offsets)  # drawn paths held at once
+    cpus = min(_worker_count(), held // _BLOCK)  # so that every task holds whole blocks
+    size = min(_TASK, drawn, held // cpus // _BLOCK * _BLOCK)
     tasks = list(_batches(drawn, size))
     count = min(cpus, len(tasks) + bool(alongside))  # a helper starts beside `alongside`
     spaces = [_Workspace(cfg, size) for _ in range(count)]
@@ -294,10 +290,10 @@ def _cost_rows(
         z = draws[0]
         if stochastic:
             z *= root  # the turnover driver's increments, which _gbm_block reads
-        both = kernel.contract(draws) if statics else None
+        terms = kernel.contract(draws) if statics else None
         for d, offset in enumerate(offsets):
             if d and statics:
-                np.negative(both, out=both)
+                np.negative(terms, out=terms)
             if d and stochastic:  # the mirror's turnover, and its price
                 np.negative(z, out=z)
                 if per_path:
@@ -305,7 +301,7 @@ def _cost_rows(
             cols = slice(offset + first, offset + last)
             vol = _gbm_block(cfg.volume, grid, z, out=ws.vol[:m]) if stochastic else None
             if statics:
-                costs[per_path:, cols] = kernel.totals(both, vol, ws.spare, cols.start, row_of)[slot]
+                costs[per_path:, cols] = kernel.totals(terms, vol, ws.spare)[slot]
             if per_path:
                 costs[0, cols] = _anticipating_costs(
                     draws, scales, vol, anticipating_phi, grid.tau, market, ws.spare[:m]
@@ -354,17 +350,15 @@ def estimate_cost_moments(
     s: Strategy,
     cfg: SimulationConfig,
     antithetic: bool = False,
-    batch_size: int = _DEFAULT_BATCH,
     return_costs: bool = False,
 ):
     """Sample mean/variance of the realized cost of `s` under the configuration.
 
     With antithetic=True (n_paths must be even) each drawn path is paired
     with its sign-flipped twin; see `moment_estimate` for the standard
-    errors.  `batch_size` only bounds memory: the draws, and so the result,
-    do not depend on it.
+    errors.
     """
-    costs = _cost_rows(cfg, [s], antithetic=antithetic, batch_size=batch_size)[0]
+    costs = _cost_rows(cfg, [s], antithetic=antithetic)[0]
     est = moment_estimate(costs, antithetic)
     return (est, costs) if return_costs else est
 

@@ -242,11 +242,12 @@ def strategy_from_csv(path: str) -> Strategy:
     """Rebuild a strategy from CSV; Phi is re-derived as the rate's integral."""
     with open(path) as f:
         header = f.readline().strip().split(",")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
+        lines = [line for line in f if line.strip()]  # loadtxt warns on no data
     try:
         it, iz = header.index("t"), header.index("zeta")
     except ValueError as e:
         raise ValueError(f"strategy CSV needs at least columns t,zeta; got {header}") from e
+    data = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, len(header)))
     if len(data) < 3:
         raise ValueError("strategy CSV must contain at least 3 nodes")
     t, zeta = data[:, it], data[:, iz]

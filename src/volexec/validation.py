@@ -93,16 +93,9 @@ def run_validation(
     n_paths: int = 20_000,
     seed: int = 0,
     lambdas=(0.5, 1.0, 2.0),
-    _corrupt_kappa_tilde: float = 1.0,
 ) -> dict:
     """Run every check and return the report dict (see the module docstring
-    for which thread runs what).
-
-    `_corrupt_kappa_tilde` rescales the temporary-impact coefficient inside
-    the *analytic* variance computation only; it exists so tests can prove
-    the moment-matching check actually has teeth (a negative control), and
-    must be left at 1.0 otherwise.
-    """
+    for which thread runs what)."""
     checks = []
     stochastic = isinstance(volume, GbmVolumeModel)
     degenerate = stochastic and volume.sigma == 0.0
@@ -114,13 +107,6 @@ def run_validation(
     else:
         probes["vwap"] = vwap_strategy(volume, Phi)
     probe_name, probe = next(iter(probes.items()))
-
-    corrupted = MarketParams(
-        kappa=market.kappa,
-        kappa_tilde=market.kappa_tilde * _corrupt_kappa_tilde,
-        sigma_tilde=market.sigma_tilde,
-        s0=market.s0,
-    )
 
     # --- path checks, turnover model statistics and determinism -----------
     def path_checks():
@@ -248,9 +234,9 @@ def run_validation(
         ec = expected_cost(s, volume, market)
         zm = _z(est.mean - ec, est.std_error_mean)
         if stochastic:
-            analytic_var = mv_gbm(s, volume, 1.0, corrupted).variance
+            analytic_var = mv_gbm(s, volume, 1.0, market).variance
         else:
-            analytic_var = mv_deterministic(s, volume, 1.0, corrupted).variance
+            analytic_var = mv_deterministic(s, volume, 1.0, market).variance
         zv = _z(est.variance - analytic_var, est.std_error_variance)
         mean_detail[name] = {"mc": est.mean, "analytic": ec, "z": zm}
         var_detail[name] = {"mc": est.variance, "analytic": analytic_var, "z": zv}

@@ -8,9 +8,10 @@ values as given.
 
 Random draws are keyed per block of _BLOCK consecutive paths: one SFC64
 generator per (seed, block, stream) fills the block's rows in path order, so
-a path's draws never depend on how the paths are batched, nor on which
-thread draws them: the Monte Carlo pass prices _BLOCK-aligned tasks on every
-CPU the process may run on, and its rows keep their bits on any CPU count.
+a path's draws never depend on how the paths are split into tasks, nor on
+which thread draws them: every draw starts on a block, the Monte Carlo pass
+prices _BLOCK-aligned tasks on every CPU the process may run on, and its
+rows keep their bits on any CPU count.
 The fills write into caller-owned buffers when given one (`out=`), so a
 worker thread draws without allocating path-sized memory.
 """
@@ -127,21 +128,16 @@ def _normal_block(seed: int, first: int, last: int, stream: int, n: int, out=Non
 
     Path k is row k % _BLOCK of block k // _BLOCK.  A block's generator fills
     its rows in order with one standard_normal call, so the leading rows of a
-    block never depend on how many rows are drawn, and any path is rebuilt
-    by drawing its block up to that row and slicing.  A range that starts
-    partway into a block draws that block from row 0: the ziggurat sampler
-    consumes a variable number of words per normal, so the generator cannot
-    skip ahead to a row.
+    block never depend on how many rows are drawn.  `first` must start a
+    block (ValueError otherwise): the ziggurat sampler consumes a variable
+    number of words per normal, so a generator cannot skip ahead to a row.
     """
+    if first % _BLOCK:
+        raise ValueError(f"draws start on a block of {_BLOCK} paths, got path {first}")
     z = np.empty((last - first, n)) if out is None else out
-    for block in range(first // _BLOCK, -(-last // _BLOCK)):
-        lo = block * _BLOCK
-        hi = min(lo + _BLOCK, last)
-        rng = path_rng(seed, block, stream=stream)
-        if first <= lo:
-            rng.standard_normal(out=z[lo - first : hi - first])
-        else:
-            z[: hi - first] = rng.standard_normal((hi - lo, n))[first - lo :]
+    for lo in range(first, last, _BLOCK):
+        rows = z[lo - first : min(lo + _BLOCK, last) - first]
+        path_rng(seed, lo // _BLOCK, stream=stream).standard_normal(out=rows)
     return z
 
 

@@ -77,18 +77,29 @@ def antithetic_paths(cfg):
     return np.concatenate([price, twin_price]), np.concatenate([vol, twin_vol])
 
 
-def perturbed_cost_weights(size):
+def perturbed_cost_weights(size, pair=False):
     """Test fault: cost._cost_weights with size * Phi added to the middle
-    weight of the direct form, which the per-path identity check must catch."""
+    weight of the direct form, which the identity check on the weights must
+    catch.  With pair=True as much is taken from the next weight, so only
+    one price increment's weight changes."""
     build = cost._cost_weights
 
     def perturbed(zeta, Phi, tau, market):
         risk, direct, *rest = build(zeta, Phi, tau, market)
         direct = direct.copy()
-        direct[..., direct.shape[-1] // 2] += size * Phi
+        mid = direct.shape[-1] // 2
+        direct[..., mid] += size * Phi
+        if pair:
+            direct[..., mid + 1] -= size * Phi
         return (risk, direct, *rest)
 
     return perturbed
+
+
+def task_fault(seed, first, *args, **kwargs):
+    """Test fault: montecarlo._normal_block failing every task of a pass,
+    its message naming the task's first path."""
+    raise ValueError(f"task at {first}")
 
 
 def decompose(price, vol, zeta, Phi, tau, market):

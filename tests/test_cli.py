@@ -237,17 +237,26 @@ def test_validate_byte_identical_reruns(tmp_path):
     assert (a / "validation.json").read_bytes() == (b / "validation.json").read_bytes()
 
 
-def test_validate_catches_seeded_defect(market, gbm_model, grid200):
+def test_validate_catches_seeded_defect(monkeypatch, market, gbm_model, grid200):
     """A deliberately corrupted variance kernel must trip exactly one check."""
+    from volexec import validation
     from volexec.validation import run_validation
 
     good = run_validation(
         gbm_model, market, grid200, n_paths=600, seed=3, lambdas=(0.5,)
     )
     assert good["all_passed"]
+
+    def corrupted(mv):  # kappa_tilde scaled by 25 in the analytic variance
+        def scaled(s, model, lam, m):
+            return mv(s, model, lam, dataclasses.replace(m, kappa_tilde=25.0 * m.kappa_tilde))
+
+        return scaled
+
+    for name in ("mv_gbm", "mv_gbm_quadrature_check"):
+        monkeypatch.setattr(validation, name, corrupted(getattr(validation, name)))
     bad = run_validation(
-        gbm_model, market, grid200, n_paths=600, seed=3, lambdas=(0.5,),
-        _corrupt_kappa_tilde=25.0,
+        gbm_model, market, grid200, n_paths=600, seed=3, lambdas=(0.5,)
     )
     assert not bad["all_passed"]
     failed = [c["name"] for c in bad["checks"] if not c["passed"] and not c.get("skipped")]
@@ -610,6 +619,24 @@ def test_cli_contracts_hold_on_random_configs(tmp_path, capsys):
                     assert all(r["status"] == "converged" for r in results), (case, command)
                     assert report.get("all_passed", True), (case, command)
     print("warnings seen:", *sorted(seen.items()), sep="\n  ")
+
+
+def test_antithetic_needs_two_pairs(tmp_path, capsys):
+    """One antithetic pair has no standard error: 2 antithetic paths are a
+    config error that writes nothing, 4 simulate."""
+    from volexec.cli import main
+
+    for n_paths, code in ((2, 2), (4, 0)):
+        doc = det_config(grid_n=10, n_paths=n_paths)
+        doc["mc"]["antithetic"] = True
+        out = tmp_path / str(n_paths)
+        assert main(["simulate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err == "config error: mc.n_paths must be at least 4 with mc.antithetic\n"
+            assert not _artifacts(out)
+        else:
+            assert "simulate.json" in _artifacts(out)
 
 
 def test_config_and_preset_conflict(tmp_path):

@@ -13,7 +13,6 @@ from volexec.cost import (
     realized_is_cost,
     _inverse_turnover_cov_dot,
     _inverse_turnover_factors,
-    _StaticCosts,
 )
 from volexec.errors import ConsistencyError
 from volexec.grids import build_grid, trapz
@@ -234,8 +233,5 @@ def test_nan_node_raises(market, grid200, twap200):
     price[1, 50] = np.nan
     with pytest.raises(ConsistencyError):
         realized_is_cost(price[1], vol[1], twap200, market)
-    kernel = _StaticCosts([twap200], market, (1.0,))
-    with pytest.raises(ConsistencyError):
-        kernel.totals(kernel.contract([np.diff(price)]), vol)
     with pytest.raises(ConsistencyError):
         CostBreakdown(total=np.nan, permanent=0.0, temporary=0.0, price_risk=0.0)

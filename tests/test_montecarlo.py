@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 import sys
 import threading
 import tracemalloc
@@ -33,7 +32,14 @@ from volexec.volume import (
     profile_from_samples,
 )
 
-from conftest import antithetic_paths, decompose, joint_paths, make_twap, perturbed_cost_weights
+from conftest import (
+    antithetic_paths,
+    decompose,
+    joint_paths,
+    make_twap,
+    perturbed_cost_weights,
+    task_fault,
+)
 
 
 def _cfg(volume, market, grid, n_paths=2000, seed=0):
@@ -86,20 +92,41 @@ def test_deterministic_volume_is_broadcast(market, grid200):
     assert not np.array_equal(price[0], price[1])
 
 
-def test_batching_is_invisible(market, gbm_model, grid200, twap200):
-    # 600 paths span three keyed blocks, and batches of 7 start mid-block
-    cfg = _cfg(gbm_model, market, grid200, n_paths=600, seed=4)
+def _on_workers(monkeypatch, counts, run):
+    """run() once per worker count, as if the process could use that many
+    CPUs."""
+    out = []
+    for workers in counts:
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        out.append(run())
+    return out
+
+
+def test_batching_is_invisible(monkeypatch, market, gbm_model, grid200, twap200):
+    # 1030 paths span five keyed blocks, the last one ragged; one and two
+    # workers price tasks of 512 drawn paths, five workers tasks of 256
+    cfg = _cfg(gbm_model, market, grid200, n_paths=1030, seed=4)
+    draw, tasks = montecarlo._normal_block, set()
+
+    def logged(seed, first, last, *args, **kwargs):
+        tasks.add((first, last))
+        return draw(seed, first, last, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_normal_block", logged)
     for antithetic in (False, True):
-        a, ca = estimate_cost_moments(
-            twap200, cfg, antithetic=antithetic, batch_size=7, return_costs=True
-        )
-        b, cb = estimate_cost_moments(
-            twap200, cfg, antithetic=antithetic, batch_size=600, return_costs=True
-        )
-        assert np.array_equal(ca, cb)
-        assert a.mean == b.mean
-        assert a.variance == b.variance
-        assert a.n_paths == 600
+        runs = []
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+            runs.append(estimate_cost_moments(twap200, cfg, antithetic=antithetic, return_costs=True))
+            drawn, size = 1030 // (1 + antithetic), 256 if workers == 5 else 512
+            assert tasks == {(a, min(a + size, drawn)) for a in range(0, drawn, size)}
+            tasks.clear()
+        (a, ca), *rest = runs
+        for b, cb in rest:
+            assert np.array_equal(ca, cb)
+            assert a.mean == b.mean
+            assert a.variance == b.variance
+            assert b.n_paths == 1030
 
 
 def test_repeat_runs_are_bitwise_equal(market, gbm_model, grid200, twap200):
@@ -309,7 +336,7 @@ def _increment_kernel(statics, profile, market):
     """The pass's static kernel under deterministic turnover: the price
     moves by sigma_tilde sqrt(tau) times the standard normals."""
     scale = market.sigma_tilde * math.sqrt(profile.grid.tau)
-    return _StaticCosts(statics, market, (scale,), v=profile.v)
+    return _StaticCosts(statics, market, (scale,), (1.0,), v=profile.v)
 
 
 @pytest.mark.parametrize("seed", [31, 32])
@@ -346,49 +373,74 @@ def test_exact_variance_tends_to_mv_deterministic(market_hi):
 @pytest.mark.parametrize("kind", ["arcsine", "gbm"])
 def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind):
     """The direct form has its own weights: a small error in one of them
-    breaks the per-path identity of a static row and raises.  (The
-    anticipating row under stochastic turnover is checked by `validate`.)"""
-    cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=64, seed=22)
+    breaks the identity of a static row and raises.  (The anticipating row
+    under stochastic turnover is checked by `validate`.)  A task that fails
+    on a helper thread raises on the calling thread."""
+    cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=1030, seed=22)
     _cost_rows(cfg, [twap200])
-    monkeypatch.setattr(cost, "_cost_weights", perturbed_cost_weights(1e-8))
-    with pytest.raises(ConsistencyError):
-        _cost_rows(cfg, [twap200])
+    with monkeypatch.context() as m:
+        m.setattr(cost, "_cost_weights", perturbed_cost_weights(1e-8))
+        with pytest.raises(ConsistencyError):
+            _cost_rows(cfg, [twap200])
 
-    # a pass of eight tasks on two threads: the helper's error reaches the
-    # caller.  The calling thread's checks are silenced, so the error raised
-    # is the helper's, and each thread's first draw waits for the other's,
-    # so the helper holds a task before the calling thread can drain them all.
-    check, draw = cost._require_agreement, montecarlo._normal_block
-    barrier, seen, raised_on = threading.Barrier(2, timeout=30), set(), []
+    # a pass of three tasks on two threads whose draws fail on the helper
+    # only: each thread's first draw waits for the other's, so the helper
+    # holds a task before the calling thread can drain them all
+    draw, barrier, seen = montecarlo._normal_block, threading.Barrier(2, timeout=30), set()
 
-    def recorded(*args):
-        try:
-            check(*args)
-        except ConsistencyError:
-            raised_on.append(threading.current_thread().name)
-            if threading.current_thread() is not threading.main_thread():
-                raise
-
-    def paired(*args, **kwargs):
+    def helper_fails(seed, first, *args, **kwargs):
         if threading.get_ident() not in seen:
             seen.add(threading.get_ident())
             barrier.wait()
-        return draw(*args, **kwargs)
+        if threading.current_thread() is not threading.main_thread():
+            task_fault(seed, first, *args, **kwargs)
+        return draw(seed, first, *args, **kwargs)
 
-    monkeypatch.setattr(cost, "_require_agreement", recorded)
-    monkeypatch.setattr(montecarlo, "_normal_block", paired)
+    monkeypatch.setattr(montecarlo, "_normal_block", helper_fails)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    with pytest.raises(ValueError, match=r"^task at (0|512|1024)$"):
+        _cost_rows(cfg, [twap200])
+
+
+@pytest.mark.parametrize("kind", ["arcsine", "gbm"])
+def test_identity_is_checked_on_the_weights_before_any_draw(monkeypatch, market, grid200, twap200, kind):
+    """The kernel checks the two forms once, on their weights: a perturbed
+    direct form raises from _StaticCosts, before the pass draws a path."""
+    cfg = _cfg(_volume(kind, grid200, rho=-0.6), market, grid200, n_paths=1030, seed=22)
+    draws = []
+    draw = montecarlo._normal_block
+    monkeypatch.setattr(montecarlo, "_normal_block", lambda *a, **k: draws.append(a) or draw(*a, **k))
+    monkeypatch.setattr(cost, "_cost_weights", perturbed_cost_weights(1e-8))
+    with pytest.raises(ConsistencyError, match=r"disagree by \S+ in schedule 0$"):
+        _StaticCosts([twap200], market, (1.0,), (1.0,))
     with pytest.raises(ConsistencyError):
-        _cost_rows(cfg, [twap200], batch_size=16)
-    assert threading.main_thread().name in raised_on  # the perturbation reached both
+        _cost_rows(cfg, [twap200])
+    assert not draws
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("kind", ["arcsine", "gbm"])
+def test_identity_bound_is_six_standard_deviations(monkeypatch, market, grid200, twap200, kind):
+    """eps Phi moved between two adjacent direct weights changes one price
+    increment's weight only: the forms then differ on a path by a Gaussian
+    of standard deviation eps Phi sigma_tilde sqrt(tau), whatever rho (each
+    driver weighted by its variance), and the check raises once six of them
+    exceed 1e-8 (a TWAP's direct cost is below 1)."""
+    cfg = _cfg(_volume(kind, grid200, rho=-0.6), market, grid200, n_paths=64, seed=22)
+    bound = 1e-8 / (6.0 * market.sigma_tilde * math.sqrt(grid200.tau))
+    with monkeypatch.context() as m:
+        m.setattr(cost, "_cost_weights", perturbed_cost_weights(0.9 * bound, pair=True))
+        _cost_rows(cfg, [twap200])
+    monkeypatch.setattr(cost, "_cost_weights", perturbed_cost_weights(1.1 * bound, pair=True))
+    with pytest.raises(ConsistencyError):
+        _cost_rows(cfg, [twap200])
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
 def test_rows_do_not_depend_on_worker_count(monkeypatch, market, workers):
     """Every row has the same bits whether one thread or several price the
     pass: gbm rows (the per-path anticipating row included) with and without
-    antithetic twins, and the deterministic tournament's rows, with tasks
-    aligned to the keyed blocks or not, and a ragged last task."""
+    antithetic twins, and the deterministic tournament's rows, with tasks of
+    512 or 256 drawn paths and a ragged last task."""
     grid50 = build_grid(1.0, 50)
     gbm = GbmVolumeModel(1.0, -0.02, 0.3, rho=-0.4)
     arcsine = arcsine_profile(grid50)
@@ -412,58 +464,31 @@ def test_rows_do_not_depend_on_worker_count(monkeypatch, market, workers):
     try:
         for volume, statics, antithetic in cases:
             cfg = _cfg(volume, market, grid50, n_paths=1030, seed=25)
-            for batch_size in (7, 2048):
-                monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
-                alone = _cost_rows(cfg, statics, 1.0, antithetic=antithetic, batch_size=batch_size)
-                assert not started  # one CPU: the calling thread prices every task
-                monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-                shared = _cost_rows(cfg, statics, 1.0, antithetic=antithetic, batch_size=batch_size)
-                assert len(started) == workers - 1
-                assert not any(t.is_alive() for t in started)
-                started.clear()
-                assert np.array_equal(alone, shared), (volume, antithetic, batch_size)
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+            alone = _cost_rows(cfg, statics, 1.0, antithetic=antithetic)
+            assert not started  # one CPU: the calling thread prices every task
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+            shared = _cost_rows(cfg, statics, 1.0, antithetic=antithetic)
+            assert 0 < len(started) < workers  # no more helpers than tasks
+            assert not any(t.is_alive() for t in started)
+            started.clear()
+            assert np.array_equal(alone, shared), (volume, antithetic)
     finally:
         sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("kind", ["arcsine", "gbm"])
 def test_failing_pass_raises_the_same_error_on_any_cpu_count(monkeypatch, market, grid200, kind):
-    """Every task of a perturbed pass fails; the error re-raised is the
-    lowest task's, where a serial run stops, and its message names the
-    path's index in the run and the schedule's row in plain numbers."""
-    cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=2000, seed=22)
+    """Every task of a failing pass raises; the error re-raised is the
+    lowest task's, where a serial run stops, on any CPU count."""
+    cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=1030, seed=22)
     statics = [_shaped(grid200, 1.5), _shaped(grid200, -0.5)]
-    monkeypatch.setattr(cost, "_cost_weights", perturbed_cost_weights(1e-8))
-    messages = []
-    for workers in (1, 2, 1, 2):
+    monkeypatch.setattr(montecarlo, "_normal_block", task_fault)
+    for workers in (1, 2, 5):
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-        with pytest.raises(ConsistencyError) as raised:
-            _cost_rows(cfg, statics, 1.0, antithetic=True, batch_size=16)
-        messages.append(str(raised.value))
-    assert len(set(messages)) == 1, messages
-    assert "np." not in messages[0]
-    assert re.fullmatch(
-        r"direct cost and decomposition disagree by \S+ on path \d+ in schedule row [012]",
-        messages[0],
-    )
-
-
-def test_message_names_path_and_row_of_the_run(monkeypatch, market, grid200, twap200):
-    """A disagreement in a later task names the path's index in the whole
-    run and the row of the result, a repeated schedule by its first row."""
-    p = arcsine_profile(grid200)
-    cfg = _cfg(p, market, grid200, n_paths=1200, seed=4)
-    totals = cost._StaticCosts.totals
-
-    def broken(self, both, vol, out, path, rows):
-        both = both.copy()
-        if path <= 700 < path + len(both):
-            both[700 - path, self.k + 1] += 1.0  # the direct form of the second distinct schedule
-        return totals(self, both, vol, out, path, rows)
-
-    monkeypatch.setattr(cost._StaticCosts, "totals", broken)
-    with pytest.raises(ConsistencyError, match=r"on path 700 in schedule row 2$"):
-        _cost_rows(cfg, [vwap_strategy(p, 1.0), vwap_strategy(p, 1.0), twap200])
+        for antithetic in (False, True):
+            with pytest.raises(ValueError, match=r"^task at 0$"):
+                _cost_rows(cfg, statics, 1.0, antithetic=antithetic)
 
 
 def test_repeated_schedule_is_priced_once(monkeypatch, market, grid200, twap200):
@@ -541,47 +566,57 @@ def test_work_beside_the_pass(monkeypatch, market, grid200, twap200, workers, n_
         assert events.index(("value", True)) < events.index(("task", True))
 
 
-def test_batching_is_invisible_deterministic_tournament(market, grid200, twap200):
+def test_batching_is_invisible_deterministic_tournament(monkeypatch, market, grid200, twap200):
     # the tournament's rows on deterministic turnover: the anticipating row
-    # joins the static contraction, and no row depends on the batch size
+    # joins the static contraction, and no row depends on the task split
     p = arcsine_profile(grid200)
     vwap = vwap_strategy(p, 1.0)
-    cfg = _cfg(p, market, grid200, n_paths=600, seed=4)
+    cfg = _cfg(p, market, grid200, n_paths=1030, seed=4)
     for antithetic in (False, True):
-        a = _cost_rows(cfg, [twap200, vwap], 1.0, antithetic=antithetic, batch_size=7)
-        b = _cost_rows(cfg, [twap200, vwap], 1.0, antithetic=antithetic, batch_size=600)
-        assert np.array_equal(a, b)
+        a, *rest = _on_workers(
+            monkeypatch, (1, 2, 5), lambda: _cost_rows(cfg, [twap200, vwap], 1.0, antithetic=antithetic)
+        )
+        for b in rest:
+            assert np.array_equal(a, b)
         assert np.array_equal(a[0], a[2])  # anticipating == volume-proportional
     # and these are the tournament's own rows
     _, rows = validate_theorem_orderings(cfg, {"twap": twap200, "vwap": vwap}, True)
-    plain = _cost_rows(cfg, [twap200, vwap], 1.0, batch_size=7)
+    plain = _cost_rows(cfg, [twap200, vwap], 1.0)
     for name, row in zip(("anticipating-vwap", "twap", "vwap"), plain):
         assert np.array_equal(rows[name], row)
 
 
-def test_batching_is_invisible_stochastic_tournament(market, gbm_model, grid200, twap200):
+def test_batching_is_invisible_stochastic_tournament(monkeypatch, market, gbm_model, grid200, twap200):
     # the per-path anticipating row too: its turnover mass is a row-stable
-    # contraction (a BLAS matrix-vector product changed with the batch size)
+    # contraction (a BLAS matrix-vector product changed with the task size)
     ev = expected_vwap_strategy(gbm_model, grid200, 1.0)
     model = dataclasses.replace(gbm_model, rho=0.3)
-    cfg = _cfg(model, market, grid200, n_paths=600, seed=4)
+    cfg = _cfg(model, market, grid200, n_paths=1030, seed=4)
     for antithetic in (False, True):
-        a = _cost_rows(cfg, [ev, twap200], 1.0, antithetic=antithetic, batch_size=7)
-        b = _cost_rows(cfg, [ev, twap200], 1.0, antithetic=antithetic, batch_size=600)
-        assert np.array_equal(a, b)
+        a, *rest = _on_workers(
+            monkeypatch, (1, 2, 5), lambda: _cost_rows(cfg, [ev, twap200], 1.0, antithetic=antithetic)
+        )
+        for b in rest:
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind", ["arcsine", "gbm"])
-def test_rows_equal_one_schedule_passes(market, grid200, kind):
+def test_rows_equal_one_schedule_passes(monkeypatch, market, grid200, kind):
     """A shared pass gives each schedule the row a pass of its own gives,
-    bit for bit, so simulate can price a whole sweep on one set of draws."""
+    bit for bit, on any CPU count, so simulate can price a whole sweep on
+    one set of draws."""
     statics = [_shaped(grid200, a) for a in (0.0, 0.7, 2.0, -0.3)]
-    cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=600, seed=23)
+    cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=1030, seed=23)
     for antithetic in (False, True):
-        rows = _cost_rows(cfg, statics, antithetic=antithetic, batch_size=256)
-        for s, row in zip(statics, rows):
-            _, alone = estimate_cost_moments(s, cfg, antithetic=antithetic, return_costs=True)
-            assert np.array_equal(row, alone)
+        alone = [
+            estimate_cost_moments(s, cfg, antithetic=antithetic, return_costs=True)[1]
+            for s in statics
+        ]
+        for rows in _on_workers(
+            monkeypatch, (1, 2, 5), lambda: _cost_rows(cfg, statics, antithetic=antithetic)
+        ):
+            for row, expected in zip(rows, alone):
+                assert np.array_equal(row, expected)
 
 
 def test_memory_does_not_grow_with_schedules(market_hi, grid500, arcsine500):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from volexec import cost, montecarlo, validation
-from volexec.errors import ConsistencyError, SolverFailureError
+from volexec.errors import SolverFailureError
 from volexec.grids import build_grid
 from volexec.montecarlo import moment_estimate
 from volexec.volume import GbmVolumeModel, arcsine_profile
 
-from conftest import perturbed_cost_weights
+from conftest import task_fault
 
 
 def _volume(kind, grid):
@@ -68,7 +68,7 @@ def test_identity_check_catches_an_anticipating_row_error(monkeypatch):
 
 
 def _fail_pass(monkeypatch):
-    monkeypatch.setattr(cost, "_cost_weights", perturbed_cost_weights(1e-6))
+    monkeypatch.setattr(montecarlo, "_normal_block", task_fault)
 
 
 def _fail_paths(monkeypatch):
@@ -89,15 +89,17 @@ def _fail_structure(monkeypatch):
 @pytest.mark.parametrize(
     "breaks, raised, match",
     [
-        ((_fail_pass, _fail_structure), ConsistencyError, "direct cost and decomposition"),
+        ((_fail_pass, _fail_structure), ValueError, "^task at 0$"),
         ((_fail_paths, _fail_structure), ValueError, "path check"),
         ((_fail_structure,), SolverFailureError, "structural check"),
     ],
     ids=["pass-and-structural", "paths-and-structural", "structural"],
 )
 def test_errors_surface_in_serial_order(monkeypatch, workers, breaks, raised, match):
-    """A pass error wins; otherwise the path checks come before the
-    structural checks, as when every check ran one after another."""
+    """A pass error wins (its lowest task's), while the structural checks
+    still run beside the failing pass; otherwise the path checks come
+    before the structural checks, as when every check ran one after
+    another."""
     for brk in breaks:
         brk(monkeypatch)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)

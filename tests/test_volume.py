@@ -128,11 +128,15 @@ def test_simulation_determinism_and_path_keying(gbm_model):
     assert np.array_equal(c, a[:3])
     d, _ = _gbm_paths(gbm_model, g, n_paths=6, seed=6)
     assert not np.array_equal(a, d)
-    # any range, inside one block of paths or across a block boundary, is
-    # the slice of a full draw
-    full = _normal_block(5, 0, 512, stream=0, n=8)
-    for first, last in ((300, 301), (250, 270), (0, 1), (255, 512), (511, 512)):
+    # any range that starts a block of paths, ragged or across a block
+    # boundary, is the slice of a full draw; one that starts inside a block
+    # is an error
+    full = _normal_block(5, 0, 768, stream=0, n=8)
+    for first, last in ((256, 257), (0, 1), (256, 512), (0, 700), (512, 768)):
         assert np.array_equal(_normal_block(5, first, last, stream=0, n=8), full[first:last])
+    for first in (1, 255, 300):
+        with pytest.raises(ValueError, match="block"):
+            _normal_block(5, first, 512, stream=0, n=8)
 
 
 def test_path_rng_streams_are_distinct():
