@@ -11,8 +11,9 @@ permanent impact, temporary impact, and a zero-mean price-risk term.  The
 cost is affine in the price path and in 1/v, so one kernel, _cost_weights,
 turns a schedule into weight vectors, which the Monte Carlo pass contracts,
 moved onto the price increments (_price_weights), with the increments'
-driver draws; the direct form's weights are checked against the
-decomposition's once per schedule, not on every path.  The
+driver draws, and, under lognormal turnover, with the paths' v0/v, the
+form in which the pass builds them; the direct form's weights are checked
+against the decomposition's once per schedule, not on every path.  The
 turnover-proportional schedule Phi v / (w . v), rebuilt on each path, pays
 the same temporary cost on every path, and its rows are that identity in
 closed form (_anticipating_costs).  The expected/variance
@@ -166,40 +167,42 @@ class _StaticCosts:
     """Realized cost of K static schedules on a batch of draws, one
     contraction per driver.
 
-    Prices start at s0 and move by dS = sum_d scales[d] x_d over the driver
-    draws x_d, of standard deviations sds[d].  By
-    _price_weights, each schedule's decomposed weights price a constant c
-    (s0 times their sums, plus the permanent impact) plus the draws
-    contracted with G_d, scales[d] times their suffix sums: one (K, n)
-    matrix per driver, applied with einsum("ij,kj->ik"), whose entries do
-    not depend on the batch's rows nor on K (a BLAS matmul's do).  Under
-    deterministic turnover (`v` given) the 1/v terms join c; otherwise one
-    more contraction of 1/vol prices them.  The direct form, c' and G', is
-    checked once, on the weights: on a path the two forms differ by a
-    Gaussian of mean c - c' and standard deviation |G - G'| (the 1/v term is
-    common to both), and ConsistencyError unless
+    Prices start at s0 and move by dS = sum_d scales[d] x_d over the
+    standard-normal driver draws x_d.  By _price_weights, each schedule's
+    decomposed weights price a constant c (s0 times their sums, plus the
+    permanent impact) plus the draws contracted with G_d, scales[d] times
+    their suffix sums: one (K, n) matrix per driver, applied with
+    einsum("ij,kj->ik"), whose entries do not depend on the batch's rows nor
+    on K (a BLAS matmul's do).  Under deterministic turnover (`volume` a
+    VolumeProfile) the 1/v terms join c; under the lognormal model one more
+    contraction prices them, of the paths' v0/v with the temporary weights
+    over the model's v0.  The direct form, c' and G', is checked once, on
+    the weights: on a path the two forms differ by a Gaussian of mean
+    c - c' and standard deviation |G - G'| (the 1/v term is common to both),
+    and ConsistencyError unless
     |c - c'| + 6 |G - G'| <= 1e-8 max(1, |c'| - 6 |G'|), so every path
     within 6 standard deviations meets the per-path test at 1e-8.
     """
 
-    def __init__(self, schedules: Sequence[Strategy], market: MarketParams, scales, sds, v=None):
+    def __init__(self, schedules: Sequence[Strategy], market: MarketParams, scales, volume):
         risk, direct, temp, total0, direct0 = map(
             np.array, zip(*(_cost_weights(s.zeta, s.Phi, s.grid.tau, market) for s in schedules))
         )
         sums, suffix = _price_weights(risk)
         direct_sums, direct_suffix = _price_weights(direct)
         self.price_w = [scale * suffix for scale in scales]
-        self.temp_w = temp
         self.total0 = total0 + market.s0 * sums
         direct0 = direct0 + market.s0 * direct_sums
-        if v is not None:
-            fixed = np.einsum("kj,j->k", self.temp_w, 1.0 / v)
+        self.temp_w = None
+        if isinstance(volume, VolumeProfile):
+            fixed = np.einsum("kj,j->k", temp, 1.0 / volume.v)
             self.total0 += fixed
             direct0 += fixed
-            self.temp_w = None
+        else:
+            self.temp_w = temp / volume.v0
 
         def spread(w):  # standard deviation of sum_d x_d . (scales[d] w)
-            return np.sqrt(sum((scale * sd) ** 2 * _dot(w, w) for scale, sd in zip(scales, sds)))
+            return np.sqrt(sum(scale**2 for scale in scales) * _dot(w, w))
 
         gap = np.abs(self.total0 - direct0) + 6.0 * spread(suffix - direct_suffix)
         _require_agreement(gap, np.abs(direct0) - 6.0 * spread(direct_suffix))
@@ -212,36 +215,40 @@ class _StaticCosts:
             terms += np.einsum("ij,kj->ik", x, w)
         return terms
 
-    def totals(self, terms, vol=None, out=None) -> np.ndarray:
+    def totals(self, terms, inverse=None) -> np.ndarray:
         """Totals of shape (K, paths) from the price terms of `contract`;
-        `vol` is read only under stochastic turnover, whose reciprocal goes
-        to the leading rows of `out` (a buffer with at least vol's rows,
-        allocated when None)."""
+        `inverse`, the paths' v0/v (nonnegative by construction, so a path
+        that has not underflowed to zero turnover has a finite one), is read
+        only under stochastic turnover."""
         total = terms + self.total0
         if self.temp_w is not None:
-            if not vol.min() > 0.0:
+            if not inverse.max() < np.inf:  # a NaN fails too
                 raise ValueError("turnover path must be strictly positive")
-            inverse = np.divide(1.0, vol, out=None if out is None else out[: len(vol)])
             total += np.einsum("ij,kj->ik", inverse, self.temp_w)
         return total.T
 
 
-def _anticipating_costs(draws, scales, vol, Phi, tau, market: MarketParams, out):
+def _anticipating_costs(draws, scales, inverse, v0, Phi, tau, market: MarketParams, out):
     """Realized cost of the anticipating schedule zeta = Phi v / M, M = w . v
-    (trapezoid weights w), on each turnover path (row) of `vol`, from the
-    draws as in _StaticCosts.  It pays kappa_tilde Phi^2 / M of temporary
-    impact on every path and holds phi_j = Phi (1 - tau P_j / M), P_j the
-    running trapezoid turnover (written to `out`, a buffer of vol's shape):
+    (trapezoid weights w), on each turnover path whose v0/v is a row of
+    `inverse`, from the draws as in _StaticCosts.  It pays
+    kappa_tilde Phi^2 / M of temporary impact on every path and holds
+    phi_j = Phi (1 - tau P_j / M), P_j the running trapezoid turnover:
     cost = kappa Phi^2 / 2 + kappa_tilde Phi^2 / M - sum_i dS_i (phi_i + phi_{i+1}) / 2.
+    With C_j = v_0 + ... + v_j, written to `out` (a buffer of inverse's
+    shape, or inverse itself) in place of v, P_j = (C_{j-1} + C_j - v0) / 2
+    (C_{-1} = 0) and M = tau P_n, so P_i + P_{i+1} = C_{i-1} / 2 + C_i +
+    C_{i+1} / 2 - v0.
     """
-    mass = np.einsum("ij,j->i", vol, trapz_weights(vol.shape[1] - 1, tau))  # row-stable
-    out[:, 0] = 0.0
-    np.add(vol[:, 1:], vol[:, :-1], out=out[:, 1:])
-    out[:, 1:] *= 0.5
-    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
-    terms = list(zip(draws, scales))
-    flat = sum(scale * np.einsum("ij->i", x) for x, scale in terms)
-    ramp = sum(scale * (_dot(x, out[:, :-1]) + _dot(x, out[:, 1:])) for x, scale in terms)
+    np.divide(v0, inverse, out=out)  # the turnover path; v_0 = v0 on every row
+    np.cumsum(out, axis=1, out=out)
+    mass = 0.5 * tau * (out[:, -2] + out[:, -1] - v0)
+    flat, ramp = 0.0, 0.0
+    for x, scale in zip(draws, scales):
+        total = np.einsum("ij->i", x)
+        flat += scale * total
+        half = _dot(x[:, 1:], out[:, :-2]) + _dot(x, out[:, 1:])
+        ramp += scale * (0.5 * half + _dot(x, out[:, :-1]) - v0 * total)
     over_mass = market.kappa_tilde * Phi + 0.5 * tau * ramp  # the terms in Phi / M
     return market.kappa * Phi**2 / 2.0 - Phi * flat + (Phi / mass) * over_mass
 
@@ -328,6 +335,7 @@ def _inverse_turnover_factors(model: GbmVolumeModel, times):
     return a, np.expm1(model.sigma**2 * times)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite variance fails its check
 def _inverse_turnover_cov_dot(factors, q) -> np.ndarray:
     """C q from the factors of _inverse_turnover_factors: for increasing
     times, one prefix and one suffix sum, in O(n) time and memory."""

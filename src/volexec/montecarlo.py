@@ -21,15 +21,19 @@ running sum of fixed multiples of the normals (its driver is correlated
 with a lognormal turnover's through the model's rho), so every static row
 is a constant plus the normals contracted with the schedule's weight
 vectors moved onto the increments, and one einsum per driver stream prices
-all of them; an antithetic twin's price terms are the negated ones.  Each
+all of them; an antithetic twin's price terms are the negated ones.  A
+lognormal turnover path is built once per drawn path, as the v0/v its cost
+reads; a twin's path is its draw's reflected through the drift, so its v0/v
+is one division (volume._mirror_ramp).  Each
 schedule's direct form is checked against its decomposition once, on the
 weights, before any draw (cost._StaticCosts).
 einsum, unlike a BLAS matmul, gives each entry bits that do not depend on
 the task's size, offset or schedule count.  Under deterministic turnover
 the anticipating schedule is static too; under stochastic turnover its row
 is the paper's pathwise identity in closed form, row-wise dots of the same
-draws (cost._anticipating_costs), which `validate` checks.  Only
-`_joint_block` builds price paths, for `validate`'s path checks.
+draws (cost._anticipating_costs), which `validate` checks; only that row
+and `_joint_block`, which builds price paths for `validate`'s path
+checks, form the turnover v itself.
 """
 from __future__ import annotations
 
@@ -45,7 +49,14 @@ import numpy as np
 from .cost import MarketParams, _anticipating_costs, _StaticCosts
 from .grids import TimeGrid, require_same_grid
 from .strategies import Strategy, expected_vwap_strategy, vwap_strategy
-from .volume import _BLOCK, GbmVolumeModel, VolumeProfile, _gbm_block, _normal_block
+from .volume import (
+    _BLOCK,
+    GbmVolumeModel,
+    VolumeProfile,
+    _inverse_gbm_block,
+    _mirror_ramp,
+    _normal_block,
+)
 
 _DEFAULT_BATCH = 2048  # paths held at once by a pass: bounds memory; a multiple of _BLOCK
 _TASK = 2 * _BLOCK  # most drawn paths per task of a pass
@@ -97,16 +108,18 @@ class MomentEstimate:
 class _Workspace:
     """Buffers one task of the pass fills in place for up to `rows` drawn
     paths: the normals of driver stream 0 and, under stochastic turnover, of
-    stream 1, a turnover path per row (a mirror rebuilds it) and a spare one
-    (the static kernel's 1/v, then the anticipating row's running turnover)."""
+    stream 1 and each path's v0/v, which the per-path anticipating row then
+    overwrites with its turnover (a mirror's v0/v overwrites its draw's);
+    with `spare`, that row writes to a buffer of its own instead, for a
+    mirror that still reads its draw's v0/v."""
 
-    def __init__(self, cfg: SimulationConfig, rows: int):
+    def __init__(self, cfg: SimulationConfig, rows: int, spare: bool):
         n = cfg.grid.n_steps
         stochastic = isinstance(cfg.volume, GbmVolumeModel)
         self.z = np.empty((rows, n))
         self.zw = np.empty((rows, n)) if stochastic else None
-        self.vol = np.empty((rows, n + 1)) if stochastic else None
-        self.spare = np.empty((rows, n + 1)) if stochastic else None
+        self.inverse = np.empty((rows, n + 1)) if stochastic else None
+        self.spare = np.empty((rows, n + 1)) if spare else None
 
 
 def _joint_block(cfg: SimulationConfig, first: int, last: int):
@@ -114,27 +127,28 @@ def _joint_block(cfg: SimulationConfig, first: int, last: int):
     draws the pass prices: the paths `validate`'s path checks read.
 
     Turnover draws come from driver stream 0 and price-specific noise from
-    stream 1, combined as rho * dB + sqrt(1 - rho^2) * dW, so the turnover
-    paths are bit-identical with and without a correlated price leg.  The
-    price increments are summed in place in the paths' own columns.
+    stream 1, combined as rho * z_0 + sqrt(1 - rho^2) * z_1, so the turnover
+    paths are bit-identical with and without a correlated price leg; a
+    turnover path is v0 over the v0/v the pass prices, from the same kernel.
+    The price increments are summed in place in the paths' own columns.
     """
     grid, market = cfg.grid, cfg.market
-    n, root = grid.n_steps, math.sqrt(grid.tau)
-    db = _normal_block(cfg.seed, first, last, stream=0, n=n)
-    db *= root
+    n = grid.n_steps
+    z = _normal_block(cfg.seed, first, last, stream=0, n=n)
     if isinstance(cfg.volume, GbmVolumeModel):
         rho = cfg.volume.rho
-        vol = _gbm_block(cfg.volume, grid, db)
-        dw = _normal_block(cfg.seed, first, last, stream=1, n=n)
-        dw *= root
-        dw *= math.sqrt(max(0.0, 1.0 - rho**2))  # the price-specific increments
-        db *= rho
-        db += dw
+        vol = _inverse_gbm_block(cfg.volume, grid, z)
+        np.divide(cfg.volume.v0, vol, out=vol)
+        zw = _normal_block(cfg.seed, first, last, stream=1, n=n)
+        zw *= math.sqrt(max(0.0, 1.0 - rho**2))  # the price-specific draws
+        z *= rho
+        z += zw
     else:
         vol = np.broadcast_to(cfg.volume.v, (last - first, n + 1))
+    z *= math.sqrt(grid.tau)  # the price driver's increments
     price = np.empty((last - first, n + 1))
     price[:, 0] = market.s0
-    np.cumsum(db, axis=1, out=price[:, 1:])
+    np.cumsum(z, axis=1, out=price[:, 1:])
     price[:, 1:] *= market.sigma_tilde
     price[:, 1:] += market.s0
     return price, vol
@@ -234,11 +248,13 @@ def _cost_rows(
     the task split never changes a result.
 
     No price path is built: the price moves by sigma_tilde sqrt(tau) z under
-    deterministic turnover, by sigma_tilde (rho dB + sqrt(tau (1 - rho^2)) z_1)
-    under stochastic turnover, dB = sqrt(tau) z_0 being the turnover driver's
-    increments.  cost._StaticCosts prices each distinct static schedule once,
-    its direct and decomposed weights checked against each other once; a
-    mirror's price terms are its draw's, negated.
+    deterministic turnover, by sigma_tilde sqrt(tau) (rho z_0 + sqrt(1 - rho^2) z_1)
+    under stochastic turnover, z_0 being the turnover driver's draws, from
+    which one kernel builds each path's v0/v (volume._inverse_gbm_block).
+    cost._StaticCosts prices each distinct static schedule once, its direct
+    and decomposed weights checked against each other once; a mirror's price
+    terms are its draw's, negated, and its v0/v is the drift ramp over its
+    draw's (volume._mirror_ramp), so a mirror runs no cumsum and no exp.
     With `anticipating_phi` set, row 0 is the anticipating
     turnover-proportional schedule for that order size and the static
     schedules follow.  Under deterministic turnover that schedule is itself
@@ -259,18 +275,17 @@ def _cost_rows(
     per_path = int(anticipating_phi is not None and stochastic)
     if anticipating_phi is not None and not stochastic:
         statics = [vwap_strategy(cfg.volume, anticipating_phi), *statics]
-    root = math.sqrt(grid.tau)
-    scales, sds = (market.sigma_tilde * root,), (1.0,)
+    scales = (market.sigma_tilde * math.sqrt(grid.tau),)
     if stochastic:
         rho = cfg.volume.rho
-        scales = (market.sigma_tilde * rho, scales[0] * math.sqrt(max(0.0, 1.0 - rho**2)))
-        sds = (root, 1.0)  # the turnover driver's draws are its increments
+        scales = (scales[0] * rho, scales[0] * math.sqrt(max(0.0, 1.0 - rho**2)))
+        ramp = _mirror_ramp(cfg.volume, grid)
     costs = np.empty((per_path + len(statics), n))
     unique = {(s.Phi, s.zeta.tobytes()): s for s in statics}  # each is contracted once
     slot = [list(unique).index((s.Phi, s.zeta.tobytes())) for s in statics]
     statics = list(unique.values())
     if statics:
-        kernel = _StaticCosts(statics, market, scales, sds, None if stochastic else cfg.volume.v)
+        kernel = _StaticCosts(statics, market, scales, cfg.volume)
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
     held = _DEFAULT_BATCH // len(offsets)  # drawn paths held at once
@@ -278,7 +293,7 @@ def _cost_rows(
     size = min(_TASK, drawn, held // cpus // _BLOCK * _BLOCK)
     tasks = list(_batches(drawn, size))
     count = min(cpus, len(tasks) + bool(alongside))  # a helper starts beside `alongside`
-    spaces = [_Workspace(cfg, size) for _ in range(count)]
+    spaces = [_Workspace(cfg, size, spare=bool(per_path and antithetic)) for _ in range(count)]
 
     def price_task(task, ws):
         first, last = task
@@ -287,24 +302,26 @@ def _cost_rows(
             _normal_block(cfg.seed, first, last, stream=d, n=grid.n_steps, out=out[:m])
             for d, out in enumerate((ws.z, ws.zw)[: 1 + stochastic])
         ]
-        z = draws[0]
-        if stochastic:
-            z *= root  # the turnover driver's increments, which _gbm_block reads
         terms = kernel.contract(draws) if statics else None
+        inverse = None
+        if stochastic:
+            inverse = _inverse_gbm_block(cfg.volume, grid, draws[0], out=ws.inverse[:m])
         for d, offset in enumerate(offsets):
-            if d and statics:
+            if d and statics:  # the mirror's price terms
                 np.negative(terms, out=terms)
-            if d and stochastic:  # the mirror's turnover, and its price
-                np.negative(z, out=z)
-                if per_path:
-                    np.negative(draws[1], out=draws[1])
+            if d and stochastic:  # its turnover: totals rejects a non-finite v0/v
+                with np.errstate(divide="ignore", over="ignore"):
+                    np.divide(ramp, inverse, out=inverse)
+            if d and per_path:  # and its draws, which the anticipating row reads
+                for x in draws:
+                    np.negative(x, out=x)
             cols = slice(offset + first, offset + last)
-            vol = _gbm_block(cfg.volume, grid, z, out=ws.vol[:m]) if stochastic else None
             if statics:
-                costs[per_path:, cols] = kernel.totals(terms, vol, ws.spare)[slot]
+                costs[per_path:, cols] = kernel.totals(terms, inverse)[slot]
             if per_path:
+                out = inverse if ws.spare is None else ws.spare[:m]
                 costs[0, cols] = _anticipating_costs(
-                    draws, scales, vol, anticipating_phi, grid.tau, market, ws.spare[:m]
+                    draws, scales, inverse, cfg.volume.v0, anticipating_phi, grid.tau, market, out
                 )
 
     _drain(tasks, price_task, spaces, alongside)

@@ -208,7 +208,10 @@ class MeanVarianceObjective:
         else:
             g_ema = 0.0
         g_turnover = g_quartic - 2.0 * mk.sigma_tilde * mk.kappa_tilde * g_ema
-        return f + self.lam * variance, g + self.lam * g_turnover
+        f, g = f + self.lam * variance, g + self.lam * g_turnover
+        if not (np.isfinite(f) and np.isfinite(g).all()):  # no step is taken on NaN
+            raise FloatingPointError("lognormal-turnover objective or gradient is not finite")
+        return f, g
 
     def hessian_dot(self, z):
         """v -> the exact Hessian of the objective at z times v, in O(n) per

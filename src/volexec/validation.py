@@ -36,6 +36,7 @@ from .montecarlo import (
     ANTICIPATING_LABEL,
     SimulationConfig,
     _joint_block,
+    _mean_and_se,
     _Outcome,
     moment_estimate,
     validate_theorem_orderings,
@@ -114,8 +115,13 @@ def run_validation(
         # the keyed draws, bit for bit, for the checks that read paths
         price, vol = _joint_block(cfg, 0, min(n_paths, 1000))
         # the per-path volume-proportional schedule: the pass prices it in
-        # closed form, unchecked, under stochastic turnover
-        zeta_paths = vol * (probe.Phi / (vol @ trapz_weights(grid.n_steps, grid.tau)))[:, None]
+        # closed form, unchecked, under stochastic turnover; under
+        # deterministic turnover it is one row, shared by every path
+        w = trapz_weights(grid.n_steps, grid.tau)
+        if stochastic:
+            zeta_paths = vol * (probe.Phi / (vol @ w))[:, None]
+        else:
+            zeta_paths = np.broadcast_to(vol[0] * (probe.Phi / (vol[0] @ w)), vol.shape)
         checked = [(probe_name, probe.zeta)] + [(ANTICIPATING_LABEL, zeta_paths)] * stochastic
         direct = {k: _independent_direct_cost(price, vol, z, Phi, grid.tau, market) for k, z in checked}
 
@@ -123,11 +129,10 @@ def run_validation(
         slip = float(np.max(np.abs(market_vwap(price, zeta_paths) - market_vwap(price, vol))))
         out = [_check("vwap_slippage_zero", slip <= 1e-10, max_abs_slippage=slip)]
 
-        terminal = price[:, -1]
-        zt = _z(terminal.mean() - market.s0, terminal.std(ddof=1) / math.sqrt(terminal.size))
-        out.append(
-            _check("martingale_price", abs(zt) <= 3.0, z=zt, mean_terminal=float(terminal.mean()))
-        )
+        # an overflowed statistic is not finite and fails its check
+        mean_terminal, se = _mean_and_se(price[:, -1])
+        zt = _z(mean_terminal - market.s0, se)
+        out.append(_check("martingale_price", abs(zt) <= 3.0, z=zt, mean_terminal=mean_terminal))
 
         if not stochastic or degenerate:
             reason = "deterministic turnover configuration"
@@ -139,9 +144,9 @@ def run_validation(
             probe_nodes = [grid.n_steps // 4, grid.n_steps // 2, grid.n_steps]
             hz, hd = 0.0, {}
             for j in probe_nodes:
-                inv = 1.0 / vol[:, j]
-                z = _z(inv.mean() - 1.0 / u[j], inv.std(ddof=1) / math.sqrt(inv.size))
-                hd[f"node_{j}"] = {"mc": float(inv.mean()), "analytic": 1.0 / u[j], "z": z}
+                mc, se = _mean_and_se(1.0 / vol[:, j])
+                z = _z(mc - 1.0 / u[j], se)
+                hd[f"node_{j}"] = {"mc": mc, "analytic": 1.0 / u[j], "z": z}
                 hz = max(hz, abs(z))
             out.append(_check("harmonic_mean_check", hz <= 3.0, **hd))
 

@@ -14,6 +14,11 @@ prices _BLOCK-aligned tasks on every CPU the process may run on, and its
 rows keep their bits on any CPU count.
 The fills write into caller-owned buffers when given one (`out=`), so a
 worker thread draws without allocating path-sized memory.
+
+A lognormal path is built once, by one kernel, as the v0/v that its cost
+reads (_inverse_gbm_block); an antithetic twin's v0/v follows from its
+draw's in one division (_mirror_ramp), and v itself is formed only where a
+schedule or a check reads it.
 """
 from __future__ import annotations
 
@@ -141,18 +146,28 @@ def _normal_block(seed: int, first: int, last: int, stream: int, n: int, out=Non
     return z
 
 
-def _gbm_block(model: GbmVolumeModel, grid: TimeGrid, db: np.ndarray, out=None) -> np.ndarray:
-    """Lognormal paths driven by the increments db = sqrt(tau) z of the
-    turnover's Brownian driver (one row per path), written into `out` of
-    shape (rows, n + 1), allocated when None.  The log-turnover is
-    accumulated in place in the paths' own columns, so no temporary is made."""
+@np.errstate(over="ignore")  # the cost kernel rejects a non-finite v0/v
+def _inverse_gbm_block(model: GbmVolumeModel, grid: TimeGrid, z: np.ndarray, out=None):
+    """v0/v on the lognormal paths driven by the standard normals z of the
+    turnover's Brownian driver (one row per path, dB = sqrt(tau) z), written
+    into `out` of shape (rows, n + 1), allocated when None: the exp of the
+    negated running log-turnover, accumulated in place in out's own columns,
+    so no temporary is made.  The static cost reads 1/v, so this is the
+    turnover the Monte Carlo pass prices; the path itself is v0 / out."""
     drift = (model.mu - 0.5 * model.sigma**2) * grid.tau
-    paths = np.empty((db.shape[0], grid.n_steps + 1)) if out is None else out
-    paths[:, 0] = model.v0
-    logv = paths[:, 1:]
-    np.multiply(db, model.sigma, out=logv)
-    logv += drift
-    np.cumsum(logv, axis=1, out=logv)
-    np.exp(logv, out=logv)
-    logv *= model.v0
-    return paths
+    out = np.empty((z.shape[0], grid.n_steps + 1)) if out is None else out
+    out[:, 0] = 1.0
+    log = out[:, 1:]
+    np.multiply(z, -model.sigma * math.sqrt(grid.tau), out=log)
+    log -= drift
+    np.cumsum(log, axis=1, out=log)
+    np.exp(log, out=log)
+    return out
+
+
+@np.errstate(over="ignore")  # as in _inverse_gbm_block
+def _mirror_ramp(model: GbmVolumeModel, grid: TimeGrid) -> np.ndarray:
+    """e^{-2 (mu - sigma^2/2) t} at the nodes.  An antithetic twin's path is
+    its draw's reflected through the drift, v'_t = v0^2 e^{2 (mu - sigma^2/2) t} / v_t,
+    so its v0/v is this ramp over its draw's v0/v."""
+    return np.exp(-2.0 * (model.mu - 0.5 * model.sigma**2) * grid.nodes)

@@ -450,8 +450,7 @@ def _extreme_gbm(**kw):
 # leaves the deterministic optimum well defined (temporary impact vanishes, so
 # the whole block sells in the first interval) and its solves succeed; expand
 # takes deterministic turnover only.  The flag says stderr holds contract
-# lines only (no numpy warning); gbm-v0-1e-300 still warns from the SQP and
-# the path checks
+# lines only (no numpy warning)
 _EXTREME = {
     "samples-1e300": (_extreme(type="samples", values=[1e300] * 11), (0, 0, 0, 0), True),
     "samples-1e-300": (_extreme(type="samples", values=[1e-300] * 11), (0, 3, 3, 0), True),
@@ -460,7 +459,7 @@ _EXTREME = {
         (0, 3, 0, 0),
         True,
     ),
-    "gbm-v0-1e-300": (_extreme_gbm(v0=1e-300), (3, 3, 3, 2), False),
+    "gbm-v0-1e-300": (_extreme_gbm(v0=1e-300), (3, 3, 3, 2), True),
     "gbm-mu-1e3": (_extreme_gbm(mu=1e3), (2, 2, 2, 2), True),
     "gbm-sigma-50": (_extreme_gbm(sigma=50.0), (2, 2, 2, 2), True),
 }

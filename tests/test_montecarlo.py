@@ -24,7 +24,8 @@ from volexec.strategies import Strategy, expected_vwap_strategy, vwap_strategy
 from volexec.validation import _independent_direct_cost
 from volexec.volume import (
     GbmVolumeModel,
-    _gbm_block,
+    _inverse_gbm_block,
+    _mirror_ramp,
     _normal_block,
     arcsine_profile,
     constant_profile,
@@ -58,7 +59,7 @@ def test_volume_paths_match_reference_sampler(market, gbm_model, grid200):
     cfg = _cfg(gbm_model, market, grid200, n_paths=16, seed=12)
     price, vol = joint_paths(cfg)
     z = _normal_block(12, 0, 16, stream=0, n=grid200.n_steps)
-    ref = _gbm_block(gbm_model, grid200, np.sqrt(grid200.tau) * z)
+    ref = gbm_model.v0 / _inverse_gbm_block(gbm_model, grid200, z)
     assert np.array_equal(vol, ref)
     assert np.all(price[:, 0] == market.s0)
 
@@ -159,6 +160,60 @@ def test_antithetic_needs_even_paths(market, gbm_model, grid200, twap200):
     cfg = _cfg(gbm_model, market, grid200, n_paths=65, seed=7)
     with pytest.raises(ValueError):
         estimate_cost_moments(twap200, cfg, antithetic=True)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_turnover_is_built_once_per_drawn_path(monkeypatch, market, gbm_model, grid200, twap200, antithetic):
+    """The turnover kernel runs on the drawn paths only: n_paths rows in a
+    plain pass, n_paths/2 in an antithetic one, whose mirrors derive their
+    v0/v from their draws' without it."""
+    cfg = _cfg(gbm_model, market, grid200, n_paths=1030, seed=8)
+    kernel, rows = montecarlo._inverse_gbm_block, []
+
+    def counted(model, grid, z, *args, **kwargs):
+        rows.append(z.shape[0])
+        return kernel(model, grid, z, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_inverse_gbm_block", counted)
+    _cost_rows(cfg, [twap200], antithetic=antithetic)
+    assert sum(rows) == (cfg.n_paths // 2 if antithetic else cfg.n_paths)
+
+
+def test_mirror_turnover_is_the_reflected_path(market, grid200):
+    """A mirror's v0/v, the drift ramp over its draw's, is the v0/v of the
+    path built from the negated normals, to rounding."""
+    model = GbmVolumeModel(1.0, -0.3, 0.8, rho=0.2)
+    z = _normal_block(3, 0, 64, stream=0, n=grid200.n_steps)
+    mirror = _mirror_ramp(model, grid200) / _inverse_gbm_block(model, grid200, z)
+    np.testing.assert_allclose(mirror, _inverse_gbm_block(model, grid200, -z), rtol=1e-13)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sign, plain_fails", [(-1.0, True), (1.0, False)])
+def test_turnover_out_of_range_is_rejected(monkeypatch, market, gbm_model, grid200, twap200, workers, sign, plain_fails):
+    """Path 600's turnover draws pushed far out: negative, its v underflows
+    to zero (v0/v overflows) on the drawn path only; positive, on its mirror
+    only.  A pass that prices the out-of-range path raises, on any CPU
+    count, and one that does not price it runs through."""
+    cfg = _cfg(gbm_model, market, grid200, n_paths=1030, seed=9)
+    draw = montecarlo._normal_block
+
+    def pushed(seed, first, last, stream, *args, **kwargs):
+        z = draw(seed, first, last, stream, *args, **kwargs)
+        if stream == 0 and first <= 600 < last:
+            z[600 - first] = sign * 1e4
+        return z
+
+    monkeypatch.setattr(montecarlo, "_normal_block", pushed)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    for antithetic, fails in ((False, plain_fails), (True, True)):
+        n = 2 * cfg.n_paths if antithetic else cfg.n_paths  # path 600 is drawn in both
+        run = lambda: _cost_rows(dataclasses.replace(cfg, n_paths=n), [twap200], antithetic=antithetic)
+        if fails:
+            with pytest.raises(ValueError, match="turnover path must be strictly positive"):
+                run()
+        else:
+            assert np.all(np.isfinite(run()))
 
 
 def test_antithetic_mean_matches_discrete_expectation(market_hi, gbm_model, grid200):
@@ -336,7 +391,7 @@ def _increment_kernel(statics, profile, market):
     """The pass's static kernel under deterministic turnover: the price
     moves by sigma_tilde sqrt(tau) times the standard normals."""
     scale = market.sigma_tilde * math.sqrt(profile.grid.tau)
-    return _StaticCosts(statics, market, (scale,), (1.0,), v=profile.v)
+    return _StaticCosts(statics, market, (scale,), profile)
 
 
 @pytest.mark.parametrize("seed", [31, 32])
@@ -412,7 +467,7 @@ def test_identity_is_checked_on_the_weights_before_any_draw(monkeypatch, market,
     monkeypatch.setattr(montecarlo, "_normal_block", lambda *a, **k: draws.append(a) or draw(*a, **k))
     monkeypatch.setattr(cost, "_cost_weights", perturbed_cost_weights(1e-8))
     with pytest.raises(ConsistencyError, match=r"disagree by \S+ in schedule 0$"):
-        _StaticCosts([twap200], market, (1.0,), (1.0,))
+        _StaticCosts([twap200], market, (1.0,), cfg.volume)
     with pytest.raises(ConsistencyError):
         _cost_rows(cfg, [twap200])
     assert not draws

@@ -274,6 +274,18 @@ def test_sqp_zero_lam_immediate(market, gbm_model, grid200):
     assert np.max(np.abs(rep.zeta_intervals - expect)) / np.max(expect) < 1e-10
 
 
+def test_sqp_stops_at_a_non_finite_objective(market, grid200):
+    """At v0 = 1e-300 the Cov(1/v) term overflows: its variance is infinite,
+    without a warning, and the SQP stops at its first objective instead of
+    stepping on NaN; at lam = 0 it never reads that term."""
+    model = GbmVolumeModel(v0=1e-300, mu=-0.02, sigma=0.2)
+    s = vwap_strategy(gbm_harmonic_mean(model, grid200), 1.0)
+    assert mv_gbm(s, model, 1.0, market).variance == np.inf
+    with pytest.raises(FloatingPointError, match="not finite"):
+        solve_sqp_gbm(model, 1.0, market, 1.0, grid200)
+    assert solve_sqp_gbm(model, 0.0, market, 1.0, grid200)[1].status == "converged"
+
+
 # solve-sweep benchmark draws at seed 20240 whose objective stopped falling
 # above the KKT tolerance before the step model held the turnover curvature
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import pytest
 from volexec.grids import build_grid, cumtrapz, trapz
 from volexec.volume import (
     GbmVolumeModel,
-    _gbm_block,
+    _inverse_gbm_block,
     _normal_block,
     arcsine_profile,
     constant_profile,
@@ -24,9 +24,9 @@ GBM_U_T = 0.9417645335842487
 
 def _gbm_paths(model, grid, n_paths, seed):
     """Turnover paths 0..n_paths-1 and their driver increments, as the Monte
-    Carlo engine draws them."""
-    db = np.sqrt(grid.tau) * _normal_block(seed, 0, n_paths, stream=0, n=grid.n_steps)
-    return _gbm_block(model, grid, db), db
+    Carlo engine draws them: v0 over the v0/v of its turnover kernel."""
+    z = _normal_block(seed, 0, n_paths, stream=0, n=grid.n_steps)
+    return model.v0 / _inverse_gbm_block(model, grid, z), np.sqrt(grid.tau) * z
 
 
 def test_constant_profile_cumulatives_exact():
