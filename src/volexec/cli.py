@@ -374,22 +374,10 @@ def cmd_simulate(args) -> int:
     run = _build_run(_load_doc(args), args.seed, args.grid_n)
     out = _out_dir(args, run)
     solved = list(_solve_sweep(run))
-    # schedules that share a correlation share their paths: one pass each
-    by_rho = {}
-    for i, (_, rho, _, _) in enumerate(solved):
-        by_rho.setdefault(rho, []).append(i)
-    costs = [None] * len(solved)
-    for rho, idx in by_rho.items():
-        cfg = SimulationConfig(
-            n_paths=run.n_paths,
-            seed=run.seed,
-            grid=run.grid,
-            market=run.market,
-            volume=run.volume if rho is None else replace(run.volume, rho=rho),
-        )
-        rows = _cost_rows(cfg, [solved[i][2] for i in idx], antithetic=run.antithetic)
-        for i, row in zip(idx, rows):
-            costs[i] = row
+    cfg = SimulationConfig(run.n_paths, run.seed, run.grid, run.market, run.volume)
+    # every schedule, at its own correlation, is priced on one pass of draws
+    costs = _cost_rows(cfg, [s for _, _, s, _ in solved], antithetic=run.antithetic,
+                       rhos=[rho for _, rho, _, _ in solved])
     entries = []
     failed = False
     for (lam, rho, _, rep), row in zip(solved, costs):

@@ -167,19 +167,20 @@ class _StaticCosts:
     """Realized cost of K static schedules on a batch of draws, one
     contraction per driver.
 
-    Prices start at s0 and move by dS = sum_d scales[d] x_d over the
-    standard-normal driver draws x_d.  By _price_weights, each schedule's
+    Schedule k's prices start at s0 and move by dS = sum_d scales[d, k] x_d
+    over the standard-normal driver draws x_d (`scales` is (drivers, K), or
+    one scalar per driver for all).  By _price_weights, each schedule's
     decomposed weights price a constant c (s0 times their sums, plus the
-    permanent impact) plus the draws contracted with G_d, scales[d] times
+    permanent impact) plus the draws contracted with G_d, scales[d, k] times
     their suffix sums: one (K, n) matrix per driver, applied with
-    einsum("ij,kj->ik"), whose entries do not depend on the batch's rows nor
-    on K (a BLAS matmul's do).  Under deterministic turnover (`volume` a
-    VolumeProfile) the 1/v terms join c; under the lognormal model one more
-    contraction prices them, of the paths' v0/v with the temporary weights
-    over the model's v0.  The direct form, c' and G', is checked once, on
-    the weights: on a path the two forms differ by a Gaussian of mean
-    c - c' and standard deviation |G - G'| (the 1/v term is common to both),
-    and ConsistencyError unless
+    einsum("ij,kj->ik"), whose entries depend neither on the batch's rows nor
+    on K (a BLAS matmul's do) nor on whether a row's scalar is shared.
+    Under deterministic turnover (`volume` a VolumeProfile) the 1/v terms
+    join c; under the lognormal model one more contraction prices them, of
+    the paths' v0/v with the temporary weights over the model's v0.  The
+    direct form, c' and G', is checked once, on the weights: on a path the
+    two forms differ by a Gaussian of mean c - c' and standard deviation
+    |G - G'| (the 1/v term is common to both), and ConsistencyError unless
     |c - c'| + 6 |G - G'| <= 1e-8 max(1, |c'| - 6 |G'|), so every path
     within 6 standard deviations meets the per-path test at 1e-8.
     """
@@ -190,7 +191,8 @@ class _StaticCosts:
         )
         sums, suffix = _price_weights(risk)
         direct_sums, direct_suffix = _price_weights(direct)
-        self.price_w = [scale * suffix for scale in scales]
+        scales = np.asarray(scales, dtype=float).reshape(len(scales), -1)
+        self.price_w = [scale[:, None] * suffix for scale in scales]
         self.total0 = total0 + market.s0 * sums
         direct0 = direct0 + market.s0 * direct_sums
         self.temp_w = None
@@ -201,8 +203,8 @@ class _StaticCosts:
         else:
             self.temp_w = temp / volume.v0
 
-        def spread(w):  # standard deviation of sum_d x_d . (scales[d] w)
-            return np.sqrt(sum(scale**2 for scale in scales) * _dot(w, w))
+        def spread(w):  # standard deviation of sum_d x_d . (scales[d, k] w_k)
+            return np.sqrt(np.sum(scales**2, axis=0) * _dot(w, w))
 
         gap = np.abs(self.total0 - direct0) + 6.0 * spread(suffix - direct_suffix)
         _require_agreement(gap, np.abs(direct0) - 6.0 * spread(direct_suffix))

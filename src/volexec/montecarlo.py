@@ -12,10 +12,10 @@ work it was given beside the pass (`validate`'s checks that do not read the
 rows), then takes tasks too.  With one CPU no thread starts, and that work
 runs before the pass.  numpy's normal fills, ufuncs and einsum release the
 interpreter lock, so the threads draw and price in parallel, each into its
-workspace allocated up front.  All schedules' rows read the same draws
-(common random numbers), a schedule listed twice is priced once, and each
-task writes its own columns of the result, so every row keeps its bits on
-any CPU count.
+workspace allocated up front.  All rows read the same draws (common random
+numbers), each static row at its own rho through the drivers' scales, one
+listed twice at one rho priced once; each task writes its own columns of
+the result, so every row keeps its bits on any CPU count.
 The pass prices the draws, not the paths: a price path is s0 plus the
 running sum of fixed multiples of the normals (its driver is correlated
 with a lognormal turnover's through the model's rho), so every static row
@@ -236,6 +236,7 @@ def _cost_rows(
     anticipating_phi: Optional[float] = None,
     antithetic: bool = False,
     alongside: Sequence[_Outcome] = (),
+    rhos: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
     """Realized cost of every static schedule on every path, one pass.
 
@@ -251,10 +252,12 @@ def _cost_rows(
     deterministic turnover, by sigma_tilde sqrt(tau) (rho z_0 + sqrt(1 - rho^2) z_1)
     under stochastic turnover, z_0 being the turnover driver's draws, from
     which one kernel builds each path's v0/v (volume._inverse_gbm_block).
-    cost._StaticCosts prices each distinct static schedule once, its direct
-    and decomposed weights checked against each other once; a mirror's price
-    terms are its draw's, negated, and its v0/v is the drift ramp over its
-    draw's (volume._mirror_ramp), so a mirror runs no cumsum and no exp.
+    rho enters only those scales: each static schedule is priced at its
+    entry of `rhos` (default, and for the anticipating row, the model's rho).
+    cost._StaticCosts prices a static schedule listed twice at one rho once,
+    its direct and decomposed weights checked against each other once; a
+    mirror's price terms are its draw's, negated, and its v0/v the drift
+    ramp over its draw's (volume._mirror_ramp): it runs no cumsum, no exp.
     With `anticipating_phi` set, row 0 is the anticipating
     turnover-proportional schedule for that order size and the static
     schedules follow.  Under deterministic turnover that schedule is itself
@@ -273,19 +276,24 @@ def _cost_rows(
     grid, market = cfg.grid, cfg.market
     stochastic = isinstance(cfg.volume, GbmVolumeModel)
     per_path = int(anticipating_phi is not None and stochastic)
+    rho = cfg.volume.rho if stochastic else None
     if anticipating_phi is not None and not stochastic:
         statics = [vwap_strategy(cfg.volume, anticipating_phi), *statics]
-    scales = (market.sigma_tilde * math.sqrt(grid.tau),)
-    if stochastic:
-        rho = cfg.volume.rho
-        scales = (scales[0] * rho, scales[0] * math.sqrt(max(0.0, 1.0 - rho**2)))
-        ramp = _mirror_ramp(cfg.volume, grid)
+    rhos = [rho] * len(statics) if rhos is None or not stochastic else rhos
+    base = market.sigma_tilde * math.sqrt(grid.tau)
+
+    def scales(r):  # of the price drivers at correlation r
+        return (base * r, base * math.sqrt(max(0.0, 1.0 - r**2))) if stochastic else (base,)
+
+    ramp = _mirror_ramp(cfg.volume, grid) if stochastic else None
     costs = np.empty((per_path + len(statics), n))
-    unique = {(s.Phi, s.zeta.tobytes()): s for s in statics}  # each is contracted once
-    slot = [list(unique).index((s.Phi, s.zeta.tobytes())) for s in statics]
+    keys = [(s.Phi, s.zeta.tobytes(), r) for s, r in zip(statics, rhos)]
+    unique = dict(zip(keys, statics))  # each schedule at each rho is contracted once
+    slot = [list(unique).index(key) for key in keys]
     statics = list(unique.values())
     if statics:
-        kernel = _StaticCosts(statics, market, scales, cfg.volume)
+        row_scales = np.transpose([scales(r) for *_, r in unique])  # (drivers, K)
+        kernel = _StaticCosts(statics, market, row_scales, cfg.volume)
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
     held = _DEFAULT_BATCH // len(offsets)  # drawn paths held at once
@@ -321,7 +329,7 @@ def _cost_rows(
             if per_path:
                 out = inverse if ws.spare is None else ws.spare[:m]
                 costs[0, cols] = _anticipating_costs(
-                    draws, scales, inverse, cfg.volume.v0, anticipating_phi, grid.tau, market, out
+                    draws, scales(rho), inverse, cfg.volume.v0, anticipating_phi, grid.tau, market, out
                 )
 
     _drain(tasks, price_task, spaces, alongside)

@@ -40,6 +40,7 @@ _KKT_TOL = 1e-8
 _OBJ_DECREASE_TOL = 1e-12
 _BOUND_TOL = 1e-12
 _SQP_MAX_ITER = 200
+_TINY = np.finfo(float).tiny  # the smallest normal number
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,9 @@ class MeanVarianceObjective:
     are 1/2 z'Hz with H the rate model that the steps solve, so their
     gradient is Hz.  `xbar` is the interval turnover: the mean of two node
     samples of v, or, under the lognormal `model`, of its harmonic mean u.
+    FloatingPointError unless the diagonal 2 kappa_tilde tau / xbar and the
+    total turnover tau sum(xbar), which the step rows and the SQP start
+    divide by, are finite normal numbers.
     The model adds lam times the Cov(1/v) and cross-moment terms of the cost
     module's variance (on interval midpoints, weights tau z^2), their
     gradient and their Hessian diagonal.
@@ -180,7 +184,11 @@ class MeanVarianceObjective:
         n, tau = grid.n_steps, grid.tau
         self.tau, self.permanent = tau, market.kappa * self.Phi**2 / 2.0
         k = 2.0 * self.lam * market.sigma_tilde**2 * tau**2
-        self.quad = _RateModel(2.0 * market.kappa_tilde * tau / xbar, k, trapz_weights(n, tau))
+        with np.errstate(over="ignore"):  # out of range is rejected below
+            d, mass = 2.0 * market.kappa_tilde * tau / xbar, tau * np.sum(xbar)
+        if not (np.all((d >= _TINY) & (d < np.inf)) and _TINY <= mass < np.inf):
+            raise FloatingPointError("rate-model diagonal or interval turnover is out of range")
+        self.quad = _RateModel(d, k, trapz_weights(n, tau))
         if model is not None:
             t = grid.nodes
             self.mid = 0.5 * (t[:-1] + t[1:])
@@ -368,11 +376,12 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     diagonal, the Hessian diagonal of the Cov(1/v) and cross-moment terms at
     the iterate clipped at zero and a Levenberg shift mu adapted by a ratio
     test; the same O(n) active set solves it.  Once two accepted steps in a
-    row leave the pinned rates unchanged, the solve finishes on that face
-    with Newton steps: conjugate gradients on the exact Hessian product,
-    preconditioned by the step model, an Armijo line search cut at the first
-    bound it reaches, and one bound released at a time; a damped step is
-    taken whenever no Newton step descends.  Starts from the
+    row each pin the rates that one of the two steps before it pinned (a
+    pinned set that settles, or swings between two sets), the solve finishes
+    on that face with Newton steps: conjugate gradients on the exact Hessian
+    product, preconditioned by the step model, an Armijo line search cut at
+    the first bound it reaches, and one bound released at a time; a damped
+    step is taken whenever no Newton step descends.  Starts from the
     harmonic-mean-proportional schedule, which is already optimal at lam = 0.
     `iterations` counts damped and Newton steps together.  The status is
     "converged" only when the KKT residual of the last iterate is within
@@ -389,7 +398,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     status = "max-iterations"
     kkt = _kkt_residual(g, z, tau)
     iterations = 0
-    pinned, stable = None, 0  # accepted damped steps in a row with one pinned set
+    pinned, stable = [], 0  # the last two accepted steps' pinned sets; recurring steps in a row
 
     for it in range(1, _SQP_MAX_ITER + 1):
         if kkt <= _KKT_TOL:
@@ -428,8 +437,9 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
             decrease = f - f_new
             z, f, g = z_new, f_new, g_new
             kkt = _kkt_residual(g, z, tau)
-            stable = stable + 1 if pinned is not None and np.array_equal(pinned, z == 0.0) else 0
-            pinned = z == 0.0
+            now = z == 0.0
+            stable = stable + 1 if any(np.array_equal(p, now) for p in pinned) else 0
+            pinned = [*pinned[-1:], now]
             if ratio > 0.75:
                 mu = 0.0 if mu < 1e-10 else mu / 3.0
             elif ratio < 0.25:

@@ -568,6 +568,48 @@ def test_repeated_schedule_is_priced_once(monkeypatch, market, grid200, twap200)
     assert np.array_equal(rows[2], rows[0])
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("kind", ["arcsine", "gbm"])
+def test_schedules_at_several_rhos_share_one_kernel(monkeypatch, market_hi, grid200, kind, antithetic):
+    """One _StaticCosts over schedules at several rho, each with its own
+    driver scales, gives every row the bits of a pass at that rho alone; the
+    anticipating row reads the model's rho, and under deterministic turnover
+    no row reads rho."""
+    volume = _volume(kind, grid200, rho=0.2)
+    cfg = _cfg(volume, market_hi, grid200, n_paths=600, seed=27)
+    statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)]
+    rhos = [-0.9, 0.3, 0.9]
+    built = []
+    kernel = montecarlo._StaticCosts
+
+    def counted(schedules, *args, **kwargs):
+        built.append(len(schedules))
+        return kernel(schedules, *args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_StaticCosts", counted)
+    rows = _cost_rows(cfg, statics, 1.0, antithetic=antithetic, rhos=rhos)
+    assert built == [len(statics) + (kind == "arcsine")]  # the volume-proportional row joins
+    assert np.array_equal(rows[0], _cost_rows(cfg, [], 1.0, antithetic=antithetic)[0])
+    for row, s, rho in zip(rows[1:], statics, rhos):
+        at_rho = cfg
+        if kind == "gbm":
+            at_rho = dataclasses.replace(cfg, volume=dataclasses.replace(volume, rho=rho))
+        assert np.array_equal(row, _cost_rows(at_rho, [s], antithetic=antithetic)[0])
+
+
+def test_one_schedule_at_two_rhos_gets_two_rows(market_hi, grid200):
+    """A schedule listed at two rho is priced at each: the distinct-schedule
+    key holds rho, so the second entry is not a copy of the first."""
+    model = GbmVolumeModel(1.0, -0.02, 0.3)
+    cfg = _cfg(model, market_hi, grid200, n_paths=600, seed=28)
+    s = _shaped(grid200, 1.5)
+    rows = _cost_rows(cfg, [s, s], rhos=[-0.5, 0.5])
+    assert not np.array_equal(rows[0], rows[1])
+    for row, rho in zip(rows, (-0.5, 0.5)):
+        at_rho = dataclasses.replace(cfg, volume=dataclasses.replace(model, rho=rho))
+        assert np.array_equal(row, _cost_rows(at_rho, [s])[0])
+
+
 @pytest.mark.parametrize("n_paths", [64, 3000])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_work_beside_the_pass(monkeypatch, market, grid200, twap200, workers, n_paths):

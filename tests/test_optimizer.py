@@ -286,6 +286,16 @@ def test_sqp_stops_at_a_non_finite_objective(market, grid200):
     assert solve_sqp_gbm(model, 0.0, market, 1.0, grid200)[1].status == "converged"
 
 
+@pytest.mark.parametrize("level", [1e306, 1e-313], ids=["diagonal-underflows", "diagonal-overflows"])
+def test_rate_model_out_of_range_is_rejected(market, grid200, level):
+    """A turnover so large that 2 kappa_tilde tau / xbar is no normal number,
+    or so small that it overflows (and tau sum(xbar) underflows), is
+    rejected where the rate model is built, with no warning, before any
+    solve divides by it."""
+    with pytest.raises(FloatingPointError, match="out of range"):
+        MeanVarianceObjective(np.full(200, level), 1.0, market, 1.0, grid200)
+
+
 # solve-sweep benchmark draws at seed 20240 whose objective stopped falling
 # above the KKT tolerance before the step model held the turnover curvature
 @pytest.mark.parametrize(
@@ -526,6 +536,19 @@ def test_sqp_hard_corners_finish(corner, previous, market_hi, grid200):
     if rho == -0.9:
         _, rep = solve_sqp_gbm(model, lam, market_hi, 1.0, build_grid(1.0, 1000))
         assert rep.status == "converged"
+
+
+def test_sqp_finishes_when_the_pinned_set_swings(grid200):
+    """A solve-sweep op whose pinned set swings between two sets on
+    alternate damped steps still enters the Newton endgame and converges;
+    it stalled at KKT 2.4e-8 after 46 iterations while the trigger asked for
+    one unchanged pinned set."""
+    model = GbmVolumeModel(1.0, 0.03158660636885341, 1.4484506617249664, rho=-0.8757490822493116)
+    market = MarketParams(kappa=0.1, kappa_tilde=0.03708940958892793,
+                          sigma_tilde=0.29552468114922953, s0=100.0)
+    _, rep = solve_sqp_gbm(model, 323.32796958312855, market, 1.0, grid200)
+    assert rep.status == "converged"
+    assert rep.kkt_residual <= 1e-8
 
 
 def test_face_newton_direction_eliminates_once(monkeypatch, market_hi, grid200):
