@@ -134,8 +134,9 @@ def _cost_weights(zeta, Phi, tau, market: MarketParams):
     phi = Phi - psi
     phi_bar = 0.5 * (phi[1:] + phi[:-1])
     risk = np.diff(np.concatenate([[0.0], phi_bar, phi[-1:]]))
-    total0 = market.kappa * psi[-1] ** 2 / 2.0
-    direct0 = market.kappa * _dot(psi, c)
+    with np.errstate(over="ignore"):  # the identity check rejects a non-finite cost
+        total0 = market.kappa * psi[-1] ** 2 / 2.0
+        direct0 = market.kappa * _dot(psi, c)
     return risk, direct, market.kappa_tilde * zeta * c, total0, direct0
 
 
@@ -206,7 +207,8 @@ class _StaticCosts:
         def spread(w):  # standard deviation of sum_d x_d . (scales[d, k] w_k)
             return np.sqrt(np.sum(scales**2, axis=0) * _dot(w, w))
 
-        gap = np.abs(self.total0 - direct0) + 6.0 * spread(suffix - direct_suffix)
+        with np.errstate(invalid="ignore"):  # a NaN gap is a disagreement
+            gap = np.abs(self.total0 - direct0) + 6.0 * spread(suffix - direct_suffix)
         _require_agreement(gap, np.abs(direct0) - 6.0 * spread(direct_suffix))
 
     def contract(self, draws) -> np.ndarray:
@@ -230,27 +232,26 @@ class _StaticCosts:
         return total.T
 
 
-def _anticipating_costs(draws, scales, inverse, v0, Phi, tau, market: MarketParams, out):
+def _anticipating_costs(draws, scales, inverse, v0, Phi, tau, market: MarketParams):
     """Realized cost of the anticipating schedule zeta = Phi v / M, M = w . v
     (trapezoid weights w), on each turnover path whose v0/v is a row of
     `inverse`, from the draws as in _StaticCosts.  It pays
     kappa_tilde Phi^2 / M of temporary impact on every path and holds
     phi_j = Phi (1 - tau P_j / M), P_j the running trapezoid turnover:
     cost = kappa Phi^2 / 2 + kappa_tilde Phi^2 / M - sum_i dS_i (phi_i + phi_{i+1}) / 2.
-    With C_j = v_0 + ... + v_j, written to `out` (a buffer of inverse's
-    shape, or inverse itself) in place of v, P_j = (C_{j-1} + C_j - v0) / 2
-    (C_{-1} = 0) and M = tau P_n, so P_i + P_{i+1} = C_{i-1} / 2 + C_i +
-    C_{i+1} / 2 - v0.
+    With C_j = v_0 + ... + v_j, written over `inverse` in place of v0/v,
+    P_j = (C_{j-1} + C_j - v0) / 2 (C_{-1} = 0) and M = tau P_n, so
+    P_i + P_{i+1} = C_{i-1} / 2 + C_i + C_{i+1} / 2 - v0.
     """
-    np.divide(v0, inverse, out=out)  # the turnover path; v_0 = v0 on every row
-    np.cumsum(out, axis=1, out=out)
-    mass = 0.5 * tau * (out[:, -2] + out[:, -1] - v0)
+    cum = np.divide(v0, inverse, out=inverse)  # the turnover path; v_0 = v0 on every row
+    np.cumsum(cum, axis=1, out=cum)
+    mass = 0.5 * tau * (cum[:, -2] + cum[:, -1] - v0)
     flat, ramp = 0.0, 0.0
     for x, scale in zip(draws, scales):
         total = np.einsum("ij->i", x)
         flat += scale * total
-        half = _dot(x[:, 1:], out[:, :-2]) + _dot(x, out[:, 1:])
-        ramp += scale * (0.5 * half + _dot(x, out[:, :-1]) - v0 * total)
+        half = _dot(x[:, 1:], cum[:, :-2]) + _dot(x, cum[:, 1:])
+        ramp += scale * (0.5 * half + _dot(x, cum[:, :-1]) - v0 * total)
     over_mass = market.kappa_tilde * Phi + 0.5 * tau * ramp  # the terms in Phi / M
     return market.kappa * Phi**2 / 2.0 - Phi * flat + (Phi / mass) * over_mass
 

@@ -4,15 +4,15 @@ estimation, and the optimality-ordering tournament.
 Draws are keyed per block of paths (the volume layer's _BLOCK) and driver
 stream with one SFC64 generator per key, and every draw starts on a block,
 so results depend neither on the task split nor on which thread draws a
-path.  Every estimate runs one pass over the paths, split into
-_BLOCK-aligned tasks of at most _TASK drawn paths.  One
-helper thread per further CPU the process may run on (os.sched_getaffinity)
-takes tasks from one shared list at once; the calling thread first runs the
-work it was given beside the pass (`validate`'s checks that do not read the
-rows), then takes tasks too.  With one CPU no thread starts, and that work
-runs before the pass.  numpy's normal fills, ufuncs and einsum release the
-interpreter lock, so the threads draw and price in parallel, each into its
-workspace allocated up front.  All rows read the same draws (common random
+path.  Every estimate runs one pass over the paths, one task per keyed
+block of drawn paths.  One helper thread per further CPU the process may
+run on (os.sched_getaffinity) takes tasks from one shared list at once;
+the calling thread first runs the work it was given beside the pass
+(`validate`'s checks that do not read the rows), then takes tasks too.
+With one CPU no thread starts, and that work runs before the pass.
+numpy's normal fills, ufuncs and einsum release the interpreter lock, so
+the threads draw and price in parallel, each into its workspace allocated
+up front.  All rows read the same draws (common random
 numbers), each static row at its own rho through the drivers' scales, one
 listed twice at one rho priced once; each task writes its own columns of
 the result, so every row keeps its bits on any CPU count.
@@ -24,16 +24,16 @@ vectors moved onto the increments, and one einsum per driver stream prices
 all of them; an antithetic twin's price terms are the negated ones.  A
 lognormal turnover path is built once per drawn path, as the v0/v its cost
 reads; a twin's path is its draw's reflected through the drift, so its v0/v
-is one division (volume._mirror_ramp).  Each
+is one division (volume._mirror_ramp); nothing else is mirrored.  Each
 schedule's direct form is checked against its decomposition once, on the
 weights, before any draw (cost._StaticCosts).
 einsum, unlike a BLAS matmul, gives each entry bits that do not depend on
 the task's size, offset or schedule count.  Under deterministic turnover
 the anticipating schedule is static too; under stochastic turnover its row
 is the paper's pathwise identity in closed form, row-wise dots of the same
-draws (cost._anticipating_costs), which `validate` checks; only that row
-and `_joint_block`, which builds price paths for `validate`'s path
-checks, form the turnover v itself.
+draws (cost._anticipating_costs), priced on drawn paths only, which
+`validate` checks; only that row and `_joint_block`, which builds price
+paths for `validate`'s path checks, form the turnover v itself.
 """
 from __future__ import annotations
 
@@ -59,7 +59,6 @@ from .volume import (
 )
 
 _DEFAULT_BATCH = 2048  # paths held at once by a pass: bounds memory; a multiple of _BLOCK
-_TASK = 2 * _BLOCK  # most drawn paths per task of a pass
 ANTICIPATING_LABEL = "anticipating-vwap"
 EXPECTED_VWAP_LABEL = "expected-vwap"
 
@@ -106,20 +105,17 @@ class MomentEstimate:
 
 
 class _Workspace:
-    """Buffers one task of the pass fills in place for up to `rows` drawn
-    paths: the normals of driver stream 0 and, under stochastic turnover, of
-    stream 1 and each path's v0/v, which the per-path anticipating row then
-    overwrites with its turnover (a mirror's v0/v overwrites its draw's);
-    with `spare`, that row writes to a buffer of its own instead, for a
-    mirror that still reads its draw's v0/v."""
+    """Buffers one task of the pass fills in place, for one keyed block of
+    drawn paths: the normals of driver stream 0 and, under stochastic
+    turnover, of stream 1 and each path's v0/v, which its mirror's v0/v or
+    else the per-path anticipating row then overwrites."""
 
-    def __init__(self, cfg: SimulationConfig, rows: int, spare: bool):
+    def __init__(self, cfg: SimulationConfig, rows: int):
         n = cfg.grid.n_steps
         stochastic = isinstance(cfg.volume, GbmVolumeModel)
         self.z = np.empty((rows, n))
         self.zw = np.empty((rows, n)) if stochastic else None
         self.inverse = np.empty((rows, n + 1)) if stochastic else None
-        self.spare = np.empty((rows, n + 1)) if spare else None
 
 
 def _joint_block(cfg: SimulationConfig, first: int, last: int):
@@ -225,11 +221,6 @@ def _drain(tasks: Sequence, work, spaces: Sequence, alongside: Sequence = ()) ->
         raise errors[min(errors)]
 
 
-def _batches(n: int, size: int):
-    for first in range(0, n, size):
-        yield first, min(first + size, n)
-
-
 def _cost_rows(
     cfg: SimulationConfig,
     statics: Sequence[Strategy],
@@ -238,15 +229,15 @@ def _cost_rows(
     alongside: Sequence[_Outcome] = (),
     rhos: Optional[Sequence[float]] = None,
 ) -> np.ndarray:
-    """Realized cost of every static schedule on every path, one pass.
+    """Realized cost of every static schedule (at least one) on every path,
+    one pass.
 
-    The paths are split into tasks of at most _TASK drawn paths, each
-    starting on a keyed block, and drained (`_drain`) by one thread per CPU
-    (`_worker_count`), but no more threads than _DEFAULT_BATCH holds
-    blocks; the calling thread runs `alongside` first.  All workspaces
-    together hold at most _DEFAULT_BATCH paths, mirrors counted (a mirror
-    reuses its draw's buffers), so memory is bounded on any CPU count, and
-    the task split never changes a result.
+    Each task is one keyed block of _BLOCK drawn paths, and the tasks are
+    drained (`_drain`) by one thread per CPU (`_worker_count`), but no more
+    threads than _DEFAULT_BATCH holds blocks; the calling thread runs
+    `alongside` first.  A mirror reuses its draw's buffers, so all
+    workspaces together hold at most _DEFAULT_BATCH paths on any CPU count,
+    and the task split never changes a result.
 
     No price path is built: the price moves by sigma_tilde sqrt(tau) z under
     deterministic turnover, by sigma_tilde sqrt(tau) (rho z_0 + sqrt(1 - rho^2) z_1)
@@ -255,19 +246,22 @@ def _cost_rows(
     rho enters only those scales: each static schedule is priced at its
     entry of `rhos` (default, and for the anticipating row, the model's rho).
     cost._StaticCosts prices a static schedule listed twice at one rho once,
-    its direct and decomposed weights checked against each other once; a
-    mirror's price terms are its draw's, negated, and its v0/v the drift
-    ramp over its draw's (volume._mirror_ramp): it runs no cumsum, no exp.
+    its direct and decomposed weights checked against each other once.
     With `anticipating_phi` set, row 0 is the anticipating
     turnover-proportional schedule for that order size and the static
     schedules follow.  Under deterministic turnover that schedule is itself
     static, the volume-proportional one, and joins the contraction; under
     stochastic turnover it is Phi v / (w . v) on each path, priced from the
-    same draws in closed form (cost._anticipating_costs), unchecked.
+    same draws in closed form (cost._anticipating_costs), unchecked, on the
+    drawn paths only: it cannot be antithetic (ValueError).
     With antithetic=True (n_paths must be even) the first n_paths/2 columns
-    are the drawn paths and column n_paths/2 + i is the mirror of column i.
+    are the drawn paths and column n_paths/2 + i is the mirror of column i:
+    its price terms are its draw's, negated, and its v0/v the drift ramp
+    over its draw's (volume._mirror_ramp), so it runs no cumsum, no exp.
     Returns an array of shape (rows, n_paths).
     """
+    if not statics:
+        raise ValueError("need at least one static schedule")
     for s in statics:
         require_same_grid(s.grid, cfg.grid, "strategy")
     n = cfg.n_paths
@@ -276,6 +270,8 @@ def _cost_rows(
     grid, market = cfg.grid, cfg.market
     stochastic = isinstance(cfg.volume, GbmVolumeModel)
     per_path = int(anticipating_phi is not None and stochastic)
+    if per_path and antithetic:
+        raise ValueError("the per-path anticipating row is priced on drawn paths only")
     rho = cfg.volume.rho if stochastic else None
     if anticipating_phi is not None and not stochastic:
         statics = [vwap_strategy(cfg.volume, anticipating_phi), *statics]
@@ -290,18 +286,14 @@ def _cost_rows(
     keys = [(s.Phi, s.zeta.tobytes(), r) for s, r in zip(statics, rhos)]
     unique = dict(zip(keys, statics))  # each schedule at each rho is contracted once
     slot = [list(unique).index(key) for key in keys]
-    statics = list(unique.values())
-    if statics:
-        row_scales = np.transpose([scales(r) for *_, r in unique])  # (drivers, K)
-        kernel = _StaticCosts(statics, market, row_scales, cfg.volume)
+    row_scales = np.transpose([scales(r) for *_, r in unique])  # (drivers, K)
+    kernel = _StaticCosts(list(unique.values()), market, row_scales, cfg.volume)
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
-    held = _DEFAULT_BATCH // len(offsets)  # drawn paths held at once
-    cpus = min(_worker_count(), held // _BLOCK)  # so that every task holds whole blocks
-    size = min(_TASK, drawn, held // cpus // _BLOCK * _BLOCK)
-    tasks = list(_batches(drawn, size))
-    count = min(cpus, len(tasks) + bool(alongside))  # a helper starts beside `alongside`
-    spaces = [_Workspace(cfg, size, spare=bool(per_path and antithetic)) for _ in range(count)]
+    tasks = [(first, min(first + _BLOCK, drawn)) for first in range(0, drawn, _BLOCK)]
+    # no more threads than _DEFAULT_BATCH holds blocks; a helper starts beside `alongside`
+    count = min(_worker_count(), _DEFAULT_BATCH // _BLOCK, len(tasks) + bool(alongside))
+    spaces = [_Workspace(cfg, min(_BLOCK, drawn)) for _ in range(count)]
 
     def price_task(task, ws):
         first, last = task
@@ -310,27 +302,21 @@ def _cost_rows(
             _normal_block(cfg.seed, first, last, stream=d, n=grid.n_steps, out=out[:m])
             for d, out in enumerate((ws.z, ws.zw)[: 1 + stochastic])
         ]
-        terms = kernel.contract(draws) if statics else None
+        terms = kernel.contract(draws)
         inverse = None
         if stochastic:
             inverse = _inverse_gbm_block(cfg.volume, grid, draws[0], out=ws.inverse[:m])
-        for d, offset in enumerate(offsets):
-            if d and statics:  # the mirror's price terms
+        for offset in offsets:
+            if offset:  # the mirror: its draw's price terms negated, its turnover reflected
                 np.negative(terms, out=terms)
-            if d and stochastic:  # its turnover: totals rejects a non-finite v0/v
-                with np.errstate(divide="ignore", over="ignore"):
-                    np.divide(ramp, inverse, out=inverse)
-            if d and per_path:  # and its draws, which the anticipating row reads
-                for x in draws:
-                    np.negative(x, out=x)
-            cols = slice(offset + first, offset + last)
-            if statics:
-                costs[per_path:, cols] = kernel.totals(terms, inverse)[slot]
-            if per_path:
-                out = inverse if ws.spare is None else ws.spare[:m]
-                costs[0, cols] = _anticipating_costs(
-                    draws, scales(rho), inverse, cfg.volume.v0, anticipating_phi, grid.tau, market, out
-                )
+                if stochastic:  # totals rejects a non-finite v0/v
+                    with np.errstate(divide="ignore", over="ignore"):
+                        np.divide(ramp, inverse, out=inverse)
+            costs[per_path:, offset + first : offset + last] = kernel.totals(terms, inverse)[slot]
+        if per_path:
+            costs[0, first:last] = _anticipating_costs(
+                draws, scales(rho), inverse, cfg.volume.v0, anticipating_phi, grid.tau, market
+            )
 
     _drain(tasks, price_task, spaces, alongside)
     return costs

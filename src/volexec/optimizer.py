@@ -78,10 +78,6 @@ class _RateModel:
         x = np.cumsum(z[::-1])[::-1]
         return self.d * z + self.k * np.cumsum(self.w[:-1] * x)
 
-    def solve(self, b, tau, Phi, fixed):
-        """The face of `fixed` applied to the one right-hand side b."""
-        return self.face(tau, fixed)(b, Phi)
-
     def face(self, tau, fixed):
         """(b, Phi) -> (z, nu) minimizing 1/2 z'Hz - b'z s.t. tau sum(z) = Phi and
         z[fixed] = 0, with nu the sell-off multiplier; eliminated once for every
@@ -124,7 +120,7 @@ def _active_set_qp(model: _RateModel, b, tau, Phi):
     fixed = np.zeros(n, dtype=bool)
     rate_scale = max(abs(Phi) / (tau * n), 1e-300)
     for it in range(1, max_iter + 1):
-        z, nu = model.solve(b, tau, Phi, fixed)
+        z, nu = model.face(tau, fixed)(b, Phi)
         violating = z < -_BOUND_TOL * rate_scale
         if violating.any():
             fixed |= violating

@@ -237,6 +237,36 @@ def test_validate_byte_identical_reruns(tmp_path):
     assert (a / "validation.json").read_bytes() == (b / "validation.json").read_bytes()
 
 
+def test_validate_checks_the_correlated_model(tmp_path, capsys):
+    """validate checks the model at volume.rho: on a small gbm config at
+    rho = +0.5 every check passes, and cross_check_quadrature runs the
+    Gauss-Hermite cross moment, so its variances differ from those of the
+    same config at rho = 0.  The config's rhos list is not read."""
+    from volexec.cli import main
+
+    def validation(rho, **extra):
+        doc = gbm_config()
+        del doc["rhos"]
+        doc["volume"]["rho"] = rho
+        doc.update(extra)
+        name = f"{rho}-{len(extra)}"
+        cfg = write_config(tmp_path, doc, name=f"{name}.json")
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path / name)]) == 0, capsys.readouterr().err
+        return (tmp_path / name / "validation.json").read_bytes()
+
+    def quadrature(report):
+        return next(c["detail"] for c in json.loads(report)["checks"] if c["name"] == "cross_check_quadrature")
+
+    correlated = validation(0.5)
+    checks = json.loads(correlated)["checks"]
+    assert all(c["passed"] and not c["skipped"] for c in checks), checks
+    at_zero = quadrature(validation(0.0))
+    for name, probe in quadrature(correlated).items():
+        assert probe["quadrature"] != at_zero[name]["quadrature"], name
+        assert probe["reduced"] != at_zero[name]["reduced"], name
+    assert validation(0.5, rhos=[-0.9, 0.9]) == correlated
+
+
 def test_validate_catches_seeded_defect(monkeypatch, market, gbm_model, grid200):
     """A deliberately corrupted variance kernel must trip exactly one check."""
     from volexec import validation
@@ -584,8 +614,8 @@ def test_cli_contracts_hold_on_random_configs(tmp_path, capsys):
     commands: the exit code is 0, 2 or 3 and no exception escapes; every
     JSON artifact is strict; a converged solve met the KKT tolerance; exit 0
     means every solve converged and every check passed; validate and
-    simulate rerun to the same bytes; solve issues no warning.  The other
-    commands' stray numpy warnings are recorded, not asserted on."""
+    simulate rerun to the same bytes; solve and simulate issue no warning.
+    The other commands' stray numpy warnings are recorded, not asserted on."""
     from volexec.cli import main
 
     rng = np.random.default_rng(20260419)
@@ -602,7 +632,8 @@ def test_cli_contracts_hold_on_random_configs(tmp_path, capsys):
                     code = main([command, "--config", cfg, "--out", str(out)])
                 for w in caught:
                     seen.setdefault((w.category.__name__, str(w.message)), (case, command))
-                assert not (command == "solve" and caught), (case, [str(w.message) for w in caught])
+                quiet = command in ("solve", "simulate")
+                assert not (quiet and caught), (case, command, [str(w.message) for w in caught])
                 capsys.readouterr()
                 assert code in (0, 2, 3), (case, command, doc)
                 outs.append(_artifacts(out))

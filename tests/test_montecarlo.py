@@ -104,8 +104,8 @@ def _on_workers(monkeypatch, counts, run):
 
 
 def test_batching_is_invisible(monkeypatch, market, gbm_model, grid200, twap200):
-    # 1030 paths span five keyed blocks, the last one ragged; one and two
-    # workers price tasks of 512 drawn paths, five workers tasks of 256
+    # 1030 paths span five keyed blocks, the last one ragged; on one, two or
+    # five workers every task is one keyed block of drawn paths
     cfg = _cfg(gbm_model, market, grid200, n_paths=1030, seed=4)
     draw, tasks = montecarlo._normal_block, set()
 
@@ -119,8 +119,8 @@ def test_batching_is_invisible(monkeypatch, market, gbm_model, grid200, twap200)
         for workers in (1, 2, 5):
             monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
             runs.append(estimate_cost_moments(twap200, cfg, antithetic=antithetic, return_costs=True))
-            drawn, size = 1030 // (1 + antithetic), 256 if workers == 5 else 512
-            assert tasks == {(a, min(a + size, drawn)) for a in range(0, drawn, size)}
+            drawn = 1030 // (1 + antithetic)
+            assert tasks == {(a, min(a + 256, drawn)) for a in range(0, drawn, 256)}
             tasks.clear()
         (a, ca), *rest = runs
         for b, cb in rest:
@@ -160,6 +160,25 @@ def test_antithetic_needs_even_paths(market, gbm_model, grid200, twap200):
     cfg = _cfg(gbm_model, market, grid200, n_paths=65, seed=7)
     with pytest.raises(ValueError):
         estimate_cost_moments(twap200, cfg, antithetic=True)
+
+
+def test_per_path_anticipating_row_has_no_mirror(monkeypatch, market, gbm_model, grid200, twap200):
+    """Under lognormal turnover the anticipating row is priced on drawn
+    paths only: asking for it with antithetic twins raises before any draw."""
+    cfg = _cfg(gbm_model, market, grid200, n_paths=64, seed=7)
+    monkeypatch.setattr(montecarlo, "_normal_block", task_fault)
+    with pytest.raises(ValueError, match="drawn paths only"):
+        _cost_rows(cfg, [twap200], 1.0, antithetic=True)
+
+
+@pytest.mark.parametrize("kind", ["arcsine", "gbm"])
+def test_pass_needs_a_static_schedule(market, grid200, kind):
+    """A pass prices at least one static schedule, with or without the
+    anticipating row."""
+    cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=64, seed=7)
+    for phi in (None, 1.0):
+        with pytest.raises(ValueError, match="at least one static schedule"):
+            _cost_rows(cfg, [], phi)
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
@@ -267,8 +286,8 @@ def test_memory_is_bounded_by_batch(market_hi, grid500):
 
 
 def test_anticipating_row_adds_no_path_memory(monkeypatch, market_hi, grid500):
-    """The per-path anticipating row is priced in closed form in the pass's
-    spare buffer: with it, an n=500 gbm pass peaks within 1.25x of the same
+    """The per-path anticipating row is priced in closed form over its draws'
+    v0/v: with it, an n=500 gbm pass peaks within 1.25x of the same
     pass without it, so no per-path schedule is built."""
     model = GbmVolumeModel(1.0, -0.02, 0.2, rho=0.4)
     cfg = _cfg(model, market_hi, grid500, n_paths=4096, seed=14)
@@ -352,18 +371,20 @@ def _volume(kind, grid, rho=0.0):
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("kind", ["arcsine", "samples", "gbm"])
 def test_cost_rows_match_decompose(market_hi, grid200, kind, antithetic, k):
-    """Oracle: every weight-vector row, the anticipating one included, equals
-    the path-by-path decomposition on the same draws."""
+    """Oracle: every weight-vector row, the anticipating one included where
+    it is priced (not on lognormal mirrors), equals the path-by-path
+    decomposition on the same draws."""
     cfg = _cfg(_volume(kind, grid200, rho=-0.6), market_hi, grid200, n_paths=300, seed=21)
     statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)[:k]]
-    rows = _cost_rows(cfg, statics, anticipating_phi=1.0, antithetic=antithetic)
+    phi = None if kind == "gbm" and antithetic else 1.0
+    rows = _cost_rows(cfg, statics, anticipating_phi=phi, antithetic=antithetic)
     price, vol = antithetic_paths(cfg) if antithetic else joint_paths(cfg)
     w = trapz_weights(grid200.n_steps, grid200.tau)
     zeta_paths = vol * (1.0 / (vol @ w))[:, None]
-    ref = [decompose(price, vol, zeta_paths, 1.0, grid200.tau, market_hi)[0]]
+    ref = [decompose(price, vol, zeta_paths, 1.0, grid200.tau, market_hi)[0]] if phi else []
     ref += [decompose(price, vol, s.zeta, s.Phi, grid200.tau, market_hi)[0] for s in statics]
     tol = 1e-12 * max(1.0, market_hi.s0 * 1.0)
-    assert rows.shape == (k + 1, cfg.n_paths)
+    assert rows.shape == (len(ref), cfg.n_paths)
     for row, expected in zip(rows, ref):
         assert np.max(np.abs(row - expected)) <= tol
 
@@ -374,14 +395,18 @@ def test_cost_rows_match_decompose(market_hi, grid200, kind, antithetic, k):
 )
 def test_rows_match_path_oracle(market_hi, grid200, kind, rho, antithetic):
     """The pass prices the draws and builds no path: every row, the
-    anticipating one included, is the shortfall evaluated from its
-    definition on the paths built from the same draws (mirrors included)."""
+    anticipating one included where it is priced (not on lognormal
+    mirrors), is the shortfall evaluated from its definition on the paths
+    built from the same draws (mirrors included)."""
     cfg = _cfg(_volume(kind, grid200, rho=rho), market_hi, grid200, n_paths=300, seed=26)
     statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)]
-    rows = _cost_rows(cfg, statics, anticipating_phi=1.0, antithetic=antithetic)
+    phi = None if kind == "gbm" and antithetic else 1.0
+    rows = _cost_rows(cfg, statics, anticipating_phi=phi, antithetic=antithetic)
     price, vol = antithetic_paths(cfg) if antithetic else joint_paths(cfg)
     w = trapz_weights(grid200.n_steps, grid200.tau)
-    zetas = [vol * (1.0 / np.einsum("ij,j->i", vol, w))[:, None]] + [s.zeta for s in statics]
+    zetas = [vol * (1.0 / np.einsum("ij,j->i", vol, w))[:, None]] if phi else []
+    zetas += [s.zeta for s in statics]
+    assert len(rows) == len(zetas)
     for row, zeta in zip(rows, zetas):
         ref = _independent_direct_cost(price, vol, zeta, 1.0, grid200.tau, market_hi)
         assert np.all(np.abs(row - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
@@ -438,9 +463,10 @@ def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind):
         with pytest.raises(ConsistencyError):
             _cost_rows(cfg, [twap200])
 
-    # a pass of three tasks on two threads whose draws fail on the helper
+    # a pass of five tasks on two threads whose draws fail on the helper
     # only: each thread's first draw waits for the other's, so the helper
-    # holds a task before the calling thread can drain them all
+    # holds the first or second task before the calling thread can drain
+    # them all
     draw, barrier, seen = montecarlo._normal_block, threading.Barrier(2, timeout=30), set()
 
     def helper_fails(seed, first, *args, **kwargs):
@@ -453,7 +479,7 @@ def test_cost_identity_has_teeth(monkeypatch, market, grid200, twap200, kind):
 
     monkeypatch.setattr(montecarlo, "_normal_block", helper_fails)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
-    with pytest.raises(ValueError, match=r"^task at (0|512|1024)$"):
+    with pytest.raises(ValueError, match=r"^task at (0|256)$"):
         _cost_rows(cfg, [twap200])
 
 
@@ -493,16 +519,16 @@ def test_identity_bound_is_six_standard_deviations(monkeypatch, market, grid200,
 @pytest.mark.parametrize("workers", [2, 3, 5])
 def test_rows_do_not_depend_on_worker_count(monkeypatch, market, workers):
     """Every row has the same bits whether one thread or several price the
-    pass: gbm rows (the per-path anticipating row included) with and without
-    antithetic twins, and the deterministic tournament's rows, with tasks of
-    512 or 256 drawn paths and a ragged last task."""
+    pass: gbm rows, with the per-path anticipating row and with antithetic
+    twins, and the deterministic tournament's rows, one keyed block per
+    task and a ragged last task."""
     grid50 = build_grid(1.0, 50)
     gbm = GbmVolumeModel(1.0, -0.02, 0.3, rho=-0.4)
     arcsine = arcsine_profile(grid50)
     cases = [
-        (gbm, [_shaped(grid50, 1.5), _shaped(grid50, -0.5)], False),
-        (gbm, [_shaped(grid50, 1.5), _shaped(grid50, -0.5)], True),
-        (arcsine, [_shaped(grid50, 1.5), vwap_strategy(arcsine, 1.0)], False),
+        (gbm, [_shaped(grid50, 1.5), _shaped(grid50, -0.5)], 1.0, False),
+        (gbm, [_shaped(grid50, 1.5), _shaped(grid50, -0.5)], None, True),
+        (arcsine, [_shaped(grid50, 1.5), vwap_strategy(arcsine, 1.0)], 1.0, False),
     ]
     started = []
 
@@ -517,13 +543,13 @@ def test_rows_do_not_depend_on_worker_count(monkeypatch, market, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for volume, statics, antithetic in cases:
+        for volume, statics, phi, antithetic in cases:
             cfg = _cfg(volume, market, grid50, n_paths=1030, seed=25)
             monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
-            alone = _cost_rows(cfg, statics, 1.0, antithetic=antithetic)
+            alone = _cost_rows(cfg, statics, phi, antithetic=antithetic)
             assert not started  # one CPU: the calling thread prices every task
             monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-            shared = _cost_rows(cfg, statics, 1.0, antithetic=antithetic)
+            shared = _cost_rows(cfg, statics, phi, antithetic=antithetic)
             assert 0 < len(started) < workers  # no more helpers than tasks
             assert not any(t.is_alive() for t in started)
             started.clear()
@@ -542,8 +568,9 @@ def test_failing_pass_raises_the_same_error_on_any_cpu_count(monkeypatch, market
     for workers in (1, 2, 5):
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         for antithetic in (False, True):
+            phi = None if kind == "gbm" and antithetic else 1.0
             with pytest.raises(ValueError, match=r"^task at 0$"):
-                _cost_rows(cfg, statics, 1.0, antithetic=antithetic)
+                _cost_rows(cfg, statics, phi, antithetic=antithetic)
 
 
 def test_repeated_schedule_is_priced_once(monkeypatch, market, grid200, twap200):
@@ -573,8 +600,8 @@ def test_repeated_schedule_is_priced_once(monkeypatch, market, grid200, twap200)
 def test_schedules_at_several_rhos_share_one_kernel(monkeypatch, market_hi, grid200, kind, antithetic):
     """One _StaticCosts over schedules at several rho, each with its own
     driver scales, gives every row the bits of a pass at that rho alone; the
-    anticipating row reads the model's rho, and under deterministic turnover
-    no row reads rho."""
+    anticipating row (not on lognormal mirrors) reads the model's rho, and
+    under deterministic turnover no row reads rho."""
     volume = _volume(kind, grid200, rho=0.2)
     cfg = _cfg(volume, market_hi, grid200, n_paths=600, seed=27)
     statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)]
@@ -587,10 +614,14 @@ def test_schedules_at_several_rhos_share_one_kernel(monkeypatch, market_hi, grid
         return kernel(schedules, *args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "_StaticCosts", counted)
-    rows = _cost_rows(cfg, statics, 1.0, antithetic=antithetic, rhos=rhos)
+    phi = None if kind == "gbm" and antithetic else 1.0
+    rows = _cost_rows(cfg, statics, phi, antithetic=antithetic, rhos=rhos)
     assert built == [len(statics) + (kind == "arcsine")]  # the volume-proportional row joins
-    assert np.array_equal(rows[0], _cost_rows(cfg, [], 1.0, antithetic=antithetic)[0])
-    for row, s, rho in zip(rows[1:], statics, rhos):
+    if phi is not None:
+        lead, *rows = rows
+        assert np.array_equal(lead, _cost_rows(cfg, statics[:1], phi, antithetic=antithetic)[0])
+    assert len(rows) == len(statics)
+    for row, s, rho in zip(rows, statics, rhos):
         at_rho = cfg
         if kind == "gbm":
             at_rho = dataclasses.replace(cfg, volume=dataclasses.replace(volume, rho=rho))
@@ -685,13 +716,14 @@ def test_batching_is_invisible_deterministic_tournament(monkeypatch, market, gri
 
 def test_batching_is_invisible_stochastic_tournament(monkeypatch, market, gbm_model, grid200, twap200):
     # the per-path anticipating row too: its turnover mass is a row-stable
-    # contraction (a BLAS matrix-vector product changed with the task size)
+    # contraction (a BLAS matrix-vector product changed with the task size);
+    # with antithetic twins, the static rows alone
     ev = expected_vwap_strategy(gbm_model, grid200, 1.0)
     model = dataclasses.replace(gbm_model, rho=0.3)
     cfg = _cfg(model, market, grid200, n_paths=1030, seed=4)
-    for antithetic in (False, True):
+    for phi, antithetic in ((1.0, False), (None, True)):
         a, *rest = _on_workers(
-            monkeypatch, (1, 2, 5), lambda: _cost_rows(cfg, [ev, twap200], 1.0, antithetic=antithetic)
+            monkeypatch, (1, 2, 5), lambda: _cost_rows(cfg, [ev, twap200], phi, antithetic=antithetic)
         )
         for b in rest:
             assert np.array_equal(a, b)

@@ -202,13 +202,13 @@ def test_rate_model_pinned_solve_matches_dense(n):
             if fixed.all():
                 fixed[rng.integers(n)] = False
             b = rng.standard_normal(n) * np.max(model.d)
-            z, nu = model.solve(b, tau, 1.0, fixed)
+            z, nu = model.face(tau, fixed)(b, 1.0)
             z_ref, nu_ref = dense_kkt_step(H, b, tau, 1.0, fixed)
             assert np.all(z[fixed] == 0.0)
             assert np.max(np.abs(z - z_ref)) <= 1e-14 * np.max(np.abs(z_ref)) * n
             assert abs(nu - nu_ref) <= 1e-12 * max(abs(nu_ref), np.max(np.abs(b)) / tau)
         with pytest.raises(SolverFailureError):
-            model.solve(np.zeros(n), tau, 1.0, np.ones(n, dtype=bool))
+            model.face(tau, np.ones(n, dtype=bool))(np.zeros(n), 1.0)
 
 
 def test_face_reuse_matches_fresh_solves():
@@ -228,14 +228,14 @@ def test_face_reuse_matches_fresh_solves():
             for _ in range(3):
                 b = rng.standard_normal(n) * np.max(model.d)
                 z, nu = face(b, Phi)
-                z_ref, nu_ref = model.solve(b, tau, Phi, fixed)
+                z_ref, nu_ref = model.face(tau, fixed)(b, Phi)
                 assert np.array_equal(z, z_ref) and nu == nu_ref
                 assert np.all(z[fixed] == 0.0)
 
 
 def test_face_vanishing_pivot_reported_like_solve():
     """A face whose first merged node has no curvature left fails when it is
-    built, with the pivot_index a solve on it reports."""
+    built, before any right-hand side, and reports its pivot_index."""
     n = 6
     tau = 1.0 / n
     w = trapz_weights(n, tau)
@@ -245,9 +245,7 @@ def test_face_vanishing_pivot_reported_like_solve():
     fixed = np.zeros(n, dtype=bool)
     with pytest.raises(SolverFailureError) as built:
         model.face(tau, fixed)
-    with pytest.raises(SolverFailureError) as solved:
-        model.solve(np.ones(n), tau, 1.0, fixed)
-    assert built.value.pivot_index == solved.value.pivot_index == 1
+    assert built.value.pivot_index == 1
 
 
 def test_report_dict_fields():
