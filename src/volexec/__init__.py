@@ -8,7 +8,7 @@ and lognormal turnover, boundary-value and direct-optimization solvers, a
 small-risk expansion, and seeded Monte Carlo validation.
 """
 
-from .bvp import optimal_inventory_ode
+from .bvp import asymptotic_expansion, optimal_inventory_ode
 from .cost import (
     CostBreakdown,
     MarketParams,
@@ -42,7 +42,6 @@ from .strategies import (
     InventoryCurve,
     Strategy,
     ac_closed_form,
-    asymptotic_expansion,
     expected_vwap_strategy,
     inventory_from_rate,
     rate_from_inventory,

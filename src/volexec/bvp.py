@@ -8,7 +8,9 @@ The continuous equation is
 discretized with second-order central differences on the uniform grid,
 giving a tridiagonal system handled by direct elimination (pivot locations
 are reported on failure, which off-the-shelf banded solvers hide).  The
-optimizer's bound-constrained QP steps run on the same elimination.
+optimizer's bound-constrained QP steps run on the same elimination, and
+the small-risk expansion around the volume-proportional schedule solves its
+first-order correction with it.
 """
 from __future__ import annotations
 
@@ -17,8 +19,15 @@ import warnings
 import numpy as np
 
 from .errors import ConsistencyError, SolverFailureError
-from .grids import TimeGrid
-from .strategies import InventoryCurve, _block_size, _risk_aversion
+from .grids import TimeGrid, interval_rates_to_nodes, trapz
+from .strategies import (
+    InventoryCurve,
+    Strategy,
+    _block_size,
+    _risk_aversion,
+    inventory_from_rate,
+    vwap_strategy,
+)
 
 _RESIDUAL_RTOL = 1e-10
 _PIVOT_RTOL = 1e-13
@@ -130,10 +139,41 @@ def matched_log_derivative(v: np.ndarray, tau: float):
     vbar = 0.5 * (v[1:] + v[:-1])
     a = np.zeros(v.size)
     h = v.copy()
-    a[1:-1] = (2.0 / tau) * (vbar[1:] - vbar[:-1]) / (vbar[1:] + vbar[:-1])
+    with np.errstate(over="ignore"):  # _solve_bvp rejects a non-finite coefficient
+        a[1:-1] = (2.0 / tau) * (vbar[1:] - vbar[:-1]) / (vbar[1:] + vbar[:-1])
     h[1:-1] = 2.0 / (1.0 / vbar[1:] + 1.0 / vbar[:-1])  # no product to overflow
     a[0], a[-1] = a[1], a[-2]
     return a, h
+
+
+def asymptotic_expansion(profile, market, lam, Phi):
+    """First-order expansion of the optimal schedule around volume-proportional.
+
+    Returns (strategy, correction_rate): the composite rate
+    zeta0 + lam * correction clipped at zero and renormalized, plus the raw
+    (unclipped) first-order rate correction so its convergence can be studied
+    directly.  The inventory correction solves
+
+        phi1'' - (d/dt log v) phi1' = (sigma_tilde^2/kappa_tilde) v phi0,
+        phi1(0) = phi1(T) = 0,
+
+    where phi0 is the volume-proportional inventory.  Coefficients and right
+    side use the same divergence-matched discretization as the boundary-value
+    route, which makes phi1 the exact risk-aversion derivative of the direct
+    quadratic program's solution family; the rate correction is therefore read
+    off as interval differences of phi1 and resampled to the nodes.
+    """
+    lam = _risk_aversion(lam)
+    base = vwap_strategy(profile, Phi)
+    phi0 = inventory_from_rate(base).phi
+    g = profile.grid
+    a, h = matched_log_derivative(profile.v, g.tau)
+    rhs = (market.sigma_tilde**2 / market.kappa_tilde) * h * phi0
+    phi1 = _solve_bvp(g, a, np.zeros(len(g)), rhs, 0.0, 0.0)
+    zeta1 = interval_rates_to_nodes((phi1[:-1] - phi1[1:]) / g.tau)
+    composite = np.clip(base.zeta + lam * zeta1, 0.0, None)
+    composite *= base.Phi / trapz(composite, g.tau)
+    return Strategy(grid=g, zeta=composite, Phi=base.Phi), zeta1
 
 
 def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands:
+Commands:
 
     solve      optimal schedules for each risk aversion (and correlation,
                under a stochastic turnover model); CSV per schedule plus a
@@ -10,11 +10,15 @@ Subcommands:
                (deterministic turnover configurations only)
     simulate   solve, then Monte Carlo the realized cost of each schedule
 
+One parser reads the command and the options all four share, in any order;
+`main` builds the run once for the command's handler in COMMANDS.  solve and
+simulate report every schedule through one sweep, _solve_sweep.
+
 Configuration is a JSON document (see _build_run from the schema below) given
 either with --config PATH or as a named built-in preset with --preset.  Exit
-codes: 0 success, 2 configuration problem, 3 solver or validation failure.
-Diagnostics go to stderr; each command prints a one-line JSON summary to
-stdout.
+codes: 0 success, 2 configuration problem or usage error, 3 solver or
+validation failure.  Diagnostics go to stderr; each command prints a
+one-line JSON summary to stdout.
 """
 from __future__ import annotations
 
@@ -29,12 +33,13 @@ from typing import Optional
 
 import numpy as np
 
+from .bvp import asymptotic_expansion
 from .cost import MarketParams
 from .errors import ConsistencyError, SolverFailureError
 from .grids import TimeGrid, build_grid, write_csv
 from .montecarlo import SimulationConfig, _cost_rows, moment_estimate
 from .optimizer import solve_qp_deterministic, solve_sqp_gbm
-from .strategies import asymptotic_expansion, strategy_to_csv, vwap_strategy
+from .strategies import strategy_to_csv, vwap_strategy
 from .validation import run_validation
 from .volume import (
     GbmVolumeModel,
@@ -286,52 +291,49 @@ def _emit(doc: dict) -> None:
 
 
 def _solve_sweep(run: RunConfig):
-    """Yield (lambda, rho-or-None, strategy, report) across the config sweep."""
-    if run.stochastic:
-        rhos = run.rhos or [run.volume.rho]
-        for lam in run.lambdas:
-            for rho in rhos:
+    """Yield (entry, strategy) across the config sweep, the entry holding
+    lambda, rho (gbm only) and the solve report's fields; a solve that did
+    not converge is reported on stderr."""
+    rhos = (run.rhos or [run.volume.rho]) if run.stochastic else [None]
+    for lam in run.lambdas:
+        for rho in rhos:
+            if rho is None:
+                s, rep = solve_qp_deterministic(run.volume, lam, run.market, run.Phi)
+            else:
                 model = replace(run.volume, rho=rho)
                 s, rep = solve_sqp_gbm(model, lam, run.market, run.Phi, run.grid)
-                yield lam, rho, s, rep
-    else:
-        for lam in run.lambdas:
-            s, rep = solve_qp_deterministic(run.volume, lam, run.market, run.Phi)
-            yield lam, None, s, rep
+            entry = {"lambda": lam, **rep.as_dict()}
+            if rho is not None:
+                entry["rho"] = rho
+            if rep.status != "converged":
+                print(f"solver did not converge for lambda={lam} rho={rho}", file=sys.stderr)
+            yield entry, s
 
 
-def _strategy_filename(lam, rho) -> str:
-    name = f"strategy_lam{_fmt(lam)}"
-    if rho is not None:
-        name += f"_rho{_fmt(rho)}"
+def _artifact_name(prefix: str, entry: dict) -> str:
+    name = f"{prefix}_lam{_fmt(entry['lambda'])}"
+    if "rho" in entry:
+        name += f"_rho{_fmt(entry['rho'])}"
     return name + ".csv"
 
 
-def cmd_solve(args) -> int:
-    run = _build_run(_load_doc(args), args.seed, args.grid_n)
+def cmd_solve(args, run: RunConfig) -> int:
     out = _out_dir(args, run)
     results = []
-    failed = False
-    for lam, rho, s, rep in _solve_sweep(run):
-        fname = _strategy_filename(lam, rho)
-        strategy_to_csv(s, str(out / fname))
-        entry = {"lambda": lam, "file": fname, **rep.as_dict()}
-        if rho is not None:
-            entry["rho"] = rho
+    for entry, s in _solve_sweep(run):
+        entry["file"] = _artifact_name("strategy", entry)
+        strategy_to_csv(s, str(out / entry["file"]))
         results.append(entry)
-        if rep.status != "converged":
-            failed = True
-            print(f"solver did not converge for lambda={lam} rho={rho}", file=sys.stderr)
+    converged = all(e["status"] == "converged" for e in results)
     report = {"schema": SCHEMA_VERSION, "command": "solve", "results": results,
-              "all_converged": not failed}
+              "all_converged": converged}
     _write_json(out / "report.json", report)
     _emit({"command": "solve", "out_dir": str(out), "n_results": len(results),
-           "all_converged": not failed})
-    return 3 if failed else 0
+           "all_converged": converged})
+    return 0 if converged else 3
 
 
-def cmd_validate(args) -> int:
-    run = _build_run(_load_doc(args), args.seed, args.grid_n)
+def cmd_validate(args, run: RunConfig) -> int:
     out = _out_dir(args, run)
     lambdas = [x for x in run.lambdas if x > 0] or [0.5, 1.0, 2.0]
     report = run_validation(
@@ -352,8 +354,7 @@ def cmd_validate(args) -> int:
     return 0 if report["all_passed"] else 3
 
 
-def cmd_expand(args) -> int:
-    run = _build_run(_load_doc(args), args.seed, args.grid_n)
+def cmd_expand(args, run: RunConfig) -> int:
     if run.stochastic:
         raise ConfigError("expand requires a deterministic turnover profile")
     out = _out_dir(args, run)
@@ -370,62 +371,57 @@ def cmd_expand(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    run = _build_run(_load_doc(args), args.seed, args.grid_n)
+def cmd_simulate(args, run: RunConfig) -> int:
     out = _out_dir(args, run)
     solved = list(_solve_sweep(run))
     cfg = SimulationConfig(run.n_paths, run.seed, run.grid, run.market, run.volume)
     # every schedule, at its own correlation, is priced on one pass of draws
-    costs = _cost_rows(cfg, [s for _, _, s, _ in solved], antithetic=run.antithetic,
-                       rhos=[rho for _, rho, _, _ in solved])
-    entries = []
-    failed = False
-    for (lam, rho, _, rep), row in zip(solved, costs):
-        est = moment_estimate(row, run.antithetic)
-        entry = {"lambda": lam, "objective": rep.objective, "status": rep.status,
-                 "moments": est.as_dict()}
-        if rho is not None:
-            entry["rho"] = rho
+    costs = _cost_rows(cfg, [s for _, s in solved], antithetic=run.antithetic,
+                       rhos=[entry.get("rho") for entry, _ in solved])
+    results = []
+    for (entry, _), row in zip(solved, costs):
+        kept = {k: entry[k] for k in ("lambda", "rho", "objective", "status") if k in entry}
+        kept["moments"] = moment_estimate(row, run.antithetic).as_dict()
         if run.dump_paths:
-            fname = _strategy_filename(lam, rho).replace("strategy_", "costs_")
-            write_csv(out / fname, ["path", "cost"], [range(len(row)), row])
-            entry["costs_file"] = fname
-        entries.append(entry)
-        if rep.status != "converged":
-            failed = True
-            print(f"solver did not converge for lambda={lam} rho={rho}", file=sys.stderr)
-    report = {"schema": SCHEMA_VERSION, "command": "simulate", "results": entries}
+            kept["costs_file"] = _artifact_name("costs", entry)
+            write_csv(out / kept["costs_file"], ["path", "cost"], [range(len(row)), row])
+        results.append(kept)
+    report = {"schema": SCHEMA_VERSION, "command": "simulate", "results": results}
     _write_json(out / "simulate.json", report)
-    _emit({"command": "simulate", "out_dir": str(out), "n_results": len(entries)})
-    return 3 if failed else 0
+    _emit({"command": "simulate", "out_dir": str(out), "n_results": len(results)})
+    return 0 if all(e["status"] == "converged" for e in results) else 3
+
+
+# command -> (handler, one-line help)
+COMMANDS = {
+    "solve": (cmd_solve, "solve the schedule sweep and write CSV/JSON artifacts"),
+    "validate": (cmd_validate, "run the self-validation suite"),
+    "expand": (cmd_expand, "small-risk expansion around volume-proportional"),
+    "simulate": (cmd_simulate, "solve, then Monte Carlo the realized costs"),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="volexec",
         description="Volume-weighted execution scheduling under linear market impact.",
+        epilog="commands:\n" + "\n".join(f"  {k}: {help_}" for k, (_, help_) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, fn, help_ in (
-        ("solve", cmd_solve, "solve the schedule sweep and write CSV/JSON artifacts"),
-        ("validate", cmd_validate, "run the self-validation suite"),
-        ("expand", cmd_expand, "small-risk expansion around volume-proportional"),
-        ("simulate", cmd_simulate, "solve, then Monte Carlo the realized costs"),
-    ):
-        q = sub.add_parser(name, help=help_)
-        q.add_argument("--config", help="path to a JSON run configuration")
-        q.add_argument("--preset", choices=PRESETS, help="named built-in configuration")
-        q.add_argument("--out", help="output directory (overrides config out_dir)")
-        q.add_argument("--seed", type=int, help="override mc.seed")
-        q.add_argument("--grid-n", type=int, help="override grid_n")
-        q.set_defaults(handler=fn)
+    p.add_argument("command", choices=COMMANDS, metavar="command", help="see commands below")
+    p.add_argument("--config", help="path to a JSON run configuration")
+    p.add_argument("--preset", choices=PRESETS, help="named built-in configuration")
+    p.add_argument("--out", help="output directory (overrides config out_dir)")
+    p.add_argument("--seed", type=int, help="override mc.seed")
+    p.add_argument("--grid-n", type=int, help="override grid_n")
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    handler, _ = COMMANDS[args.command]
     try:
-        return args.handler(args)
+        return handler(args, _build_run(_load_doc(args), args.seed, args.grid_n))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

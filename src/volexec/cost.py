@@ -137,7 +137,8 @@ def _cost_weights(zeta, Phi, tau, market: MarketParams):
     with np.errstate(over="ignore"):  # the identity check rejects a non-finite cost
         total0 = market.kappa * psi[-1] ** 2 / 2.0
         direct0 = market.kappa * _dot(psi, c)
-    return risk, direct, market.kappa_tilde * zeta * c, total0, direct0
+        temporary = market.kappa_tilde * zeta * c
+    return risk, direct, temporary, total0, direct0
 
 
 def _dot(a, b):
@@ -304,10 +305,9 @@ def expected_cost(s: Strategy, profile, market: MarketParams) -> float:
         v = gbm_harmonic_mean(profile, s.grid).v
     else:
         raise TypeError(f"expected VolumeProfile or GbmVolumeModel, got {type(profile)!r}")
-    tau = s.grid.tau
-    return float(
-        market.kappa * s.Phi**2 / 2.0 + market.kappa_tilde * trapz(s.zeta**2 / v, tau)
-    )
+    with np.errstate(over="ignore"):  # a non-finite z fails its validate check
+        temporary = trapz(s.zeta**2 / v, s.grid.tau)
+    return float(market.kappa * s.Phi**2 / 2.0 + market.kappa_tilde * temporary)
 
 
 def mv_deterministic(s: Strategy, profile: VolumeProfile, lam, market: MarketParams) -> MvValue:

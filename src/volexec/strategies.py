@@ -3,9 +3,10 @@
 A Strategy is a nonnegative per-node execution rate that liquidates exactly
 Phi shares over the grid horizon (sell-off condition, enforced under the
 composite trapezoid rule).  The constructors here cover the closed-form
-schedules: volume-proportional, harmonic-mean proportional, impact-twisted,
-the constant-turnover risk-averse schedule, and the small-risk-aversion
-expansion around the volume-proportional one.
+schedules: volume-proportional, harmonic-mean proportional, impact-twisted
+and the constant-turnover risk-averse schedule.  The small-risk-aversion
+expansion around the volume-proportional one solves a boundary problem and
+lives in bvp.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .grids import (
     build_grid,
     cumtrapz,
     derivative,
-    interval_rates_to_nodes,
     trapz,
     write_csv,
 )
@@ -135,7 +135,9 @@ def _block_size(Phi) -> float:
 def _proportional(grid: TimeGrid, weight: np.ndarray, Phi) -> Strategy:
     """Rate proportional to `weight`, scaled by its trapezoid mass to sell Phi."""
     Phi = _block_size(Phi)
-    return Strategy(grid=grid, zeta=weight * (Phi / trapz(weight, grid.tau)), Phi=Phi)
+    with np.errstate(over="ignore"):  # Strategy rejects a non-finite rate or a wrong sell-off
+        zeta = weight * (Phi / trapz(weight, grid.tau))
+    return Strategy(grid=grid, zeta=zeta, Phi=Phi)
 
 
 def vwap_strategy(profile: VolumeProfile, Phi: float) -> Strategy:
@@ -197,38 +199,6 @@ def ac_closed_form(lam, market, v, grid: TimeGrid, Phi) -> Strategy:
     zeta /= -np.expm1(-2.0 * g * T)
     zeta *= Phi / trapz(zeta, grid.tau)
     return Strategy(grid=grid, zeta=zeta, Phi=Phi)
-
-
-def asymptotic_expansion(profile: VolumeProfile, market, lam, Phi):
-    """First-order expansion of the optimal schedule around volume-proportional.
-
-    Returns (strategy, correction_rate): the composite rate
-    zeta0 + lam * correction clipped at zero and renormalized, plus the raw
-    (unclipped) first-order rate correction so its convergence can be studied
-    directly.  The inventory correction solves
-
-        phi1'' - (d/dt log v) phi1' = (sigma_tilde^2/kappa_tilde) v phi0,
-        phi1(0) = phi1(T) = 0,
-
-    where phi0 is the volume-proportional inventory.  Coefficients and right
-    side use the same divergence-matched discretization as the boundary-value
-    route, which makes phi1 the exact risk-aversion derivative of the direct
-    quadratic program's solution family; the rate correction is therefore read
-    off as interval differences of phi1 and resampled to the nodes.
-    """
-    from .bvp import _solve_bvp, matched_log_derivative
-
-    lam = _risk_aversion(lam)
-    base = vwap_strategy(profile, Phi)
-    phi0 = inventory_from_rate(base).phi
-    g = profile.grid
-    a, h = matched_log_derivative(profile.v, g.tau)
-    rhs = (market.sigma_tilde**2 / market.kappa_tilde) * h * phi0
-    phi1 = _solve_bvp(g, a, np.zeros(len(g)), rhs, 0.0, 0.0)
-    zeta1 = interval_rates_to_nodes((phi1[:-1] - phi1[1:]) / g.tau)
-    composite = np.clip(base.zeta + lam * zeta1, 0.0, None)
-    composite *= base.Phi / trapz(composite, g.tau)
-    return Strategy(grid=g, zeta=composite, Phi=base.Phi), zeta1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from volexec.bvp import optimal_inventory_ode
+from volexec.bvp import asymptotic_expansion, optimal_inventory_ode
 from volexec.cost import (
     MarketParams,
     market_vwap,
@@ -19,12 +19,7 @@ from volexec.cost import (
 from volexec.grids import build_grid, trapz, trapz_weights
 from volexec.montecarlo import SimulationConfig, estimate_cost_moments, validate_theorem_orderings
 from volexec.optimizer import solve_qp_deterministic, solve_sqp_gbm
-from volexec.strategies import (
-    Strategy,
-    ac_closed_form,
-    asymptotic_expansion,
-    expected_vwap_strategy,
-)
+from volexec.strategies import Strategy, ac_closed_form, expected_vwap_strategy
 from volexec.volume import (
     GbmVolumeModel,
     arcsine_profile,

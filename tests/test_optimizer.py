@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from volexec import optimizer
-from volexec.bvp import optimal_inventory_ode
+from volexec.bvp import asymptotic_expansion, optimal_inventory_ode
 from volexec.cost import MarketParams, MvValue, mv_deterministic, mv_gbm
 from volexec.errors import SolverFailureError
 from volexec.grids import build_grid, trapz, trapz_weights
@@ -18,7 +18,7 @@ from volexec.optimizer import (
     solve_qp_deterministic,
     solve_sqp_gbm,
 )
-from volexec.strategies import Strategy, ac_closed_form, asymptotic_expansion, vwap_strategy
+from volexec.strategies import Strategy, ac_closed_form, vwap_strategy
 from volexec.volume import GbmVolumeModel, arcsine_profile, gbm_harmonic_mean, profile_from_samples
 
 from conftest import dense_kkt_step, dense_qp_rates, dense_quadratic_hessian

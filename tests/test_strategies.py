@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from volexec.bvp import asymptotic_expansion
 from volexec.cost import MarketParams
 from volexec.errors import InconsistentStrategyError, NegativeRateError
 from volexec.grids import build_grid, cumtrapz, trapz
@@ -8,7 +9,6 @@ from volexec.strategies import (
     InventoryCurve,
     Strategy,
     ac_closed_form,
-    asymptotic_expansion,
     expected_vwap_strategy,
     inventory_from_rate,
     rate_from_inventory,
