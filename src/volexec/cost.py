@@ -23,7 +23,7 @@ variance is one formula with its Cov(1/v) double integral in O(n).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -70,12 +70,7 @@ class CostBreakdown:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "permanent": self.permanent,
-            "temporary": self.temporary,
-            "price_risk": self.price_risk,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

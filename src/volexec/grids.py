@@ -41,12 +41,8 @@ def build_grid(T: float, n_steps: int) -> TimeGrid:
     return TimeGrid(T=float(T), n_steps=int(n_steps))
 
 
-def same_grid(a: TimeGrid, b: TimeGrid) -> bool:
-    return a.n_steps == b.n_steps and a.T == b.T
-
-
 def require_same_grid(a: TimeGrid, b: TimeGrid, what: str = "curves") -> None:
-    if not same_grid(a, b):
+    if a != b:  # TimeGrid equality compares T and n_steps, not the nodes
         raise ValueError(
             f"{what} live on different grids: (T={a.T}, n={a.n_steps}) vs (T={b.T}, n={b.n_steps})"
         )

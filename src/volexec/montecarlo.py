@@ -41,7 +41,7 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -58,7 +58,7 @@ from .volume import (
     _normal_block,
 )
 
-_DEFAULT_BATCH = 2048  # paths held at once by a pass: bounds memory; a multiple of _BLOCK
+_MAX_THREADS = 8  # threads of one pass: their workspaces hold at most 8 x _BLOCK = 2048 paths
 ANTICIPATING_LABEL = "anticipating-vwap"
 EXPECTED_VWAP_LABEL = "expected-vwap"
 
@@ -95,13 +95,7 @@ class MomentEstimate:
     n_paths: int
 
     def as_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "std_error_mean": self.std_error_mean,
-            "std_error_variance": self.std_error_variance,
-            "n_paths": self.n_paths,
-        }
+        return asdict(self)
 
 
 class _Workspace:
@@ -234,10 +228,10 @@ def _cost_rows(
 
     Each task is one keyed block of _BLOCK drawn paths, and the tasks are
     drained (`_drain`) by one thread per CPU (`_worker_count`), but no more
-    threads than _DEFAULT_BATCH holds blocks; the calling thread runs
-    `alongside` first.  A mirror reuses its draw's buffers, so all
-    workspaces together hold at most _DEFAULT_BATCH paths on any CPU count,
-    and the task split never changes a result.
+    than _MAX_THREADS threads; the calling thread runs `alongside` first.
+    A mirror reuses its draw's buffers, so all workspaces together hold at
+    most _MAX_THREADS x _BLOCK paths on any CPU count, and the task split
+    never changes a result.
 
     No price path is built: the price moves by sigma_tilde sqrt(tau) z under
     deterministic turnover, by sigma_tilde sqrt(tau) (rho z_0 + sqrt(1 - rho^2) z_1)
@@ -291,8 +285,8 @@ def _cost_rows(
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
     tasks = [(first, min(first + _BLOCK, drawn)) for first in range(0, drawn, _BLOCK)]
-    # no more threads than _DEFAULT_BATCH holds blocks; a helper starts beside `alongside`
-    count = min(_worker_count(), _DEFAULT_BATCH // _BLOCK, len(tasks) + bool(alongside))
+    # no more than _MAX_THREADS threads; a helper starts beside `alongside`
+    count = min(_worker_count(), _MAX_THREADS, len(tasks) + bool(alongside))
     spaces = [_Workspace(cfg, min(_BLOCK, drawn)) for _ in range(count)]
 
     def price_task(task, ws):

@@ -169,8 +169,9 @@ class MeanVarianceObjective:
     total turnover tau sum(xbar), which the step rows and the SQP start
     divide by, are finite normal numbers.
     The model adds lam times the Cov(1/v) and cross-moment terms of the cost
-    module's variance (on interval midpoints, weights tau z^2), their
-    gradient and their Hessian diagonal.
+    module's variance (on interval midpoints, weights tau z^2) and their
+    gradient; `hessian` gives their Hessian diagonal and the objective's
+    exact Hessian product from one evaluation at z.
     """
 
     def __init__(self, xbar, lam, market: MarketParams, Phi, grid: TimeGrid, model=None):
@@ -217,20 +218,29 @@ class MeanVarianceObjective:
             raise FloatingPointError("lognormal-turnover objective or gradient is not finite")
         return f, g
 
-    def hessian_dot(self, z):
-        """v -> the exact Hessian of the objective at z times v, in O(n) per
-        product: the rate model, plus lam times the Cov(1/v) term,
+    def hessian(self, z):
+        """(curvature, dot) of the exact Hessian at z, from one evaluation of
+        C omega and bmid, in O(n): `curvature` is the diagonal of lam times the
+        Cov(1/v) and cross-moment terms' Hessian (C_ii = a_i^2 g_i, and
+        d bmid_i / d z_i = -tau^2/4); `dot` maps v to the whole objective's
+        Hessian times v: the rate model, plus lam times the Cov(1/v) term,
         4 kt^2 tau (v C omega + 2 tau z C(z v)), and the cross moment's
-        -cc tau (2 e bmid v + 2 z e J v + 2 J'(z e v)) with J = d bmid / dz."""
+        -cc tau (2 e bmid v + 2 z e J v + 2 J'(z e v)) with J = d bmid / dz.
+        Without turnover terms (lam = 0 or deterministic turnover) the
+        curvature is zero and the product is the rate model's."""
         quad = self.quad.dot
         if self.model is None or self.lam == 0.0:
-            return quad
+            return np.zeros(z.size), quad
         mk, tau, cov = self.market, self.tau, self.cov
+        a, g = cov
+        c_omega, bmid = _inverse_turnover_cov_dot(cov, tau * z**2), self._bmid(z)
+        curv = 4.0 * mk.kappa_tilde**2 * tau * (c_omega + 2.0 * tau * z**2 * a**2 * g)
+        if self.cross_coef != 0.0:
+            e_coef = 2.0 * mk.sigma_tilde * mk.kappa_tilde * self.cross_coef * tau * self.emid
+            curv += e_coef * (2.0 * bmid - tau**2 * z)
         quartic = 4.0 * self.lam * mk.kappa_tilde**2 * tau
-        c_omega = _inverse_turnover_cov_dot(cov, tau * z**2)
         cross = 4.0 * self.lam * mk.sigma_tilde * mk.kappa_tilde * self.cross_coef * tau
-        ze = z * self.emid
-        e_bmid = self.emid * self._bmid(z)
+        ze, e_bmid = z * self.emid, self.emid * bmid
 
         def dot(v):
             hv = quad(v) + quartic * (v * c_omega + 2.0 * tau * z * _inverse_turnover_cov_dot(cov, z * v))
@@ -238,7 +248,7 @@ class MeanVarianceObjective:
                 hv += cross * (e_bmid * v + ze * self._bmid(v, 0.0) + self._bmid_adjoint(ze * v))
             return hv
 
-        return dot
+        return self.lam * curv, dot
 
     def _bmid(self, z, Phi=None):
         """b_t = int_0^t phi at the midpoints, from the head-form inventory that
@@ -254,20 +264,6 @@ class MeanVarianceObjective:
         s0 = np.concatenate([np.cumsum(u[::-1])[::-1][1:], [0.0]])
         s1 = np.concatenate([np.cumsum((self.idx * u)[::-1])[::-1][1:], [0.0]])
         return -self.tau**2 * (s1 - self.idx * s0 + 0.25 * u)
-
-    def turnover_curvature(self, z) -> np.ndarray:
-        """Diagonal of the Hessian of lam times the Cov(1/v) and cross-moment
-        terms at z, in O(n); zero at lam = 0 and under deterministic turnover.
-        C_ii = a_i^2 g_i, and d bmid_i / d z_i = -tau^2/4."""
-        if self.model is None or self.lam == 0.0:
-            return np.zeros(z.size)
-        mk, tau, (a, g) = self.market, self.tau, self.cov
-        c_omega = _inverse_turnover_cov_dot(self.cov, tau * z**2)
-        curv = 4.0 * mk.kappa_tilde**2 * tau * (c_omega + 2.0 * tau * z**2 * a**2 * g)
-        if self.cross_coef != 0.0:
-            e_coef = 2.0 * mk.sigma_tilde * mk.kappa_tilde * self.cross_coef * tau * self.emid
-            curv += e_coef * (2.0 * self._bmid(z) - tau**2 * z)
-        return self.lam * curv
 
 
 def _solution(obj: MeanVarianceObjective, grid: TimeGrid, z, iterations, kkt, status):
@@ -335,18 +331,19 @@ def _face_newton_direction(hess, g, model: _RateModel, tau, fixed, forcing):
     return d
 
 
-def _face_newton_step(obj: MeanVarianceObjective, model: _RateModel, z, f, g, kkt):
+def _face_newton_step(obj: MeanVarianceObjective, model: _RateModel, hess, z, f, g, kkt):
     """One projected Newton step (More and Toraldo 1991) on the face of the
-    pinned rates z == 0: the bound with the most negative multiplier is
-    released first if it outweighs the free rates' stationarity residual; the
-    Armijo line search is cut at the first bound the step reaches, which is
-    then pinned.  Returns (z, f, g), or None when no step descends."""
+    pinned rates z == 0, with `hess` the exact Hessian product at z: the bound
+    with the most negative multiplier is released first if it outweighs the
+    free rates' stationarity residual; the Armijo line search is cut at the
+    first bound the step reaches, which is then pinned.  Returns (z, f, g),
+    or None when no step descends."""
     tau = obj.tau
     fixed = z == 0.0
     stationarity, mult = _multipliers(g, fixed, tau)
     if mult.size and -mult.min() > stationarity:
         fixed[np.flatnonzero(fixed)[np.argmin(mult)]] = False
-    d = _face_newton_direction(obj.hessian_dot(z), g, model, tau, fixed, min(0.1, np.sqrt(kkt)))
+    d = _face_newton_direction(hess, g, model, tau, fixed, min(0.1, np.sqrt(kkt)))
     slope = float(g @ d)
     if not slope < 0.0:
         return None
@@ -371,14 +368,16 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     curvature of its temporary-cost and price-variance terms) plus, on its
     diagonal, the Hessian diagonal of the Cov(1/v) and cross-moment terms at
     the iterate clipped at zero and a Levenberg shift mu adapted by a ratio
-    test; the same O(n) active set solves it.  Once two accepted steps in a
-    row each pin the rates that one of the two steps before it pinned (a
-    pinned set that settles, or swings between two sets), the solve finishes
-    on that face with Newton steps: conjugate gradients on the exact Hessian
-    product, preconditioned by the step model, an Armijo line search cut at
-    the first bound it reaches, and one bound released at a time; a damped
-    step is taken whenever no Newton step descends.  Starts from the
-    harmonic-mean-proportional schedule, which is already optimal at lam = 0.
+    test; the same O(n) active set solves it.  One Hessian evaluation per
+    iterate gives both that diagonal and the Newton steps' product.  Once
+    two accepted steps in a row each pin the rates that one of the two steps
+    before it pinned (a pinned set that settles, or swings between two sets),
+    the solve finishes on that face with Newton steps: conjugate gradients
+    on the exact Hessian product, preconditioned by the step model, an
+    Armijo line search cut at the first bound it reaches, and one bound
+    released at a time; a damped step is taken whenever no Newton step
+    descends.  Starts from the harmonic-mean-proportional schedule, which is
+    already optimal at lam = 0.
     `iterations` counts damped and Newton steps together.  The status is
     "converged" only when the KKT residual of the last iterate is within
     tolerance, "max-iterations" when the iteration budget runs out, and
@@ -401,9 +400,10 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
             break
         iterations = it
         decrease = None
-        diag = H.d + np.maximum(obj.turnover_curvature(z), 0.0)
+        curvature, hess = obj.hessian(z)
+        diag = H.d + np.maximum(curvature, 0.0)
         if stable >= 2:
-            step = _face_newton_step(obj, replace(H, d=diag), z, f, g, kkt)
+            step = _face_newton_step(obj, replace(H, d=diag), hess, z, f, g, kkt)
             if step is not None:
                 z, f, g = step
                 kkt = _kkt_residual(g, z, tau)

@@ -431,7 +431,7 @@ def test_turnover_curvature_matches_differences(market_hi):
             ubar = _interval_means(gbm_harmonic_mean(model, g).v)
             for lam in (5.0, 1000.0):
                 obj = MeanVarianceObjective(ubar, lam, market_hi, 1.0, g, model)
-                curv = obj.turnover_curvature(z)
+                curv = obj.hessian(z)[0]
                 fd = np.empty(n)
                 for i in range(n):
                     zp, zm = z.copy(), z.copy()
@@ -444,16 +444,16 @@ def test_turnover_curvature_matches_differences(market_hi):
                 assert np.all(np.maximum(curv, 0.0) >= 0.0)
                 negative |= bool(np.any(curv < 0.0))
             neutral = MeanVarianceObjective(ubar, 0.0, market_hi, 1.0, g, model)
-            assert np.all(neutral.turnover_curvature(z) == 0.0)
+            assert np.all(neutral.hessian(z)[0] == 0.0)
     assert negative  # a negative cross term makes the clip at zero matter
     det = _objective("deterministic", 1000.0, market_hi, g)
-    assert np.all(det.turnover_curvature(z) == 0.0)
+    assert np.all(det.hessian(z)[0] == 0.0)
 
 
 def test_hessian_dot_matches_differences(market_hi):
     """The Hessian product is the exact second derivative of the objective,
     by central differences of its gradient, column by column; its diagonal is
-    the SQP step model's diagonal before the clip, quad.d + turnover_curvature
+    the SQP step model's diagonal before the clip, quad.d plus the curvature
     (plus the inventory term), and without turnover terms it is the rate model."""
     n = 50
     g = build_grid(1.0, n)
@@ -467,7 +467,7 @@ def test_hessian_dot_matches_differences(market_hi):
             ubar = _interval_means(gbm_harmonic_mean(model, g).v)
             for lam in (5.0, 1000.0):
                 obj = MeanVarianceObjective(ubar, lam, market_hi, 1.0, g, model)
-                dot = obj.hessian_dot(z)
+                curv, dot = obj.hessian(z)
                 hess = np.column_stack([dot(e) for e in eye])
                 fd = np.column_stack(
                     [
@@ -476,12 +476,12 @@ def test_hessian_dot_matches_differences(market_hi):
                     ]
                 ) / (2.0 * h)
                 assert np.max(np.abs(hess - fd)) <= 5e-8 * np.max(np.abs(fd)), (rho, sigma, lam)
-                step = replace(obj.quad, d=obj.quad.d + obj.turnover_curvature(z))
+                step = replace(obj.quad, d=obj.quad.d + curv)
                 model_diag = np.array([step.dot(e)[i] for i, e in enumerate(eye)])
                 assert np.max(np.abs(np.diag(hess) - model_diag)) <= 1e-13 * np.max(model_diag)
     det = _objective("deterministic", 1000.0, market_hi, g)
     v = rng.standard_normal(n)
-    assert np.array_equal(det.hessian_dot(z)(v), det.quad.dot(v))
+    assert np.array_equal(det.hessian(z)[1](v), det.quad.dot(v))
 
 
 # (sigma, rho, lam) of the solve-sweep benchmark's hard corners and each one's

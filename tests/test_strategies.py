@@ -4,7 +4,7 @@ import pytest
 from volexec.bvp import asymptotic_expansion
 from volexec.cost import MarketParams
 from volexec.errors import InconsistentStrategyError, NegativeRateError
-from volexec.grids import build_grid, cumtrapz, trapz
+from volexec.grids import build_grid, cumtrapz, require_same_grid, trapz
 from volexec.strategies import (
     InventoryCurve,
     Strategy,
@@ -35,6 +35,14 @@ def test_constructors_leave_caller_arrays_writeable():
     z[0] = a[0] = 2.0  # the objects hold their own read-only copies
     assert s.zeta[0] == p.v[0] == 1.0
     assert not (s.zeta.flags.writeable or p.v.flags.writeable)
+
+
+def test_require_same_grid():
+    """Grids are the same exactly when T and n_steps agree, however built."""
+    require_same_grid(build_grid(1.0, 200), build_grid(1, 200))
+    for other in (build_grid(2.0, 200), build_grid(1.0, 100)):
+        with pytest.raises(ValueError, match="live on different grids"):
+            require_same_grid(build_grid(1.0, 200), other, "schedules")
 
 
 def test_strategy_validation(grid200):
