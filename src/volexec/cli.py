@@ -16,8 +16,9 @@ simulate report every schedule through one sweep, _solve_sweep.
 
 Configuration is a JSON document (see _build_run from the schema below) given
 either with --config PATH or as a named built-in preset with --preset.  Exit
-codes: 0 success, 2 configuration problem or usage error, 3 solver or
-validation failure.  Diagnostics go to stderr; each command prints a
+codes: 0 success, 2 configuration problem (an output directory that cannot
+be created and a run too large to allocate included) or usage error, 3
+solver or validation failure.  Diagnostics go to stderr; each command prints a
 one-line JSON summary to stdout.
 """
 from __future__ import annotations
@@ -272,9 +273,11 @@ def _load_doc(args) -> dict:
 
 
 def _out_dir(args, run: RunConfig) -> Path:
-    out = args.out or run.out_dir or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or run.out_dir or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file in the way, or no permission
+        raise ConfigError(f"cannot create output directory: {e}") from None
     return path
 
 
@@ -335,7 +338,6 @@ def cmd_solve(args, run: RunConfig) -> int:
 
 def cmd_validate(args, run: RunConfig) -> int:
     out = _out_dir(args, run)
-    lambdas = [x for x in run.lambdas if x > 0] or [0.5, 1.0, 2.0]
     report = run_validation(
         run.volume,
         run.market,
@@ -343,7 +345,7 @@ def cmd_validate(args, run: RunConfig) -> int:
         Phi=run.Phi,
         n_paths=run.n_paths,
         seed=run.seed,
-        lambdas=lambdas,
+        lambdas=run.lambdas,
     )
     _write_json(out / "validation.json", report)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
@@ -424,6 +426,9 @@ def main(argv=None) -> int:
         return handler(args, _build_run(_load_doc(args), args.seed, args.grid_n))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a grid or path count too large to allocate
+        print(f"config error: run does not fit in memory: {e}", file=sys.stderr)
         return 2
     except SolverFailureError as e:
         print(f"solver failure: {e}", file=sys.stderr)

@@ -276,6 +276,8 @@ def _cost_rows(
         return (base * r, base * math.sqrt(max(0.0, 1.0 - r**2))) if stochastic else (base,)
 
     ramp = _mirror_ramp(cfg.volume, grid) if stochastic else None
+    # before the task list: a path count too large to allocate fails here
+    # with MemoryError, not after building n / _BLOCK tasks
     costs = np.empty((per_path + len(statics), n))
     keys = [(s.Phi, s.zeta.tobytes(), r) for s, r in zip(statics, rhos)]
     unique = dict(zip(keys, statics))  # each schedule at each rho is contracted once

@@ -26,7 +26,6 @@ import numpy as np
 from .bvp import _eliminate, _substitute
 from .cost import (
     MarketParams,
-    _cross_moment,
     _inverse_turnover_cov_dot,
     _inverse_turnover_factors,
     _lognormal_variance,
@@ -169,9 +168,9 @@ class MeanVarianceObjective:
     total turnover tau sum(xbar), which the step rows and the SQP start
     divide by, are finite normal numbers.
     The model adds lam times the Cov(1/v) and cross-moment terms of the cost
-    module's variance (on interval midpoints, weights tau z^2) and their
-    gradient; `hessian` gives their Hessian diagonal and the objective's
-    exact Hessian product from one evaluation at z.
+    module's variance (on interval midpoints, weights tau z^2).  `evaluate`
+    is the one evaluation at a point: it forms those terms' C omega and bmid
+    once and returns the value, the gradient and the Hessian from them.
     """
 
     def __init__(self, xbar, lam, market: MarketParams, Phi, grid: TimeGrid, model=None):
@@ -194,61 +193,56 @@ class MeanVarianceObjective:
             self.cross_coef = model.sigma * model.rho / model.v0
             self.idx = np.arange(1, n + 1, dtype=float)
 
-    def value(self, z) -> float:
-        return self.value_and_gradient(z)[0]
-
-    def value_and_gradient(self, z):
-        g = self.quad.dot(z)
+    def evaluate(self, z):
+        """(f, g, hessian) at z, with omega = tau z^2, C omega and bmid formed
+        once.  hessian() gives (curvature, dot) of the exact Hessian from those
+        same arrays, in O(n), only when it is called: `curvature` is the
+        diagonal of lam times the Cov(1/v) and cross-moment terms' Hessian
+        (C_ii = a_i^2 g_i, and d bmid_i / d z_i = -tau^2/4); `dot` maps v to the
+        whole objective's Hessian times v: the rate model, plus lam times the
+        Cov(1/v) term, 4 kt^2 tau (v C omega + 2 tau z C(z v)), and the cross
+        moment's -cc tau (2 e bmid v + 2 z e J v + 2 J'(z e v)) with
+        J = d bmid / dz.  Without turnover terms (lam = 0 or deterministic
+        turnover) the curvature is zero and the product is the rate model's."""
+        quad = self.quad.dot
+        g = quad(z)
         f = self.permanent + 0.5 * float(np.sum(z * g))
         if self.model is None or self.lam == 0.0:
-            return f, g
-        mk, tau = self.market, self.tau
+            return f, g, lambda: (np.zeros(z.size), quad)
+        mk, tau, cov, cc = self.market, self.tau, self.cov, self.cross_coef
         omega, bmid = tau * z**2, self._bmid(z)
-        ema = _cross_moment(self.model, self.mid, omega, bmid)
-        variance, c_omega = _lognormal_variance(self.cov, mk, 0.0, omega, ema)
+        ema = float(-cc * np.sum(omega * self.emid * bmid)) if cc != 0.0 else 0.0  # E[M_T A_T]
+        variance, c_omega = _lognormal_variance(cov, mk, 0.0, omega, ema)
         g_quartic = 4.0 * mk.kappa_tilde**2 * tau * z * c_omega
-        if self.cross_coef != 0.0:
+        if cc != 0.0:
             d_bmid = self._bmid_adjoint(z**2 * self.emid)
-            g_ema = -self.cross_coef * tau * (2.0 * z * self.emid * bmid + d_bmid)
+            g_ema = -cc * tau * (2.0 * z * self.emid * bmid + d_bmid)
         else:
             g_ema = 0.0
         g_turnover = g_quartic - 2.0 * mk.sigma_tilde * mk.kappa_tilde * g_ema
         f, g = f + self.lam * variance, g + self.lam * g_turnover
         if not (np.isfinite(f) and np.isfinite(g).all()):  # no step is taken on NaN
             raise FloatingPointError("lognormal-turnover objective or gradient is not finite")
-        return f, g
 
-    def hessian(self, z):
-        """(curvature, dot) of the exact Hessian at z, from one evaluation of
-        C omega and bmid, in O(n): `curvature` is the diagonal of lam times the
-        Cov(1/v) and cross-moment terms' Hessian (C_ii = a_i^2 g_i, and
-        d bmid_i / d z_i = -tau^2/4); `dot` maps v to the whole objective's
-        Hessian times v: the rate model, plus lam times the Cov(1/v) term,
-        4 kt^2 tau (v C omega + 2 tau z C(z v)), and the cross moment's
-        -cc tau (2 e bmid v + 2 z e J v + 2 J'(z e v)) with J = d bmid / dz.
-        Without turnover terms (lam = 0 or deterministic turnover) the
-        curvature is zero and the product is the rate model's."""
-        quad = self.quad.dot
-        if self.model is None or self.lam == 0.0:
-            return np.zeros(z.size), quad
-        mk, tau, cov = self.market, self.tau, self.cov
-        a, g = cov
-        c_omega, bmid = _inverse_turnover_cov_dot(cov, tau * z**2), self._bmid(z)
-        curv = 4.0 * mk.kappa_tilde**2 * tau * (c_omega + 2.0 * tau * z**2 * a**2 * g)
-        if self.cross_coef != 0.0:
-            e_coef = 2.0 * mk.sigma_tilde * mk.kappa_tilde * self.cross_coef * tau * self.emid
-            curv += e_coef * (2.0 * bmid - tau**2 * z)
-        quartic = 4.0 * self.lam * mk.kappa_tilde**2 * tau
-        cross = 4.0 * self.lam * mk.sigma_tilde * mk.kappa_tilde * self.cross_coef * tau
-        ze, e_bmid = z * self.emid, self.emid * bmid
+        def hessian():
+            a, gc = cov
+            curv = 4.0 * mk.kappa_tilde**2 * tau * (c_omega + 2.0 * tau * z**2 * a**2 * gc)
+            if cc != 0.0:
+                e_coef = 2.0 * mk.sigma_tilde * mk.kappa_tilde * cc * tau * self.emid
+                curv += e_coef * (2.0 * bmid - tau**2 * z)
+            quartic = 4.0 * self.lam * mk.kappa_tilde**2 * tau
+            cross = 4.0 * self.lam * mk.sigma_tilde * mk.kappa_tilde * cc * tau
+            ze, e_bmid = z * self.emid, self.emid * bmid
 
-        def dot(v):
-            hv = quad(v) + quartic * (v * c_omega + 2.0 * tau * z * _inverse_turnover_cov_dot(cov, z * v))
-            if cross != 0.0:
-                hv += cross * (e_bmid * v + ze * self._bmid(v, 0.0) + self._bmid_adjoint(ze * v))
-            return hv
+            def dot(v):
+                hv = quad(v) + quartic * (v * c_omega + 2.0 * tau * z * _inverse_turnover_cov_dot(cov, z * v))
+                if cross != 0.0:
+                    hv += cross * (e_bmid * v + ze * self._bmid(v, 0.0) + self._bmid_adjoint(ze * v))
+                return hv
 
-        return self.lam * curv, dot
+            return self.lam * curv, dot
+
+        return f, g, hessian
 
     def _bmid(self, z, Phi=None):
         """b_t = int_0^t phi at the midpoints, from the head-form inventory that
@@ -266,10 +260,11 @@ class MeanVarianceObjective:
         return -self.tau**2 * (s1 - self.idx * s0 + 0.25 * u)
 
 
-def _solution(obj: MeanVarianceObjective, grid: TimeGrid, z, iterations, kkt, status):
-    """The node-sampled Strategy of the final rates z and their SolveReport."""
+def _solution(obj: MeanVarianceObjective, grid: TimeGrid, z, f, iterations, kkt, status):
+    """The node-sampled Strategy of the final rates z, whose objective is f,
+    and their SolveReport."""
     report = SolveReport(
-        objective=obj.value(z),
+        objective=f,
         iterations=iterations,
         kkt_residual=float(kkt),
         active_bounds=tuple(int(i) for i in np.where(z == 0.0)[0]),
@@ -297,8 +292,9 @@ def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Ph
     if status != "converged":
         raise SolverFailureError(f"deterministic QP ended with status {status!r}")
     z *= obj.Phi / (tau * z.sum())
-    kkt = _kkt_residual(obj.value_and_gradient(z)[1], z, tau)
-    return _solution(obj, grid, z, iterations, kkt, "converged" if kkt <= _KKT_TOL else "stalled")
+    f, g, _ = obj.evaluate(z)
+    kkt = _kkt_residual(g, z, tau)
+    return _solution(obj, grid, z, f, iterations, kkt, "converged" if kkt <= _KKT_TOL else "stalled")
 
 
 def _face_newton_direction(hess, g, model: _RateModel, tau, fixed, forcing):
@@ -336,8 +332,8 @@ def _face_newton_step(obj: MeanVarianceObjective, model: _RateModel, hess, z, f,
     pinned rates z == 0, with `hess` the exact Hessian product at z: the bound
     with the most negative multiplier is released first if it outweighs the
     free rates' stationarity residual; the Armijo line search is cut at the
-    first bound the step reaches, which is then pinned.  Returns (z, f, g),
-    or None when no step descends."""
+    first bound the step reaches, which is then pinned.  Returns the new z
+    and its evaluation, (z, f, g, hessian), or None when no step descends."""
     tau = obj.tau
     fixed = z == 0.0
     stationarity, mult = _multipliers(g, fixed, tau)
@@ -353,9 +349,9 @@ def _face_newton_step(obj: MeanVarianceObjective, model: _RateModel, hess, z, f,
     while alpha > 1e-10:
         z_new = np.maximum(z + alpha * d, 0.0)
         z_new[falling[reach == alpha]] = 0.0
-        f_new, g_new = obj.value_and_gradient(z_new)
-        if f_new <= f + 1e-4 * alpha * slope:
-            return z_new, f_new, g_new
+        evaluation = obj.evaluate(z_new)
+        if evaluation[0] <= f + 1e-4 * alpha * slope:
+            return (z_new, *evaluation)
         alpha *= 0.5
     return None
 
@@ -368,8 +364,9 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     curvature of its temporary-cost and price-variance terms) plus, on its
     diagonal, the Hessian diagonal of the Cov(1/v) and cross-moment terms at
     the iterate clipped at zero and a Levenberg shift mu adapted by a ratio
-    test; the same O(n) active set solves it.  One Hessian evaluation per
-    iterate gives both that diagonal and the Newton steps' product.  Once
+    test; the same O(n) active set solves it.  Each point is evaluated once:
+    an accepted point's evaluation carries its Hessian, which gives both that
+    diagonal and the Newton steps' product.  Once
     two accepted steps in a row each pin the rates that one of the two steps
     before it pinned (a pinned set that settles, or swings between two sets),
     the solve finishes on that face with Newton steps: conjugate gradients
@@ -388,7 +385,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     tau, H, Phi = grid.tau, obj.quad, obj.Phi
 
     z = obj.xbar * (Phi / (tau * obj.xbar.sum()))
-    f, g = obj.value_and_gradient(z)
+    f, g, hessian = obj.evaluate(z)
     mu = 0.0
     status = "max-iterations"
     kkt = _kkt_residual(g, z, tau)
@@ -400,12 +397,12 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
             break
         iterations = it
         decrease = None
-        curvature, hess = obj.hessian(z)
+        curvature, hess = hessian()
         diag = H.d + np.maximum(curvature, 0.0)
         if stable >= 2:
             step = _face_newton_step(obj, replace(H, d=diag), hess, z, f, g, kkt)
             if step is not None:
-                z, f, g = step
+                z, f, g, hessian = step
                 kkt = _kkt_residual(g, z, tau)
                 continue
             stable = 0
@@ -418,7 +415,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
                 continue
             d = z_new - z
             predicted = -(g @ d + 0.5 * d @ Hd.dot(d))
-            f_new, g_new = obj.value_and_gradient(z_new)
+            f_new, g_new, h_new = obj.evaluate(z_new)
             if predicted <= 0.0:
                 # the model says "no descent left": accept only an actual improvement
                 if f_new < f:
@@ -431,7 +428,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
                 mu = max(4.0 * mu, 1e-8)
                 continue
             decrease = f - f_new
-            z, f, g = z_new, f_new, g_new
+            z, f, g, hessian = z_new, f_new, g_new, h_new
             kkt = _kkt_residual(g, z, tau)
             now = z == 0.0
             stable = stable + 1 if any(np.array_equal(p, now) for p in pinned) else 0
@@ -448,4 +445,4 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     if kkt <= _KKT_TOL:
         status = "converged"
     z = np.clip(z * (Phi / (tau * z.sum())), 0.0, None)
-    return _solution(obj, grid, z, iterations, kkt, status)
+    return _solution(obj, grid, z, obj.evaluate(z)[0], iterations, kkt, status)

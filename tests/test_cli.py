@@ -347,6 +347,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # bare NaN in an artifact, or a silent coercion
     from volexec.cli import main
 
+    (tmp_path / "file").write_text("")
     for section, key, value in (
         (None, "lambdas", ["a"]),
         (None, "lambdas", [float("inf")]),
@@ -362,6 +363,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("mc", "seed", 2**70),
         (None, "out_dir", 5),
         (None, "lambdas", [1.0, 1.0000001]),
+        (None, "out_dir", str(tmp_path / "file")),
+        (None, "out_dir", str(tmp_path / "file" / "below")),
     ):
         out = tmp_path / "bad_out"
         doc = dict(det_config(), out_dir=str(out))
@@ -493,6 +496,9 @@ _EXTREME = {
     "gbm-v0-1e-300": (_extreme_gbm(v0=1e-300), (3, 3, 3, 2), True),
     "gbm-mu-1e3": (_extreme_gbm(mu=1e3), (2, 2, 2, 2), True),
     "gbm-sigma-50": (_extreme_gbm(sigma=50.0), (2, 2, 2, 2), True),
+    # above any address space, so the first allocation fails untouched
+    "grid_n-2**50": (det_config(grid_n=2**50, n_paths=64), (2, 2, 2, 2), True),
+    "n_paths-2**50": (det_config(grid_n=10, n_paths=2**50), (0, 2, 2, 0), True),
 }
 # the sample profiles again with antithetic pairs, whose statistics differ
 _EXTREME.update(

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -334,8 +335,8 @@ def test_objective_gradient(kind, market_hi, grid200):
     for _ in range(3):
         z = 0.5 + rng.random(n)
         z /= grid200.tau * z.sum()
-        val, grad = obj.value_and_gradient(z)
-        assert val == pytest.approx(obj.value(z), rel=1e-14)
+        val, grad = obj.evaluate(z)[:2]
+        assert val == pytest.approx(obj.evaluate(z)[0], rel=1e-14)
         if kind == "deterministic":
             ref = _qp_objective(z, profile, 1.5, market_hi, 1.0)
             assert val == pytest.approx(ref, rel=1e-13)
@@ -345,11 +346,11 @@ def test_objective_gradient(kind, market_hi, grid200):
             zp, zm = z.copy(), z.copy()
             zp[i] += h
             zm[i] -= h
-            fd = (obj.value(zp) - obj.value(zm)) / (2.0 * h)
+            fd = (obj.evaluate(zp)[0] - obj.evaluate(zm)[0]) / (2.0 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-10)
     if kind == "deterministic":
         _, rep = solve_qp_deterministic(profile, 1.5, market_hi, 1.0)
-        assert rep.objective == obj.value(rep.zeta_intervals)
+        assert rep.objective == obj.evaluate(rep.zeta_intervals)[0]
 
 
 def test_lognormal_variance_memory_is_linear(market_hi):
@@ -363,7 +364,7 @@ def test_lognormal_variance_memory_is_linear(market_hi):
     peaks = []
     for run in (
         lambda: mv_gbm(s, model, 2.0, market_hi),
-        lambda: MeanVarianceObjective(ubar, 2.0, market_hi, 1.0, g, model).value_and_gradient(z),
+        lambda: MeanVarianceObjective(ubar, 2.0, market_hi, 1.0, g, model).evaluate(z),
         lambda: solve_qp_deterministic(arcsine_profile(g), 2.0, market_hi, 1.0),
         lambda: solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, 0.2, rho=0.5), 2.0, market_hi, 1.0, g),
         lambda: solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, 2.0, rho=0.9), 1000.0, market_hi, 1.0, g),
@@ -393,7 +394,7 @@ def test_sqp_converges_with_correlation(market_hi, grid200):
 def _beats_feasible_perturbations(obj, z, rng, count=10):
     """obj at z is no higher than at `count` feasible perturbations that keep
     tau sum(z) and move pinned rates only upward."""
-    base, pinned = obj.value(z), z == 0.0
+    base, pinned = obj.evaluate(z)[0], z == 0.0
     for _ in range(count):
         d = rng.standard_normal(z.size)
         d[pinned] = np.abs(d[pinned])
@@ -401,7 +402,7 @@ def _beats_feasible_perturbations(obj, z, rng, count=10):
         step = 1e-3 / np.max(np.abs(d))
         while np.any(z + step * d < 0.0):
             step /= 2.0
-        assert obj.value(z + step * d) >= base - 1e-12
+        assert obj.evaluate(z + step * d)[0] >= base - 1e-12
 
 
 def test_sqp_optimum_beats_perturbations(market_hi, grid200):
@@ -410,7 +411,7 @@ def test_sqp_optimum_beats_perturbations(market_hi, grid200):
     obj = MeanVarianceObjective(ubar, 5.0, market_hi, 1.0, grid200, model)
     _, rep = solve_sqp_gbm(model, 5.0, market_hi, 1.0, grid200)
     z = rep.zeta_intervals
-    base = obj.value(z)
+    base = obj.evaluate(z)[0]
     assert base == pytest.approx(rep.objective, rel=1e-12)
     _beats_feasible_perturbations(obj, z, np.random.default_rng(6))
 
@@ -431,23 +432,23 @@ def test_turnover_curvature_matches_differences(market_hi):
             ubar = _interval_means(gbm_harmonic_mean(model, g).v)
             for lam in (5.0, 1000.0):
                 obj = MeanVarianceObjective(ubar, lam, market_hi, 1.0, g, model)
-                curv = obj.hessian(z)[0]
+                curv = obj.evaluate(z)[2]()[0]
                 fd = np.empty(n)
                 for i in range(n):
                     zp, zm = z.copy(), z.copy()
                     zp[i] += h
                     zm[i] -= h
-                    gp = obj.value_and_gradient(zp)[1] - obj.quad.dot(zp)
-                    gm = obj.value_and_gradient(zm)[1] - obj.quad.dot(zm)
+                    gp = obj.evaluate(zp)[1] - obj.quad.dot(zp)
+                    gm = obj.evaluate(zm)[1] - obj.quad.dot(zm)
                     fd[i] = (gp[i] - gm[i]) / (2.0 * h)
                 assert np.max(np.abs(curv - fd)) <= 5e-8 * np.max(np.abs(fd)), (rho, sigma, lam)
                 assert np.all(np.maximum(curv, 0.0) >= 0.0)
                 negative |= bool(np.any(curv < 0.0))
             neutral = MeanVarianceObjective(ubar, 0.0, market_hi, 1.0, g, model)
-            assert np.all(neutral.hessian(z)[0] == 0.0)
+            assert np.all(neutral.evaluate(z)[2]()[0] == 0.0)
     assert negative  # a negative cross term makes the clip at zero matter
     det = _objective("deterministic", 1000.0, market_hi, g)
-    assert np.all(det.hessian(z)[0] == 0.0)
+    assert np.all(det.evaluate(z)[2]()[0] == 0.0)
 
 
 def test_hessian_dot_matches_differences(market_hi):
@@ -467,11 +468,11 @@ def test_hessian_dot_matches_differences(market_hi):
             ubar = _interval_means(gbm_harmonic_mean(model, g).v)
             for lam in (5.0, 1000.0):
                 obj = MeanVarianceObjective(ubar, lam, market_hi, 1.0, g, model)
-                curv, dot = obj.hessian(z)
+                curv, dot = obj.evaluate(z)[2]()
                 hess = np.column_stack([dot(e) for e in eye])
                 fd = np.column_stack(
                     [
-                        obj.value_and_gradient(z + h * e)[1] - obj.value_and_gradient(z - h * e)[1]
+                        obj.evaluate(z + h * e)[1] - obj.evaluate(z - h * e)[1]
                         for e in eye
                     ]
                 ) / (2.0 * h)
@@ -481,7 +482,7 @@ def test_hessian_dot_matches_differences(market_hi):
                 assert np.max(np.abs(np.diag(hess) - model_diag)) <= 1e-13 * np.max(model_diag)
     det = _objective("deterministic", 1000.0, market_hi, g)
     v = rng.standard_normal(n)
-    assert np.array_equal(det.hessian(z)[1](v), det.quad.dot(v))
+    assert np.array_equal(det.evaluate(z)[2]()[1](v), det.quad.dot(v))
 
 
 # (sigma, rho, lam) of the solve-sweep benchmark's hard corners and each one's
@@ -571,6 +572,36 @@ def test_face_newton_direction_eliminates_once(monkeypatch, market_hi, grid200):
     _, rep = solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, sigma, rho=rho), lam, market_hi, 1.0, grid200)
     assert rep.status == "converged"
     assert per_call and per_call == [1] * len(per_call)
+
+
+def test_each_point_is_evaluated_once(monkeypatch, market_hi, grid200):
+    """On the sigma=2, rho=0.9, lam=100 hard corner the SQP forms each point's
+    turnover terms once: an accepted iterate's step diagonal and Newton
+    product read its evaluation instead of a second one; only the rescaled
+    final point may be evaluated once more.  A deterministic solve reads its
+    KKT residual and its objective from one evaluation of its final point."""
+    turnover, points = Counter(), Counter()
+    bmid, evaluate = MeanVarianceObjective._bmid, MeanVarianceObjective.evaluate
+
+    def counted_bmid(self, z, Phi=None):
+        if Phi is None:
+            turnover[z.tobytes()] += 1
+        return bmid(self, z, Phi)
+
+    def counted_evaluate(self, z):
+        points[z.tobytes()] += 1
+        return evaluate(self, z)
+
+    monkeypatch.setattr(MeanVarianceObjective, "_bmid", counted_bmid)
+    monkeypatch.setattr(MeanVarianceObjective, "evaluate", counted_evaluate)
+    sigma, rho, lam, _ = HARD_CORNERS[1]
+    _, rep = solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, sigma, rho=rho), lam, market_hi, 1.0, grid200)
+    assert rep.iterations > 1
+    assert turnover.pop(rep.zeta_intervals.tobytes()) <= 2
+    assert turnover and max(turnover.values()) == 1
+    points.clear()
+    _, rep = solve_qp_deterministic(arcsine_profile(grid200), lam, market_hi, 1.0)
+    assert points == {rep.zeta_intervals.tobytes(): 1}
 
 
 @pytest.mark.parametrize("Phi", [np.nan, np.inf, -np.inf, 0.0])
