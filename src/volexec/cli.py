@@ -14,16 +14,19 @@ One parser reads the command and the options all four share, in any order;
 `main` builds the run once for the command's handler in COMMANDS.  solve and
 simulate report every schedule through one sweep, _solve_sweep.
 
-Configuration is a JSON document (see _build_run from the schema below) given
-either with --config PATH or as a named built-in preset with --preset.  Exit
-codes: 0 success, 2 configuration problem (an output directory that cannot
-be created and a run too large to allocate included) or usage error, 3
-solver or validation failure.  Diagnostics go to stderr; each command prints a
-one-line JSON summary to stdout.
+Configuration is a JSON document given either with --config PATH or as a
+named built-in preset with --preset.  The SCHEMA table lists every key it may
+hold, with its type and default, and a key it does not list is a
+configuration problem; _build_run reads the table and checks the rules that
+tie keys together.  Exit codes: 0 success, 2 configuration problem (an output
+directory that cannot be created and a run too large to allocate included)
+or usage error, 3 solver or validation failure.  Diagnostics go to stderr;
+each command prints a one-line JSON summary to stdout.
 """
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import math
 import sys
@@ -78,18 +81,17 @@ class RunConfig:
         return isinstance(self.volume, GbmVolumeModel)
 
 
-_MISSING = object()
 _KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
-               list: "a list", dict: "an object"}
+               str: "a string", list: "a list", dict: "an object"}
 
 
 def _value(value, kind, name):
     """A config value checked against its type.
 
-    float takes a finite JSON number, int an integral one; bool, list and
-    dict take JSON true/false, arrays and objects.
+    float takes a finite JSON number, int an integral one; bool, str, list
+    and dict take JSON true/false, strings, arrays and objects.
     """
-    if kind in (bool, list, dict):
+    if kind in (bool, str, list, dict):
         if isinstance(value, kind):
             return value
     elif not isinstance(value, bool) and isinstance(value, (int, float)):
@@ -108,106 +110,116 @@ def _value(value, kind, name):
     raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
 
 
-def _require(mapping, key, kind, where, default=_MISSING):
-    if key not in mapping:
-        if default is _MISSING:
-            raise ConfigError(f"missing {where}.{key}")
-        return default
-    return _value(mapping[key], kind, f"{where}.{key}")
-
-
-def _require_list(mapping, key, kind, where, default=_MISSING):
-    """Finite JSON numbers are checked in bulk, anything else one by one for the message."""
-    values = _require(mapping, key, list, where, default)
-    if kind is float and set(map(type, values)) <= {int, float}:
+def _floats(values, name):
+    """A list of numbers: finite JSON numbers are checked in bulk, anything
+    else one by one for the message."""
+    values = _value(values, list, name)
+    if set(map(type, values)) <= {int, float}:
         try:
             out = np.asarray(values, dtype=float)
             if np.isfinite(out).all():
                 return out.tolist()
         except OverflowError:
             pass
-    return [_value(x, kind, f"{where}.{key}[{i}]") for i, x in enumerate(values)]
+    return [_value(x, float, f"{name}[{i}]") for i, x in enumerate(values)]
+
+
+_REQUIRED = object()  # the default of a key that must be given
+_NUMBER = (float, _REQUIRED)
+# The whole configuration format: section -> key -> (kind, default), read in
+# this order.  A kind is a type that _value checks, or _floats for a list of
+# numbers.  "volume.<type>" holds the keys of one volume.type.  Lengths are in
+# horizon units, the schedule size phi in shares, and grid_n counts uniform
+# steps; rhos applies to gbm turnover only, volume.values holds grid_n + 1
+# samples, and --out overrides out_dir.
+SCHEMA = {
+    "config": {"schema": (int, _REQUIRED), "volume": (dict, _REQUIRED), "market": (dict, _REQUIRED),
+               "phi": _NUMBER, "horizon": _NUMBER, "grid_n": (int, _REQUIRED),
+               "lambdas": (_floats, _REQUIRED), "rhos": (_floats, ()), "mc": (dict, {}),
+               "out_dir": (str, None)},
+    "market": dict.fromkeys(("kappa", "kappa_tilde", "sigma_tilde", "s0"), _NUMBER),
+    "mc": {"n_paths": (int, 20_000), "seed": (int, 0), "antithetic": (bool, False),
+           "dump_paths": (bool, False)},
+    "volume.arcsine": {"type": (str, _REQUIRED)},
+    "volume.constant": {"type": (str, _REQUIRED), "level": _NUMBER},
+    "volume.samples": {"type": (str, _REQUIRED), "values": (_floats, _REQUIRED)},
+    "volume.gbm": {"type": (str, _REQUIRED), **dict.fromkeys(("v0", "mu", "sigma", "rho"), _NUMBER)},
+}
+
+
+def _section(mapping: dict, section: str) -> dict:
+    """The keys of one SCHEMA section read from mapping, defaults filled in.
+    A key the section does not list is an error that names the nearest
+    listed one."""
+    table, where = SCHEMA[section], section.partition(".")[0]
+    for key in mapping:
+        if key not in table:
+            near = difflib.get_close_matches(key, table, n=1)
+            hint = f" (did you mean {where}.{near[0]}?)" if near else ""
+            raise ConfigError(f"unknown key {where}.{key}{hint}")
+    out = {}
+    for key, (kind, default) in table.items():
+        name = f"{where}.{key}"
+        if key in mapping:
+            out[key] = _floats(mapping[key], name) if kind is _floats else _value(mapping[key], kind, name)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing {name}")
+        else:
+            out[key] = default
+    return out
 
 
 def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig:
     """Validate the JSON document and build the run inputs.
 
-    Schema (all lengths in horizon units, schedule size in shares):
-
-        {"schema": 1,
-         "volume": {"type": "arcsine" | "constant" | "samples" | "gbm", ...},
-         "market": {"kappa", "kappa_tilde", "sigma_tilde", "s0"},
-         "phi": 1.0, "horizon": 1.0, "grid_n": 500,
-         "lambdas": [0.0, ...],
-         "rhos": [0.0, ...],                      # gbm turnover only
-         "mc": {"n_paths", "seed", "antithetic", "dump_paths"},
-         "out_dir": "optional/path"}
-
-    constant takes {"level"}, samples takes {"values": [grid_n + 1 samples]},
-    gbm takes {"v0", "mu", "sigma", "rho"}.
+    SCHEMA gives every key with its type and default, and a key outside it
+    is an error; the rules here tie keys together.  --grid-n and --seed
+    replace grid_n and mc.seed before they are read.
     """
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema {doc.get('schema')!r}, expected {SCHEMA_VERSION}")
-    mdoc = doc.get("market")
-    if not isinstance(mdoc, dict):
-        raise ConfigError("missing market section")
-    try:
-        market = MarketParams(
-            kappa=_require(mdoc, "kappa", float, "market"),
-            kappa_tilde=_require(mdoc, "kappa_tilde", float, "market"),
-            sigma_tilde=_require(mdoc, "sigma_tilde", float, "market"),
-            s0=_require(mdoc, "s0", float, "market"),
-        )
+    if grid_n_override is not None:
+        doc = {**doc, "grid_n": grid_n_override}
+    cfg = _section(doc, "config")
+    if cfg["schema"] != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema {cfg['schema']!r}, expected {SCHEMA_VERSION}")
+    vtype = cfg["volume"].get("type")
+    if f"volume.{vtype}" not in SCHEMA:
+        raise ConfigError("missing volume.type" if vtype is None else f"unknown volume.type {vtype!r}")
+    vol = _section(cfg["volume"], f"volume.{vtype}")
+    del vol["type"]
+    mc = _section(cfg["mc"] if seed_override is None else {**cfg["mc"], "seed": seed_override}, "mc")
+
+    try:  # the last section read, so that every key is checked before a value is used
+        market = MarketParams(**_section(cfg["market"], "market"))
     except ValueError as e:
         raise ConfigError(f"bad market parameters: {e}") from None
-
-    horizon = _require(doc, "horizon", float, "config")
-    grid_n = grid_n_override if grid_n_override is not None else _require(doc, "grid_n", int, "config")
     try:
-        grid = build_grid(horizon, grid_n)
+        grid = build_grid(cfg["horizon"], cfg["grid_n"])
     except ValueError as e:
         raise ConfigError(str(e)) from None
-
-    vdoc = doc.get("volume")
-    if not isinstance(vdoc, dict) or "type" not in vdoc:
-        raise ConfigError("missing volume.type")
-    vtype = vdoc["type"]
     try:
         if vtype == "arcsine":
             volume = arcsine_profile(grid)
         elif vtype == "constant":
-            volume = constant_profile(grid, _require(vdoc, "level", float, "volume"))
+            volume = constant_profile(grid, vol["level"])
         elif vtype == "samples":
-            values = _require_list(vdoc, "values", float, "volume")
-            if len(values) != grid_n + 1:
-                raise ConfigError(
-                    f"volume.values must hold grid_n + 1 = {grid_n + 1} samples"
-                )
-            volume = profile_from_samples(grid, np.asarray(values))
-        elif vtype == "gbm":
-            volume = GbmVolumeModel(
-                v0=_require(vdoc, "v0", float, "volume"),
-                mu=_require(vdoc, "mu", float, "volume"),
-                sigma=_require(vdoc, "sigma", float, "volume"),
-                rho=_require(vdoc, "rho", float, "volume"),
-            )
-            gbm_harmonic_mean(volume, grid)  # rejects a curve that over- or underflows
+            if len(vol["values"]) != cfg["grid_n"] + 1:
+                raise ConfigError(f"volume.values must hold grid_n + 1 = {cfg['grid_n'] + 1} samples")
+            volume = profile_from_samples(grid, np.asarray(vol["values"]))
         else:
-            raise ConfigError(f"unknown volume.type {vtype!r}")
+            volume = GbmVolumeModel(**vol)
+            gbm_harmonic_mean(volume, grid)  # rejects a curve that over- or underflows
     except ValueError as e:
         raise ConfigError(f"bad volume section: {e}") from None
 
-    Phi = _require(doc, "phi", float, "config")
-    if Phi <= 0.0:
-        raise ConfigError(f"phi must be positive, got {Phi}")
-    lambdas = _require_list(doc, "lambdas", float, "config")
+    lambdas, rhos = cfg["lambdas"], list(cfg["rhos"])
+    if cfg["phi"] <= 0.0:
+        raise ConfigError(f"phi must be positive, got {cfg['phi']}")
     if not lambdas:
         raise ConfigError("lambdas must be a non-empty list")
     if any(x < 0 for x in lambdas):
         raise ConfigError("lambdas must be nonnegative")
-    rhos = _require_list(doc, "rhos", float, "config", default=[])
     if rhos and not isinstance(volume, GbmVolumeModel):
         raise ConfigError("rhos only applies to a gbm volume model")
     if any(abs(r) > 1.0 for r in rhos):
@@ -219,36 +231,17 @@ def _build_run(doc: dict, seed_override=None, grid_n_override=None) -> RunConfig
             if name in first:
                 raise ConfigError(f"{key} {first[name]!r} and {x!r} share the artifact name {name!r}")
             first[name] = x
-
-    mc = _require(doc, "mc", dict, "config", default={})
-    n_paths = _require(mc, "n_paths", int, "mc", default=20_000)
-    if n_paths < 2:
+    if mc["n_paths"] < 2:
         raise ConfigError("mc.n_paths must be at least 2")
-    antithetic = _require(mc, "antithetic", bool, "mc", default=False)
-    if antithetic and n_paths % 2:
-        raise ConfigError(f"mc.n_paths must be even with mc.antithetic, got {n_paths}")
-    if antithetic and n_paths < 4:  # one antithetic pair has no standard error
+    if mc["antithetic"] and mc["n_paths"] % 2:
+        raise ConfigError(f"mc.n_paths must be even with mc.antithetic, got {mc['n_paths']}")
+    if mc["antithetic"] and mc["n_paths"] < 4:  # one antithetic pair has no standard error
         raise ConfigError("mc.n_paths must be at least 4 with mc.antithetic")
-    seed = seed_override if seed_override is not None else _require(mc, "seed", int, "mc", default=0)
-    if not 0 <= seed < 2**64:
+    if not 0 <= mc["seed"] < 2**64:
         source = "--seed" if seed_override is not None else "mc.seed"
-        raise ConfigError(f"{source} must lie in [0, 2^64), got {seed}")
-    out_dir = doc.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-    return RunConfig(
-        volume=volume,
-        market=market,
-        grid=grid,
-        Phi=Phi,
-        lambdas=lambdas,
-        rhos=rhos,
-        n_paths=n_paths,
-        seed=seed,
-        antithetic=antithetic,
-        dump_paths=_require(mc, "dump_paths", bool, "mc", default=False),
-        out_dir=out_dir,
-    )
+        raise ConfigError(f"{source} must lie in [0, 2^64), got {mc['seed']}")
+    return RunConfig(volume=volume, market=market, grid=grid, Phi=cfg["phi"], lambdas=lambdas,
+                     rhos=rhos, out_dir=cfg["out_dir"], **mc)
 
 
 def _load_doc(args) -> dict:

@@ -203,9 +203,9 @@ class _StaticCosts:
         def spread(w):  # standard deviation of sum_d x_d . (scales[d, k] w_k)
             return np.sqrt(np.sum(scales**2, axis=0) * _dot(w, w))
 
-        with np.errstate(invalid="ignore"):  # a NaN gap is a disagreement
+        with np.errstate(invalid="ignore"):  # a NaN gap or bound is a disagreement
             gap = np.abs(self.total0 - direct0) + 6.0 * spread(suffix - direct_suffix)
-        _require_agreement(gap, np.abs(direct0) - 6.0 * spread(direct_suffix))
+            _require_agreement(gap, np.abs(direct0) - 6.0 * spread(direct_suffix))
 
     def contract(self, draws) -> np.ndarray:
         """Price terms of every schedule, shape (rows, K), from one draw
@@ -228,6 +228,7 @@ class _StaticCosts:
         return total.T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite cost fails its validate check
 def _anticipating_costs(draws, scales, inverse, v0, Phi, tau, market: MarketParams):
     """Realized cost of the anticipating schedule zeta = Phi v / M, M = w . v
     (trapezoid weights w), on each turnover path whose v0/v is a row of
@@ -380,6 +381,7 @@ def _lognormal_variance(cov, market: MarketParams, price_variance, omega, ema):
     return float(variance), c_omega
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in _inverse_turnover_cov_dot
 def _mv_lognormal(s: Strategy, model: GbmVolumeModel, lam, market: MarketParams, cross_moment):
     """Mean-variance value under lognormal turnover on the strategy grid, with
     the cross moment E[M_T A_T] from cross_moment(phi, omega), omega = w zeta^2."""

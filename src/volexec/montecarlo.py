@@ -427,7 +427,8 @@ def validate_theorem_orderings(
     tie_slack = 1e-12 * max(1.0, cfg.market.s0 * Phi)
     orderings = []
     for better, worse in pairs:
-        mean_diff, se_diff = _mean_and_se(costs[better] - costs[worse])
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _mean_and_se
+            mean_diff, se_diff = _mean_and_se(costs[better] - costs[worse])
         orderings.append(
             {
                 "better": better,

@@ -156,6 +156,13 @@ def _kkt_residual(grad, z, tau):
     return r / max(1.0, float(np.abs(grad).max()))
 
 
+def _finite(f, g):
+    """f, after a check that it and every entry of g are finite."""
+    if not (np.isfinite(f) and np.isfinite(g).all()):
+        raise FloatingPointError("objective or gradient is not finite")
+    return f
+
+
 class MeanVarianceObjective:
     """E + lam Var of the shortfall as a function of the interval rates z.
 
@@ -193,6 +200,7 @@ class MeanVarianceObjective:
             self.cross_coef = model.sigma * model.rho / model.v0
             self.idx = np.arange(1, n + 1, dtype=float)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite f or g is rejected below
     def evaluate(self, z):
         """(f, g, hessian) at z, with omega = tau z^2, C omega and bmid formed
         once.  hessian() gives (curvature, dot) of the exact Hessian from those
@@ -203,12 +211,13 @@ class MeanVarianceObjective:
         Cov(1/v) term, 4 kt^2 tau (v C omega + 2 tau z C(z v)), and the cross
         moment's -cc tau (2 e bmid v + 2 z e J v + 2 J'(z e v)) with
         J = d bmid / dz.  Without turnover terms (lam = 0 or deterministic
-        turnover) the curvature is zero and the product is the rate model's."""
+        turnover) the curvature is zero and the product is the rate model's.
+        FloatingPointError when f or g is not finite: no step is taken on NaN."""
         quad = self.quad.dot
         g = quad(z)
         f = self.permanent + 0.5 * float(np.sum(z * g))
         if self.model is None or self.lam == 0.0:
-            return f, g, lambda: (np.zeros(z.size), quad)
+            return _finite(f, g), g, lambda: (np.zeros(z.size), quad)
         mk, tau, cov, cc = self.market, self.tau, self.cov, self.cross_coef
         omega, bmid = tau * z**2, self._bmid(z)
         ema = float(-cc * np.sum(omega * self.emid * bmid)) if cc != 0.0 else 0.0  # E[M_T A_T]
@@ -220,9 +229,8 @@ class MeanVarianceObjective:
         else:
             g_ema = 0.0
         g_turnover = g_quartic - 2.0 * mk.sigma_tilde * mk.kappa_tilde * g_ema
-        f, g = f + self.lam * variance, g + self.lam * g_turnover
-        if not (np.isfinite(f) and np.isfinite(g).all()):  # no step is taken on NaN
-            raise FloatingPointError("lognormal-turnover objective or gradient is not finite")
+        g = g + self.lam * g_turnover
+        f = _finite(f + self.lam * variance, g)
 
         def hessian():
             a, gc = cov
@@ -444,5 +452,6 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
             break
     if kkt <= _KKT_TOL:
         status = "converged"
-    z = np.clip(z * (Phi / (tau * z.sum())), 0.0, None)
-    return _solution(obj, grid, z, obj.evaluate(z)[0], iterations, kkt, status)
+    rescaled = np.clip(z * (Phi / (tau * z.sum())), 0.0, None)
+    f = f if np.array_equal(rescaled, z) else obj.evaluate(rescaled)[0]  # z's f if z did not move
+    return _solution(obj, grid, rescaled, f, iterations, kkt, status)

@@ -349,6 +349,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
     (tmp_path / "file").write_text("")
     for section, key, value in (
+        (None, "schema", True),
         (None, "lambdas", ["a"]),
         (None, "lambdas", [float("inf")]),
         (None, "lambdas", [float("nan")]),
@@ -374,6 +375,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert rc == 2, (key, value)
         assert err.startswith("config error:"), err
         assert not (out / "simulate.json").exists()
+    # a misspelled key in any section is named, with the nearest valid key,
+    # before anything is read or written
+    gbm = gbm_config()["volume"]
+    for volume, section, key, near in (
+        (None, None, "lambda", "config.lambdas"),
+        (None, "market", "kapa", "market.kappa"),
+        (None, "mc", "seeed", "mc.seed"),
+        ({"type": "constant", "level": 1.0}, "volume", "levle", "volume.level"),
+        ({"type": "samples", "values": [1.0] * 61}, "volume", "value", "volume.values"),
+        (gbm, "volume", "sigm", "volume.sigma"),
+    ):
+        doc = dict(det_config(), out_dir=str(out))
+        doc["volume"] = dict(volume or doc["volume"])
+        (doc[section] if section else doc)[key] = 0.5
+        case = write_config(tmp_path, doc, "case.json")
+        for command in ("solve", "validate", "expand", "simulate"):
+            assert main([command, "--config", case]) == 2, (command, key)
+            where = f"{section or 'config'}.{key}"
+            assert capsys.readouterr().err == (
+                f"config error: unknown key {where} (did you mean {near}?)\n"
+            )
+            assert not out.exists()
     # two sweep values that would write one artifact name are named together
     doc = dict(det_config(lambdas=(0.0, 1.0, 1.0000001)), out_dir=str(out))
     assert main(["solve", "--config", write_config(tmp_path, doc, "case.json")]) == 2
@@ -433,7 +456,7 @@ def test_bulk_list_read_matches_per_element():
     """A list of JSON numbers read in bulk gives the floats of the
     element-by-element reader, bit for bit: ints past 2^53 round to nearest
     even, past 2^64 too, and -0.0 keeps its sign."""
-    from volexec.cli import _require_list, _value
+    from volexec.cli import _floats, _value
 
     rng = np.random.default_rng(5)
     ints = [2**53 + 1, 2**53 + 3, 2**54 + 2, 2**63 - 1, 2**63 + 1, 2**64 - 1, -(2**63) - 1]
@@ -442,7 +465,7 @@ def test_bulk_list_read_matches_per_element():
     ints += [int(x) << int(s) for x, s in zip(rng.integers(1, 2**62, 50), rng.integers(0, 300, 50))]
     floats = [0.0, -0.0, 5e-324, 1.7976931348623157e308, *rng.standard_normal(50).tolist()]
     values = [(ints + floats)[i] for i in rng.permutation(len(ints) + len(floats))]
-    got = _require_list({"v": values}, "v", float, "w")
+    got = _floats(values, "w")
     ref = [_value(x, float, "w") for x in values]
     assert all(type(x) is float for x in got)
     assert [x.hex() for x in got] == [x.hex() for x in ref]
@@ -580,36 +603,70 @@ def test_extreme_horizon_exits_without_traceback(tmp_path, capsys, horizon):
 
 
 def _fuzz_config(rng):
-    """A random schema-valid config whose numbers span 10^-e to 10^e, with e
-    of 2, 20 or 300, so that some overflow, underflow or stall a solve."""
+    """A random schema-valid config holding every key that SCHEMA lists for
+    its sections but out_dir, with rhos under gbm turnover half the time; its
+    numbers span 10^-e to 10^e, with e of 2, 20 or 300, so that some
+    overflow, underflow or stall a solve."""
+    from volexec.cli import SCHEMA
+
     e = float(rng.choice([2, 20, 300]))
 
     def num():
         return float(10.0 ** rng.uniform(-e, e))
 
     grid_n = int(rng.integers(2, 40))
-    kind = str(rng.choice(["arcsine", "constant", "samples", "gbm"]))
-    volume = {
-        "arcsine": {},
-        "constant": {"level": num()},
-        "samples": {"values": [num() for _ in range(grid_n + 1)]},
-        "gbm": {"v0": num(), "mu": float(rng.normal(0.0, 3.0)), "sigma": min(num(), 10.0),
-                "rho": float(rng.uniform(-1.0, 1.0))},
-    }[kind]
-    doc = {
-        "schema": 1,
-        "volume": {"type": kind, **volume},
-        "market": {k: num() for k in ("kappa", "kappa_tilde", "sigma_tilde", "s0")},
-        "phi": num(),
-        "horizon": num(),
-        "grid_n": grid_n,
-        "lambdas": [0.0, num()][: int(rng.integers(1, 3))],
-        "mc": {"n_paths": 2 * int(rng.integers(1, 33)), "seed": int(rng.integers(2**63)),
-               "antithetic": bool(rng.integers(2)), "dump_paths": bool(rng.integers(2))},
+    vtype = str(rng.choice(["arcsine", "constant", "samples", "gbm"]))
+    by_key = {  # keys with a range of their own; any other key is drawn by its kind
+        "schema": lambda: 1,
+        "type": lambda: vtype,
+        "grid_n": lambda: grid_n,
+        "values": lambda: [num() for _ in range(grid_n + 1)],
+        "lambdas": lambda: [0.0, num()][: int(rng.integers(1, 3))],
+        "rhos": lambda: [float(rng.uniform(-1.0, 1.0))],
+        "mu": lambda: float(rng.normal(0.0, 3.0)),
+        "sigma": lambda: min(num(), 10.0),
+        "rho": lambda: float(rng.uniform(-1.0, 1.0)),
+        "n_paths": lambda: 2 * int(rng.integers(1, 33)),
+        "seed": lambda: int(rng.integers(2**63)),
     }
-    if kind == "gbm" and rng.integers(2):
-        doc["rhos"] = [float(rng.uniform(-1.0, 1.0))]
+    by_kind = {float: num, bool: lambda: bool(rng.integers(2))}
+    sections = {"volume": f"volume.{vtype}", "market": "market", "mc": "mc"}
+
+    def section(name):
+        out = {}
+        for key, (kind, _) in SCHEMA[name].items():
+            if key in sections:
+                out[key] = section(sections[key])
+            elif key != "out_dir":
+                out[key] = by_key.get(key, by_kind.get(kind))()
+        return out
+
+    doc = section("config")
+    if vtype != "gbm" or rng.integers(2):
+        del doc["rhos"]
     return doc
+
+
+def _near_miss(rng, doc):
+    """doc with one key of a random section misspelled (a character dropped,
+    doubled or swapped with the next), and the config error it must raise."""
+    from volexec.cli import SCHEMA
+
+    doc = json.loads(json.dumps(doc))
+    where = str(rng.choice(["config", "market", "mc", "volume"]))
+    mapping = doc if where == "config" else doc[where]
+    table = SCHEMA[f"volume.{doc['volume']['type']}" if where == "volume" else where]
+    key = str(rng.choice(sorted(mapping)))
+    bad = key
+    while bad in table:
+        i = int(rng.integers(len(key)))
+        bad = str(rng.choice([key[:i] + key[i + 1:], key[:i] + key[i] + key[i:],
+                              key[:i] + key[i + 1: i + 2] + key[i] + key[i + 2:]]))
+    mapping[bad] = mapping.pop(key)
+    # a misspelled volume.type leaves no volume section to read the key against
+    if (where, key) == ("volume", "type"):
+        return doc, "missing volume.type"
+    return doc, f"unknown key {where}.{bad}"
 
 
 def _artifacts(out):
@@ -621,7 +678,9 @@ def test_cli_contracts_hold_on_random_configs(tmp_path, capsys):
     commands: the exit code is 0, 2 or 3 and no exception escapes; every
     JSON artifact is strict; a converged solve met the KKT tolerance; exit 0
     means every solve converged and every check passed; validate and
-    simulate rerun to the same bytes; no command issues a warning."""
+    simulate rerun to the same bytes; no command issues a warning.  The same
+    config with one key misspelled exits 2 on every command, names that key
+    and writes nothing."""
     from volexec.cli import main
 
     rng = np.random.default_rng(20260419)
@@ -651,6 +710,14 @@ def test_cli_contracts_hold_on_random_configs(tmp_path, capsys):
                 if code == 0:
                     assert all(r["status"] == "converged" for r in results), (case, command)
                     assert report.get("all_passed", True), (case, command)
+        # the same config with one key misspelled is named and writes nothing
+        typo, message = _near_miss(rng, doc)
+        cfg = write_config(tmp_path, typo, name=f"typo{case}.json")
+        for command in ("solve", "validate", "simulate", "expand"):
+            out = tmp_path / f"{case}-{command}-typo"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2, (case, command, message)
+            assert capsys.readouterr().err.startswith(f"config error: {message}"), (case, message)
+            assert not out.exists()
 
 
 def test_antithetic_needs_two_pairs(tmp_path, capsys):
@@ -698,3 +765,21 @@ def test_usage_contract(tmp_path):
     assert (before / "report.json").read_bytes() == (after / "report.json").read_bytes()
     assert run_cli("nosuch", "--preset", "fig1").returncode == 2
     assert run_cli("--preset", "fig1").returncode == 2
+
+
+def test_readme_schema_block_lists_the_schema():
+    """The README's configuration block names the keys of every SCHEMA
+    section: the top level, market and mc from the JSON itself, and each
+    volume.type's keys from the comment that lists them."""
+    import re
+
+    from volexec.cli import SCHEMA
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Configuration schema", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//.*", "", block))
+    listed = {"config": set(doc), "market": set(doc["market"]), "mc": set(doc["mc"])}
+    listed[f"volume.{doc['volume']['type']}"] = set(doc["volume"])
+    for kind, keys in re.findall(r'"(\w+)" \{([^}]*)\}', block):
+        listed[f"volume.{kind}"] = {"type"} | set(re.findall(r"(?:^|,)\s*(\w+)", keys))
+    assert listed == {section: set(table) for section, table in SCHEMA.items()}

@@ -577,8 +577,9 @@ def test_face_newton_direction_eliminates_once(monkeypatch, market_hi, grid200):
 def test_each_point_is_evaluated_once(monkeypatch, market_hi, grid200):
     """On the sigma=2, rho=0.9, lam=100 hard corner the SQP forms each point's
     turnover terms once: an accepted iterate's step diagonal and Newton
-    product read its evaluation instead of a second one; only the rescaled
-    final point may be evaluated once more.  A deterministic solve reads its
+    product read its evaluation instead of a second one, and the final
+    rescale to the block size, which leaves these rates bit for bit as they
+    are, reuses the last iterate's value.  A deterministic solve reads its
     KKT residual and its objective from one evaluation of its final point."""
     turnover, points = Counter(), Counter()
     bmid, evaluate = MeanVarianceObjective._bmid, MeanVarianceObjective.evaluate
@@ -596,9 +597,11 @@ def test_each_point_is_evaluated_once(monkeypatch, market_hi, grid200):
     monkeypatch.setattr(MeanVarianceObjective, "evaluate", counted_evaluate)
     sigma, rho, lam, _ = HARD_CORNERS[1]
     _, rep = solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, sigma, rho=rho), lam, market_hi, 1.0, grid200)
+    z = np.asarray(rep.zeta_intervals)
     assert rep.iterations > 1
-    assert turnover.pop(rep.zeta_intervals.tobytes()) <= 2
-    assert turnover and max(turnover.values()) == 1
+    assert np.array_equal(np.clip(z * (1.0 / (grid200.tau * z.sum())), 0.0, None), z)
+    assert points[z.tobytes()] == 1
+    assert max(points.values()) == 1 and max(turnover.values()) == 1
     points.clear()
     _, rep = solve_qp_deterministic(arcsine_profile(grid200), lam, market_hi, 1.0)
     assert points == {rep.zeta_intervals.tobytes(): 1}
