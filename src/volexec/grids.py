@@ -13,6 +13,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integral(value, name: str) -> int:
+    """value as an int; ValueError unless it is integral (an int, a numpy int
+    or an integral float), so that a count is never truncated."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return n
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_i = i*T/n with n+1 nodes, shared by every curve object."""
@@ -24,6 +33,7 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.T > 0.0 and np.isfinite(self.T)):
             raise ValueError(f"horizon must be positive and finite, got {self.T}")
+        object.__setattr__(self, "n_steps", _integral(self.n_steps, "n_steps"))
         if self.n_steps < 2:
             raise ValueError(f"need at least 2 steps, got {self.n_steps}")
         object.__setattr__(self, "nodes", _frozen(np.linspace(0.0, self.T, self.n_steps + 1)))
@@ -38,7 +48,7 @@ class TimeGrid:
 
 def build_grid(T: float, n_steps: int) -> TimeGrid:
     """Uniform grid on [0, T] with n_steps intervals."""
-    return TimeGrid(T=float(T), n_steps=int(n_steps))
+    return TimeGrid(T=float(T), n_steps=n_steps)
 
 
 def require_same_grid(a: TimeGrid, b: TimeGrid, what: str = "curves") -> None:

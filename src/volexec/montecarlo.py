@@ -47,7 +47,7 @@ from typing import Dict, Optional, Sequence, Union
 import numpy as np
 
 from .cost import MarketParams, _anticipating_costs, _StaticCosts
-from .grids import TimeGrid, require_same_grid
+from .grids import TimeGrid, _integral, require_same_grid
 from .strategies import Strategy, expected_vwap_strategy, vwap_strategy
 from .volume import (
     _BLOCK,
@@ -75,11 +75,11 @@ class SimulationConfig:
     volume: Union[VolumeProfile, GbmVolumeModel]
 
     def __post_init__(self):
-        n = int(self.n_paths)
+        n = _integral(self.n_paths, "n_paths")
         if n < 2:
             raise ValueError(f"n_paths must be at least 2, got {self.n_paths}")
         object.__setattr__(self, "n_paths", n)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integral(self.seed, "seed"))
         if isinstance(self.volume, VolumeProfile):
             require_same_grid(self.volume.grid, self.grid, "volume profile")
         elif not isinstance(self.volume, GbmVolumeModel):

@@ -6,11 +6,14 @@ minimize one objective, E + lam Var of the shortfall: its temporary-cost and
 price-variance part is a rate-space quadratic model (a diagonal plus the
 inventory-variance term), tridiagonal in inventory coordinates, where a
 pinned rate merges two nodes, and lognormal turnover adds the variance terms
-of 1/v.  One kernel, an active set on the nonnegativity bounds over that
-model, does every solve in O(n).  Under deterministic turnover the objective
-is the model plus a constant and one active-set solve is the optimum; the
-lognormal-turnover problem takes damped sequential quadratic steps on it,
-whose model adds the turnover terms' O(n) Hessian diagonal, clipped at zero.
+of 1/v.  One kernel does every solve, each face in O(n): an active set on
+the nonnegativity bounds over that model that only pins, never releases,
+because the model is a tridiagonal Stieltjes matrix in inventory
+coordinates, so every rate negative on a face is pinned at the optimum
+too.  Under deterministic turnover the objective is the model plus a
+constant and one active-set solve is the optimum; the lognormal-turnover
+problem takes damped sequential quadratic steps on it, whose model adds the
+turnover terms' O(n) Hessian diagonal, clipped at zero.
 Once the pinned rates settle, it finishes on their face with projected
 Newton steps (More and Toraldo 1991): conjugate gradients on the exact O(n)
 Hessian product, preconditioned by that same step model, which keeps every
@@ -110,31 +113,35 @@ class _RateModel:
 
 
 def _active_set_qp(model: _RateModel, b, tau, Phi):
-    """Minimize 1/2 z'Hz - b'z under the sell-off equality and z >= 0: violating
-    bounds are fixed and re-solved, active bounds with negative multipliers are
-    released one at a time (Nocedal & Wright, section 16.5), for at most
-    max(n, 8) solves.  Returns (z, nu, iterations, fixed_mask, status)."""
-    n = b.size
-    max_iter = max(n, 8)
-    fixed = np.zeros(n, dtype=bool)
-    rate_scale = max(abs(Phi) / (tau * n), 1e-300)
-    for it in range(1, max_iter + 1):
+    """Minimize 1/2 z'Hz - b'z under the sell-off equality and z >= 0, for a
+    model with d > 0, k >= 0 and w >= 0, any b and Phi > 0: solve the face,
+    pin every negative rate, and repeat until no rate is negative.  A pinned
+    rate is never released, as in pool-adjacent-violators for isotonic
+    problems (Best and Chakravarti 1990).  Each round pins a new rate and
+    none pins them all, since a face's rates sum to Phi/tau > 0, so there are
+    at most n face solves.  Returns (z, nu, face_solves, fixed_mask)."""
+    # Why no release is needed.  In inventory coordinates a face is a
+    # tridiagonal Stieltjes matrix on merged nodes (couplings -d, row sums
+    # k W >= 0), whose inverse is G(r, s) = u_min(r,s) v_max(r,s) / c with u
+    # increasing from 0 and v decreasing to 0.  Across two distinct edges
+    # (s, s+1) left of (r, r+1), G's mixed difference is
+    # (u_s - u_{s+1}) (v_r - v_{r+1}) <= 0.  Let P* be the rates pinned at
+    # the optimum z*, with multipliers m >= 0.  On the face of pins P, a
+    # subset of P*, z* is stationary up to the forces m_j on the edges j in
+    # P* \ P, so every edge e not in P* gets z_e - z*_e = -sum_j m_j (mixed
+    # difference of e and j) >= 0.  So every negative rate is in P*, P stays
+    # a subset of P*, and the first face with no negative rate is z*.
+    fixed = np.zeros(b.size, dtype=bool)
+    rate_scale = max(abs(Phi) / (tau * b.size), 1e-300)
+    face_solves = 0
+    while True:
         z, nu = model.face(tau, fixed)(b, Phi)
+        face_solves += 1
         violating = z < -_BOUND_TOL * rate_scale
-        if violating.any():
-            fixed |= violating
-            continue
-        z[z < 0.0] = 0.0
-        grad = model.dot(z) - b
-        active = np.where(fixed)[0]
-        if active.size:
-            mult = grad[active] + tau * nu
-            worst = int(np.argmin(mult))
-            if mult[worst] < -_BOUND_TOL * max(1.0, float(np.abs(grad).max())):
-                fixed[active[worst]] = False
-                continue
-        return z, nu, it, fixed, "converged"
-    return z, nu, max_iter, fixed, "max-iterations"
+        if not violating.any():
+            z[z < 0.0] = 0.0
+            return z, nu, face_solves, fixed
+        fixed |= violating
 
 
 def _multipliers(grad, at_bound, tau):
@@ -296,9 +303,7 @@ def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Ph
     grid = profile.grid
     n, tau = grid.n_steps, grid.tau
     obj = MeanVarianceObjective(0.5 * (profile.v[1:] + profile.v[:-1]), lam, market, Phi, grid)
-    z, _, iterations, _, status = _active_set_qp(obj.quad, np.zeros(n), tau, obj.Phi)
-    if status != "converged":
-        raise SolverFailureError(f"deterministic QP ended with status {status!r}")
+    z, _, iterations, _ = _active_set_qp(obj.quad, np.zeros(n), tau, obj.Phi)
     z *= obj.Phi / (tau * z.sum())
     f, g, _ = obj.evaluate(z)
     kkt = _kkt_residual(g, z, tau)
@@ -372,7 +377,9 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     curvature of its temporary-cost and price-variance terms) plus, on its
     diagonal, the Hessian diagonal of the Cov(1/v) and cross-moment terms at
     the iterate clipped at zero and a Levenberg shift mu adapted by a ratio
-    test; the same O(n) active set solves it.  Each point is evaluated once:
+    test; the same active set solves it, pinning only, since the clipped
+    diagonal and the shift keep the model's diagonal positive.  Each point
+    is evaluated once:
     an accepted point's evaluation carries its Hessian, which gives both that
     diagonal and the Newton steps' product.  Once
     two accepted steps in a row each pin the rates that one of the two steps
@@ -417,10 +424,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
         while mu < 1e12:
             Hd = replace(H, d=diag + mu)
             b = Hd.dot(z) - g
-            z_new, _, _, _, sub_status = _active_set_qp(Hd, b, tau, Phi)
-            if sub_status != "converged":
-                mu = max(4.0 * mu, 1e-8)
-                continue
+            z_new = _active_set_qp(Hd, b, tau, Phi)[0]
             d = z_new - z
             predicted = -(g @ d + 0.5 * d @ Hd.dot(d))
             f_new, g_new, h_new = obj.evaluate(z_new)

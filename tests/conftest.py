@@ -178,6 +178,16 @@ def dense_qp_rates(profile, lam, market, Phi):
     idx = np.arange(n)
     H += 2.0 * lam * market.sigma_tilde**2 * tau**2 * cw[np.maximum(idx[:, None], idx[None, :])]
     b = 2.0 * lam * market.sigma_tilde**2 * tau * Phi * cw
+    z = dense_active_set(H, b, tau, Phi)[0]
+    return z * (Phi / (tau * z.sum()))
+
+
+def dense_active_set(H, b, tau, Phi):
+    """Test oracle: min 1/2 z'Hz - b'z s.t. tau * sum(z) = Phi and z >= 0 by
+    dense KKT steps: violating bounds are pinned, and a pinned bound with a
+    negative multiplier is released, one at a time (Nocedal & Wright,
+    section 16.5).  Returns (z, nu, fixed)."""
+    n = b.size
     fixed = np.zeros(n, dtype=bool)
     for _ in range(max(n, 8)):
         z, nu = dense_kkt_step(H, b, tau, Phi, fixed)
@@ -194,5 +204,5 @@ def dense_qp_rates(profile, lam, market, Phi):
             if mult[worst] < -1e-12 * max(1.0, float(np.abs(grad).max())):
                 fixed[active[worst]] = False
                 continue
-        return z * (Phi / (tau * z.sum()))
+        return z, nu, fixed
     raise SolverFailureError("dense reference QP did not converge")

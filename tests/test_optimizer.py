@@ -22,7 +22,7 @@ from volexec.optimizer import (
 from volexec.strategies import Strategy, ac_closed_form, vwap_strategy
 from volexec.volume import GbmVolumeModel, arcsine_profile, gbm_harmonic_mean, profile_from_samples
 
-from conftest import dense_kkt_step, dense_qp_rates, dense_quadratic_hessian
+from conftest import dense_active_set, dense_kkt_step, dense_qp_rates, dense_quadratic_hessian
 
 
 def _interval_means(v):
@@ -153,7 +153,7 @@ def test_active_set_water_filling():
     tau = 1.0 / n
     # H = 2 I: a unit diagonal model with no inventory term
     model = _RateModel(d=np.full(n, 2.0), k=0.0, w=trapz_weights(n, tau))
-    z, nu, iters, fixed, status = _active_set_qp(model, 2.0 * c, tau, 1.0)
+    z, nu, iters, fixed = _active_set_qp(model, 2.0 * c, tau, 1.0)
     lo, hi = -10.0, 10.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -162,13 +162,39 @@ def test_active_set_water_filling():
         else:
             hi = mid
     ref = np.clip(c + 0.5 * (lo + hi), 0.0, None)
-    assert status == "converged"
     assert fixed.sum() > 0
     assert np.max(np.abs(z - ref)) < 1e-12
     grad = 2.0 * (z - c)
     mu = grad + tau * nu
     assert np.all(mu[fixed] > -1e-12)          # pinned coordinates push outward
     assert np.max(np.abs(mu[~fixed])) < 1e-12  # free coordinates are stationary
+
+
+def test_active_set_pins_only_the_optimum_bounds():
+    """The active set never releases a pin, and needs none: on random models
+    (d over 8 decades, k = 0 and k > 0, positive w, any b, Phi > 0) its
+    answer is a dense active set's that can release, every rate it pinned on
+    any face is zero there, and the bound multipliers are nonnegative."""
+    rng = np.random.default_rng(2026)
+    pinned_cases = 0
+    for case in range(2000):
+        n = int(rng.integers(2, 201))
+        tau = rng.uniform(0.1, 2.0) / n
+        d = tau * 10.0 ** rng.uniform(-4.0, 4.0, n)
+        k = 0.0 if case % 2 == 0 else 10.0 ** rng.uniform(-3.0, 5.0)
+        w = tau * rng.uniform(0.1, 1.0, n + 1)
+        Phi = 10.0 ** rng.uniform(-2.0, 2.0)
+        H = dense_quadratic_hessian(d, k, w)
+        b = rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0) * np.abs(H).max() * Phi / (tau * n)
+        z, nu, face_solves, fixed = _active_set_qp(_RateModel(d, k, w), b, tau, Phi)
+        ref = dense_active_set(H, b, tau, Phi)[0]
+        assert face_solves <= n
+        assert np.max(np.abs(z - ref)) <= 1e-10 * np.max(ref)
+        assert np.all(ref[fixed] == 0.0)
+        mult = (H @ z - b)[fixed] + tau * nu
+        assert np.min(mult, initial=0.0) >= -1e-10 * max(np.abs(H @ z).max(), np.abs(b).max())
+        pinned_cases += bool(fixed.any())
+    assert pinned_cases > 1000
 
 
 def _random_model(rng, n, mu=0.0):
@@ -572,6 +598,72 @@ def test_face_newton_direction_eliminates_once(monkeypatch, market_hi, grid200):
     _, rep = solve_sqp_gbm(GbmVolumeModel(1.0, -0.02, sigma, rho=rho), lam, market_hi, 1.0, grid200)
     assert rep.status == "converged"
     assert per_call and per_call == [1] * len(per_call)
+
+
+def test_face_newton_direction_stops_on_non_positive_curvature():
+    """Non-positive curvature ends the CG loop: at its first direction the
+    preconditioned steepest direction comes back, and after one step the
+    iterate so far."""
+    rng = np.random.default_rng(31)
+    n = 12
+    model, tau = _random_model(rng, n)
+    fixed = np.arange(n) == 4
+    g = rng.standard_normal(n) * np.max(model.d)
+    y = model.face(tau, fixed)(g, 0.0)[0]
+    d = optimizer._face_newton_direction(lambda v: -v, g, model, tau, fixed, 1e-8)
+    assert np.array_equal(d, -y)
+    # a true curvature that the step model does not match, then a negative one
+    extra = np.max(model.d) * rng.uniform(0.5, 2.0, n)
+    calls = []
+
+    def hess(v):
+        calls.append(v)
+        return model.dot(v) + extra * v if len(calls) == 1 else -v
+
+    d = optimizer._face_newton_direction(hess, g, model, tau, fixed, 1e-8)
+    p = -y
+    assert len(calls) == 2
+    assert np.allclose(d, (g @ y) / (p @ (model.dot(p) + extra * p)) * p, rtol=1e-14, atol=0.0)
+    assert d[4] == 0.0 and abs(d.sum()) <= 1e-14 * np.abs(d).sum()
+
+
+def _newton_case(market):
+    """A deterministic objective on 20 rates, its model, and an interior
+    point a small sell-off-neutral perturbation away from the optimum."""
+    grid = build_grid(1.0, 20)
+    profile = arcsine_profile(grid)
+    obj = MeanVarianceObjective(_interval_means(profile.v), 5.0, market, 1.0, grid)
+    _, rep = solve_qp_deterministic(profile, 5.0, market, 1.0)
+    wiggle = np.cos(np.arange(20.0))
+    z = rep.zeta_intervals * (1.0 + 0.01 * (wiggle - wiggle.mean()))
+    return obj, z * (1.0 / (grid.tau * z.sum()))
+
+
+def test_face_newton_step_without_descent_returns_none(market):
+    """A gradient that is constant on the face is stationary there: the
+    direction is zero, its slope is not negative, and no step is taken."""
+    obj, z = _newton_case(market)
+    g = np.full(z.size, 0.3)
+    assert optimizer._face_newton_step(obj, obj.quad, obj.quad.dot, z, 1.0, g, 1e-6) is None
+
+
+def test_face_newton_step_halves_an_overlong_step(market):
+    """A product at 0.3 of the true curvature makes the Newton step 1/0.3
+    times too long: the Armijo test rejects the full step and accepts the
+    half step, on an objective whose true step is 0.3."""
+    obj, z = _newton_case(market)
+    f, g, _ = obj.evaluate(z)
+    hess = lambda v: 0.3 * obj.quad.dot(v)
+    fixed = np.zeros(z.size, dtype=bool)
+    d = optimizer._face_newton_direction(hess, g, obj.quad, obj.tau, fixed, 0.1)
+    assert np.all(z + d > 0.0)  # no bound cuts the full step
+    seen = []
+    evaluate = obj.evaluate
+    obj.evaluate = lambda x: seen.append(x) or evaluate(x)
+    z_new, f_new, g_new, _ = optimizer._face_newton_step(obj, obj.quad, hess, z, f, g, 1e-2)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], z + d) and np.array_equal(z_new, z + 0.5 * d)
+    assert f_new <= f + 1e-4 * 0.5 * float(g @ d) < f
 
 
 def test_each_point_is_evaluated_once(monkeypatch, market_hi, grid200):
