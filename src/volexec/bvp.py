@@ -37,15 +37,14 @@ def _eliminate(lower, diag, upper, row_scale):
     """Forward elimination of lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]
     on Python floats (rounded as float64 arrays are, indexed several times
     faster): the factors (multipliers, pivots, upper) that _substitute applies to
-    any rhs; SolverFailureError(pivot_index=row) on a pivot below 1e-13 * row_scale."""
+    any rhs; SolverFailureError naming the node (row + 1) of a pivot below
+    1e-13 * row_scale."""
     diag, upper, row_scale = diag.tolist(), upper.tolist(), row_scale.tolist()
     mult = [0.0] + lower[1:].tolist()
     m = len(diag)
     for i in range(m):
         if abs(diag[i]) <= _PIVOT_RTOL * row_scale[i]:
-            raise SolverFailureError(
-                f"tridiagonal elimination hit a vanishing pivot at node {i + 1}", pivot_index=i + 1
-            )
+            raise SolverFailureError(f"tridiagonal elimination hit a vanishing pivot at node {i + 1}")
         if i + 1 < m:
             mult[i + 1] /= diag[i]
             diag[i + 1] -= mult[i + 1] * upper[i]
@@ -74,8 +73,8 @@ def _solve_bvp(grid: TimeGrid, a, c, rhs, left, right) -> np.ndarray:
             - a[i] (phi[i+1] - phi[i-1]) / (2 tau) - c[i] phi[i] = rhs[i].
 
     Raises ValueError when a coefficient is not a finite node array or a
-    boundary value is not finite, SolverFailureError (with the offending node
-    as pivot_index) when elimination meets a vanishing pivot, and
+    boundary value is not finite, SolverFailureError (naming the offending
+    node) when elimination meets a vanishing pivot, and
     ConsistencyError when the back-substituted solution fails the scaled
     residual check.
     """

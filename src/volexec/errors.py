@@ -10,11 +10,7 @@ class NegativeRateError(ValueError):
 
 
 class SolverFailureError(RuntimeError):
-    """A linear or nonlinear solve failed; ``detail`` says where."""
-
-    def __init__(self, message: str, pivot_index: int | None = None):
-        super().__init__(message)
-        self.pivot_index = pivot_index
+    """A linear or nonlinear solve failed; the message says where."""
 
 
 class ConsistencyError(RuntimeError):

@@ -81,15 +81,16 @@ class _RateModel:
         return self.d * z + self.k * np.cumsum(self.w[:-1] * x)
 
     def face(self, tau, fixed):
-        """(b, Phi) -> (z, nu) minimizing 1/2 z'Hz - b'z s.t. tau sum(z) = Phi and
-        z[fixed] = 0, with nu the sell-off multiplier; eliminated once for every
-        right-hand side.  In the inventory, with x_0 = Phi/tau and x_n = 0, the
-        problem is tridiagonal; a pinned rate merges the nodes at its two ends,
-        whose weights add up."""
+        """(b, Phi) -> z minimizing 1/2 z'Hz - b'z s.t. tau sum(z) = Phi and
+        z[fixed] = 0, eliminated once for every right-hand side.  In the
+        inventory, with x_0 = Phi/tau and x_n = 0, the problem is tridiagonal;
+        a pinned rate merges the nodes at its two ends, whose weights add up.
+        Its sell-off multiplier, where a caller needs it, comes from
+        _multipliers."""
         free = np.flatnonzero(~fixed)
         if free.size == 0:
             raise SolverFailureError("all decision variables pinned at zero")
-        dfree, f0 = self.d[free], free[0]
+        dfree = self.d[free]
         # merged node j runs from after free rate j-1 to free rate j; rows are
         # scaled so that their couplings sum to 2, as in the boundary problem's
         # stencil, and the small node term of the diagonal survives rounding
@@ -105,9 +106,7 @@ class _RateModel:
             x = np.concatenate([[c], _substitute(factors, rhs), [0.0]])
             z = np.zeros(b.size)
             z[free] = x[:-1] - x[1:]
-            # stationarity in the first free rate; the inventory is c up to it
-            grad0 = dfree[0] * z[f0] + self.k * c * float(np.sum(self.w[: f0 + 1])) - b[f0]
-            return z, -float(grad0) / tau
+            return z
 
         return solve
 
@@ -119,7 +118,7 @@ def _active_set_qp(model: _RateModel, b, tau, Phi):
     rate is never released, as in pool-adjacent-violators for isotonic
     problems (Best and Chakravarti 1990).  Each round pins a new rate and
     none pins them all, since a face's rates sum to Phi/tau > 0, so there are
-    at most n face solves.  Returns (z, nu, face_solves, fixed_mask)."""
+    at most n face solves.  Returns (z, face_solves, fixed_mask)."""
     # Why no release is needed.  In inventory coordinates a face is a
     # tridiagonal Stieltjes matrix on merged nodes (couplings -d, row sums
     # k W >= 0), whose inverse is G(r, s) = u_min(r,s) v_max(r,s) / c with u
@@ -135,22 +134,21 @@ def _active_set_qp(model: _RateModel, b, tau, Phi):
     rate_scale = max(abs(Phi) / (tau * b.size), 1e-300)
     face_solves = 0
     while True:
-        z, nu = model.face(tau, fixed)(b, Phi)
+        z = model.face(tau, fixed)(b, Phi)
         face_solves += 1
         violating = z < -_BOUND_TOL * rate_scale
         if not violating.any():
             z[z < 0.0] = 0.0
-            return z, nu, face_solves, fixed
+            return z, face_solves, fixed
         fixed |= violating
 
 
 def _multipliers(grad, at_bound, tau):
     """(r, mult): the free rates' stationarity residual r = max |grad + tau nu|
     and the bound multipliers mult = grad + tau nu of the rates at_bound, with
-    nu the sell-off multiplier that fits the free rates in least squares."""
+    nu the sell-off multiplier that fits the free rates in least squares.
+    Some rate is free: the callers' rates sum to Phi/tau > 0."""
     free = ~at_bound
-    if not free.any():
-        return 0.0, grad[at_bound]
     nu = -float(grad[free].mean()) / tau
     return float(np.abs(grad[free] + tau * nu).max()), grad[at_bound] + tau * nu
 
@@ -303,7 +301,7 @@ def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Ph
     grid = profile.grid
     n, tau = grid.n_steps, grid.tau
     obj = MeanVarianceObjective(0.5 * (profile.v[1:] + profile.v[:-1]), lam, market, Phi, grid)
-    z, _, iterations, _ = _active_set_qp(obj.quad, np.zeros(n), tau, obj.Phi)
+    z, iterations, _ = _active_set_qp(obj.quad, np.zeros(n), tau, obj.Phi)
     z *= obj.Phi / (tau * z.sum())
     f, g, _ = obj.evaluate(z)
     kkt = _kkt_residual(g, z, tau)
@@ -321,7 +319,7 @@ def _face_newton_direction(hess, g, model: _RateModel, tau, fixed, forcing):
     solve = model.face(tau, fixed)
     d = np.zeros(g.size)
     r = g.copy()
-    y = solve(r, 0.0)[0]
+    y = solve(r, 0.0)
     p, ry = -y, float(r @ y)
     stop = forcing**2 * ry
     for j in range(int(np.count_nonzero(~fixed))):
@@ -332,7 +330,7 @@ def _face_newton_direction(hess, g, model: _RateModel, tau, fixed, forcing):
         alpha = ry / curvature
         d += alpha * p
         r += alpha * hp
-        y = solve(r, 0.0)[0]
+        y = solve(r, 0.0)
         ry, ry_old = float(r @ y), ry
         if ry <= stop:
             break
@@ -427,15 +425,12 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
             z_new = _active_set_qp(Hd, b, tau, Phi)[0]
             d = z_new - z
             predicted = -(g @ d + 0.5 * d @ Hd.dot(d))
+            if not predicted > 0.0:
+                # z is feasible and z_new minimizes the convex model, so the
+                # model predicts no descent only at its own minimizer
+                break
             f_new, g_new, h_new = obj.evaluate(z_new)
-            if predicted <= 0.0:
-                # the model says "no descent left": accept only an actual improvement
-                if f_new < f:
-                    ratio = 1.0
-                else:
-                    break
-            else:
-                ratio = (f - f_new) / predicted
+            ratio = (f - f_new) / predicted
             if ratio < 1e-4:
                 mu = max(4.0 * mu, 1e-8)
                 continue

@@ -268,6 +268,24 @@ def test_validate_checks_the_correlated_model(tmp_path, capsys):
     assert validation(0.5, rhos=[-0.9, 0.9]) == correlated
 
 
+def test_zero_turnover_volatility_runs_every_command(tmp_path, capsys):
+    """solve, validate and simulate exit 0 on lognormal turnover with
+    sigma = 0, and validate reports why it skips the turnover checks."""
+    from volexec.cli import main
+
+    doc = gbm_config(grid_n=40, rhos=(0.0, 0.5, -0.5))
+    doc["volume"]["sigma"] = 0.0
+    doc["lambdas"] = [1.0]
+    doc["mc"].update(n_paths=2000, seed=7)
+    cfg = write_config(tmp_path, doc)
+    for command in ("solve", "validate", "simulate"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0, command
+        assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "validate" / "validation.json").read_text())
+    reasons = [c["detail"]["reason"] for c in report["checks"] if c["skipped"]]
+    assert reasons == ["turnover volatility is zero"] * 2
+
+
 def test_validate_catches_seeded_defect(monkeypatch, market, gbm_model, grid200):
     """A deliberately corrupted variance kernel must trip exactly one check."""
     from volexec import validation
@@ -419,6 +437,59 @@ def test_config_errors_exit_2(tmp_path, capsys):
     # the largest seed is a valid key
     top = write_config(tmp_path, det_config(grid_n=10, n_paths=8), "top.json")
     assert main(["simulate", "--config", top, "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+
+
+def _edited(edit, base=det_config):
+    """The JSON text of a config from `base` after `edit` changes it in place."""
+    doc = base()
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set(**kw):
+    return lambda doc: doc.update(kw)
+
+
+# config text -> the one stderr line it exits 2 with; a message that ends in
+# ":" is a prefix, which the JSON parser's own message follows
+_RULE_ERRORS = {
+    "not-an-object": ("[1, 2]", "configuration must be a JSON object"),
+    "schema": (_edited(_set(schema=2)), "unsupported config schema 2, expected 1"),
+    "market": (_edited(lambda doc: doc["market"].update(kappa=-0.1)),
+               "bad market parameters: kappa must be positive and finite, got -0.1"),
+    "grid-n": (_edited(_set(grid_n=1)), "need at least 2 steps, got 1"),
+    "horizon": (_edited(_set(horizon=-1)), "horizon must be positive and finite, got -1.0"),
+    "samples-count": (_edited(_set(grid_n=20, volume={"type": "samples", "values": [1.0] * 5})),
+                      "volume.values must hold grid_n + 1 = 21 samples"),
+    "phi": (_edited(_set(phi=-1)), "phi must be positive, got -1.0"),
+    "lambdas-empty": (_edited(_set(lambdas=[])), "lambdas must be a non-empty list"),
+    "lambdas-negative": (_edited(_set(lambdas=[-1])), "lambdas must be nonnegative"),
+    "rhos-deterministic": (_edited(_set(rhos=[0.5])), "rhos only applies to a gbm volume model"),
+    "rhos-range": (_edited(_set(rhos=[1.5]), gbm_config), "rhos must lie in [-1, 1]"),
+    "n-paths": (_edited(lambda doc: doc["mc"].update(n_paths=1)), "mc.n_paths must be at least 2"),
+    "not-json": ("{not json", "config is not valid JSON:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RULE_ERRORS))
+def test_config_rule_errors(tmp_path, capsys, case):
+    """A config that breaks a rule outside the key table exits 2 with one
+    stderr line and writes nothing."""
+    from volexec.cli import main
+
+    text, message = _RULE_ERRORS[case]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    line = err[:-1]
+    if message.endswith(":"):
+        assert line.startswith(f"config error: {message} "), line
+    else:
+        assert line == f"config error: {message}"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 # one bad element of a numeric list and the message that names its index

@@ -56,6 +56,8 @@ def test_market_params_validation():
 def test_breakdown_and_mv_invariants():
     with pytest.raises(ConsistencyError):
         CostBreakdown(total=1.0, permanent=0.3, temporary=0.3, price_risk=0.3)
+    parts = CostBreakdown(total=1.0, permanent=0.5, temporary=0.25, price_risk=0.25).as_dict()
+    assert parts == {"total": 1.0, "permanent": 0.5, "temporary": 0.25, "price_risk": 0.25}
     with pytest.raises(ValueError):
         MvValue(expectation=1.0, variance=-0.1, objective=1.0, lam=1.0)
     with pytest.raises(ConsistencyError):

@@ -87,6 +87,8 @@ def _rising_inventory(solve):
      "inventory curve carries no selling volume"),
     (lambda mp: validate_theorem_orderings(_simulation(), {}), ValueError,
      "need at least one candidate strategy"),
+    (lambda mp: SimulationConfig(n_paths=100, seed=1, grid=GRID, market=MARKET, volume="flat"),
+     TypeError, "^unsupported volume input: str$"),
     (lambda mp: (mp.setattr(bvp, "_solve_bvp", _rising_inventory(bvp._solve_bvp)),
                  optimal_inventory_ode(constant_profile(GRID, 1.0), 1.0, MARKET, 1.0)),
      RuntimeWarning, "implied execution rate dips below zero"),
@@ -95,7 +97,8 @@ def _rising_inventory(solve):
      ConsistencyError, "discrete residual .* exceeds"),
 ], ids=["constant-level", "cost-shape", "cost-turnover", "vwap-shape", "vwap-turnover",
         "expected-cost-type", "derivative-nodes", "inventory-shape", "inventory-finite",
-        "inventory-sells-nothing", "no-candidates", "ode-negative-rate", "bvp-residual"])
+        "inventory-sells-nothing", "no-candidates", "volume-type", "ode-negative-rate",
+        "bvp-residual"])
 def test_input_checks(call, kind, match, monkeypatch):
     """Each input check raises (or, for the boundary route's negative rate,
     warns) its own type with its own message."""

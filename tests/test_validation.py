@@ -45,6 +45,21 @@ def test_report_does_not_depend_on_worker_count(monkeypatch, kind, n_paths):
     assert json.loads(reports[0])["all_passed"]
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.5])
+def test_zero_turnover_volatility_skips_only_the_lognormal_checks(rho):
+    """Lognormal turnover with sigma = 0 is deterministic turnover in
+    disguise: every check passes, and the two that need a turnover spread
+    are skipped with that reason."""
+    grid = build_grid(1.0, 40)
+    market = cost.MarketParams(kappa=0.1, kappa_tilde=0.02, sigma_tilde=0.2, s0=100.0)
+    volume = GbmVolumeModel(v0=1.0, mu=-0.02, sigma=0.0, rho=rho)
+    report = validation.run_validation(volume, market, grid, n_paths=2000, seed=7, lambdas=(1.0,))
+    assert report["all_passed"]
+    skipped = {c["name"]: c["detail"]["reason"] for c in report["checks"] if c["skipped"]}
+    reason = "turnover volatility is zero"
+    assert skipped == {"harmonic_mean_check": reason, "cross_check_quadrature": reason}
+
+
 def test_identity_check_catches_an_anticipating_row_error(monkeypatch):
     """Under stochastic turnover the pass prices the anticipating row in
     closed form; `cost_identity_pathwise` checks it against the shortfall's
