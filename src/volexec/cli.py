@@ -429,7 +429,3 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, ConsistencyError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

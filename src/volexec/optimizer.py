@@ -39,7 +39,6 @@ from .strategies import Strategy, _block_size, _risk_aversion
 from .volume import GbmVolumeModel, VolumeProfile, gbm_harmonic_mean
 
 _KKT_TOL = 1e-8
-_OBJ_DECREASE_TOL = 1e-12
 _BOUND_TOL = 1e-12
 _SQP_MAX_ITER = 200
 _TINY = np.finfo(float).tiny  # the smallest normal number
@@ -273,18 +272,28 @@ class MeanVarianceObjective:
         return -self.tau**2 * (s1 - self.idx * s0 + 0.25 * u)
 
 
-def _solution(obj: MeanVarianceObjective, grid: TimeGrid, z, f, iterations, kkt, status):
-    """The node-sampled Strategy of the final rates z, whose objective is f,
-    and their SolveReport."""
+def _solution(obj: MeanVarianceObjective, grid: TimeGrid, z, iterations, evaluation=None,
+              unconverged="stalled"):
+    """The node-sampled Strategy and SolveReport of the final rates z, rescaled
+    to sell exactly Phi: both solvers end here.  `evaluation` is z's (f, g),
+    reused when the rescale leaves z bit for bit as it is; otherwise the
+    rescaled rates are evaluated.  The report's objective and KKT residual are
+    those of the rates it returns, and its status is "converged" when that
+    residual is within tolerance and `unconverged` otherwise."""
+    z_out = z * (obj.Phi / (obj.tau * z.sum()))
+    if evaluation is None or not np.array_equal(z_out, z):
+        evaluation = obj.evaluate(z_out)[:2]
+    f, g = evaluation
+    kkt = _kkt_residual(g, z_out, obj.tau)
     report = SolveReport(
         objective=f,
         iterations=iterations,
-        kkt_residual=float(kkt),
-        active_bounds=tuple(int(i) for i in np.where(z == 0.0)[0]),
-        status=status,
-        zeta_intervals=_frozen(z),
+        kkt_residual=kkt,
+        active_bounds=tuple(int(i) for i in np.where(z_out == 0.0)[0]),
+        status="converged" if kkt <= _KKT_TOL else unconverged,
+        zeta_intervals=_frozen(z_out),
     )
-    return Strategy(grid=grid, zeta=interval_rates_to_nodes(z), Phi=obj.Phi), report
+    return Strategy(grid=grid, zeta=interval_rates_to_nodes(z_out), Phi=obj.Phi), report
 
 
 def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Phi):
@@ -293,19 +302,16 @@ def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Ph
     The objective on interval rates (interval turnover = mean of the two
     node samples) is its rate model plus a constant, so one active-set solve
     is the optimum; rates that underflow at extreme lam are exactly zero,
-    reported as active bounds.  The status is "converged" when the KKT
-    residual at the returned rates is within tolerance and "stalled"
-    otherwise.  Returns the node-sampled Strategy and a SolveReport carrying
-    the raw interval rates.
+    reported as active bounds.  `_solution` rescales the rates to sell
+    exactly Phi and evaluates them once: the status is "converged" when
+    their KKT residual is within tolerance and "stalled" otherwise.
+    Returns the node-sampled Strategy and a SolveReport carrying the raw
+    interval rates.
     """
     grid = profile.grid
-    n, tau = grid.n_steps, grid.tau
     obj = MeanVarianceObjective(0.5 * (profile.v[1:] + profile.v[:-1]), lam, market, Phi, grid)
-    z, iterations, _ = _active_set_qp(obj.quad, np.zeros(n), tau, obj.Phi)
-    z *= obj.Phi / (tau * z.sum())
-    f, g, _ = obj.evaluate(z)
-    kkt = _kkt_residual(g, z, tau)
-    return _solution(obj, grid, z, f, iterations, kkt, "converged" if kkt <= _KKT_TOL else "stalled")
+    z, iterations, _ = _active_set_qp(obj.quad, np.zeros(grid.n_steps), grid.tau, obj.Phi)
+    return _solution(obj, grid, z, iterations)
 
 
 def _face_newton_direction(hess, g, model: _RateModel, tau, fixed, forcing):
@@ -388,10 +394,14 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     released at a time; a damped step is taken whenever no Newton step
     descends.  Starts from the harmonic-mean-proportional schedule, which is
     already optimal at lam = 0.
-    `iterations` counts damped and Newton steps together.  The status is
-    "converged" only when the KKT residual of the last iterate is within
-    tolerance, "max-iterations" when the iteration budget runs out, and
-    "stalled" when no step lowers the objective any more.
+    `iterations` counts damped and Newton steps together.  The solve stops
+    for one of three reasons: the KKT test passes; no damped step descends
+    (the step model predicts no descent, or the shift mu reaches 1e12
+    before the ratio test accepts a step); or the iteration budget runs out.
+    `_solution` then rescales the rates to sell exactly Phi, and reports
+    "converged" when the KKT residual of the rates it returns is within
+    tolerance, otherwise "max-iterations" if the budget ran out and
+    "stalled" if no step descends.
     """
     u = gbm_harmonic_mean(model, grid).v
     obj = MeanVarianceObjective(0.5 * (u[1:] + u[:-1]), lam, market, Phi, grid, model)
@@ -400,16 +410,14 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     z = obj.xbar * (Phi / (tau * obj.xbar.sum()))
     f, g, hessian = obj.evaluate(z)
     mu = 0.0
-    status = "max-iterations"
     kkt = _kkt_residual(g, z, tau)
-    iterations = 0
+    iterations, unconverged = 0, "stalled"
     pinned, stable = [], 0  # the last two accepted steps' pinned sets; recurring steps in a row
 
     for it in range(1, _SQP_MAX_ITER + 1):
         if kkt <= _KKT_TOL:
             break
         iterations = it
-        decrease = None
         curvature, hess = hessian()
         diag = H.d + np.maximum(curvature, 0.0)
         if stable >= 2:
@@ -419,6 +427,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
                 kkt = _kkt_residual(g, z, tau)
                 continue
             stable = 0
+        accepted = False
         while mu < 1e12:
             Hd = replace(H, d=diag + mu)
             b = Hd.dot(z) - g
@@ -434,7 +443,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
             if ratio < 1e-4:
                 mu = max(4.0 * mu, 1e-8)
                 continue
-            decrease = f - f_new
+            accepted = True
             z, f, g, hessian = z_new, f_new, g_new, h_new
             kkt = _kkt_residual(g, z, tau)
             now = z == 0.0
@@ -445,12 +454,8 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
             elif ratio < 0.25:
                 mu = max(4.0 * mu, 1e-8)
             break
-        if decrease is None or decrease <= _OBJ_DECREASE_TOL * max(1.0, abs(f)):
-            # no step, or a step that no longer lowers the objective
-            status = "stalled"
+        if not accepted:  # no damped step descends
             break
-    if kkt <= _KKT_TOL:
-        status = "converged"
-    rescaled = np.clip(z * (Phi / (tau * z.sum())), 0.0, None)
-    f = f if np.array_equal(rescaled, z) else obj.evaluate(rescaled)[0]  # z's f if z did not move
-    return _solution(obj, grid, rescaled, f, iterations, kkt, status)
+    else:
+        unconverged = "max-iterations"
+    return _solution(obj, grid, z, iterations, (f, g), unconverged)

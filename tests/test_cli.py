@@ -492,6 +492,22 @@ def test_config_rule_errors(tmp_path, capsys, case):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_run_too_large_to_allocate_exits_2(tmp_path, capsys, command):
+    """2**55 paths on a 10-step grid need hundreds of PiB per path array:
+    beyond any x86-64 address space, but under numpy's size cap, so the
+    allocation raises MemoryError before any memory is touched.  The run
+    exits 2 with one stderr line and writes no artifact."""
+    from volexec.cli import main
+
+    cfg = write_config(tmp_path, det_config(grid_n=10, n_paths=2**55))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: run does not fit in memory: "), err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # one bad element of a numeric list and the message that names its index
 _BAD_ELEMENTS = {
     "true": (True, "must be a number, got True"),

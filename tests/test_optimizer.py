@@ -715,6 +715,75 @@ def test_each_point_is_evaluated_once(monkeypatch, market_hi, grid200):
     assert points == {rep.zeta_intervals.tobytes(): 1}
 
 
+@pytest.mark.parametrize(
+    "sigma, rho, lam",
+    [(0.2, 0.0, 10.0), (2.0, 0.9, 100.0), (2.0, 0.9, 1000.0)],
+    ids=["fig3-rho0", "sigma2-lam100", "sigma2-lam1000"],
+)
+def test_report_describes_the_returned_rates(sigma, rho, lam, market_hi, grid200):
+    """The report's objective and KKT residual are those of the rates it
+    returns, also where the final rescale to the block size moves the last
+    iterate (fig3's rho = 0 solve and the sigma=2, lam=1000 corner)."""
+    model = GbmVolumeModel(1.0, -0.02, sigma, rho=rho)
+    _, rep = solve_sqp_gbm(model, lam, market_hi, 1.0, grid200)
+    obj = MeanVarianceObjective(_interval_means(gbm_harmonic_mean(model, grid200).v), lam,
+                                market_hi, 1.0, grid200, model)
+    f, g, _ = obj.evaluate(rep.zeta_intervals)
+    assert rep.status == "converged"
+    assert rep.objective == f
+    assert rep.kkt_residual == optimizer._kkt_residual(g, rep.zeta_intervals, grid200.tau)
+
+
+def test_sqp_stalls_when_no_damped_step_descends(monkeypatch, market_hi, gbm_model, grid200):
+    """With the KKT test switched off, the fig2 model at lam=1 reaches its
+    optimum in two damped steps.  On the third, the predicted decreases are
+    rounding that the objective does not follow, so the shift grows until
+    the step model predicts no descent: the solve ends "stalled" on the same
+    rates, long before the shift reaches 1e12."""
+    _, done = solve_sqp_gbm(gbm_model, 1.0, market_hi, 1.0, grid200)
+    assert (done.status, done.iterations) == ("converged", 2)
+    points = []
+    evaluate = MeanVarianceObjective.evaluate
+    monkeypatch.setattr(optimizer, "_KKT_TOL", 0.0)
+    monkeypatch.setattr(MeanVarianceObjective, "evaluate", lambda self, z: points.append(z) or evaluate(self, z))
+    _, rep = solve_sqp_gbm(gbm_model, 1.0, market_hi, 1.0, grid200)
+    assert (rep.status, rep.iterations) == ("stalled", 3)
+    assert np.array_equal(rep.zeta_intervals, done.zeta_intervals)
+    # the start and two accepted points, then the third step's rejected
+    # points: the shift needs 34 of them to rise from 1e-8 to 1e12
+    assert len(points) - 3 < 34
+
+
+# solve-sweep benchmark ops (seed 97 ops 403 and 969, and seed 89 op 119 with
+# random sigma up to 2 at n=500) that stopped "stalled" at KKT 2.1e-8 to
+# 2.2e-8 on a 1e-12 relative objective decrease, an exit the SQP no longer
+# has; (mu, sigma, rho, kappa_tilde, sigma_tilde, lam, n, the iterations the
+# solve may take, the objective where it stalled)
+FORMER_STALLS = [
+    (-0.03745906663285657, 0.7535463521131178, -0.6889874059701484, 0.037021132733974886,
+     0.18829650580173135, 560.226625839194, 200, 35, 0.7285955823898043),
+    (0.0477591454548594, 0.589324759667743, -0.7218243400479294, 0.028811575211892343,
+     0.2609993540407789, 867.1362670190732, 200, 31, 1.0108919810030412),
+    (-0.02792769646741737, 1.3835753579721974, -0.8139978574130744, 0.019134516697324955,
+     0.21734247246379712, 961.4562620573165, 500, 47, 0.7305410654347397),
+]
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, rho, kappa_tilde, sigma_tilde, lam, n, iterations, stalled_at",
+    FORMER_STALLS,
+    ids=["seed97-op403", "seed97-op969", "seed89-op119"],
+)
+def test_sqp_former_stalls_converge(mu, sigma, rho, kappa_tilde, sigma_tilde, lam, n, iterations,
+                                    stalled_at):
+    model = GbmVolumeModel(1.0, mu, sigma, rho=rho)
+    market = MarketParams(kappa=0.1, kappa_tilde=kappa_tilde, sigma_tilde=sigma_tilde, s0=100.0)
+    _, rep = solve_sqp_gbm(model, lam, market, 1.0, build_grid(1.0, n))
+    assert rep.status == "converged"
+    assert rep.iterations <= iterations
+    assert rep.objective <= stalled_at
+
+
 @pytest.mark.parametrize("Phi", [np.nan, np.inf, -np.inf, 0.0])
 def test_bad_phi_rejected_before_solving(Phi, market, arcsine500, gbm_model):
     """Both solvers name a block size that is not positive and finite before
