@@ -1,16 +1,23 @@
-"""Two-point boundary solves for the stationarity equation of the
-mean-variance schedule problem.
+"""The boundary route to the deterministic-turnover optimum: the paper's
+Euler-Lagrange equation, solved as written.
 
-The continuous equation is
+The optimum's inventory solves
 
-    phi''(t) - a(t) phi'(t) - c(t) phi(t) = r(t),    phi(0), phi(T) given,
+    (phi'/v)' = (sigma_tilde^2 lam / kappa_tilde) phi,    phi(0) = Phi, phi(T) = 0,
 
-discretized with second-order central differences on the uniform grid,
-giving a tridiagonal system handled by direct elimination (pivot locations
-are reported on failure, which off-the-shelf banded solvers hide).  The
-optimizer's bound-constrained QP steps run on the same elimination, and
-the small-risk expansion around the volume-proportional schedule solves its
-first-order correction with it.
+and the first-order correction of the small-risk expansion around the
+volume-proportional schedule solves
+
+    (phi1'/v)' = (sigma_tilde^2 / kappa_tilde) phi0,    phi1(0) = phi1(T) = 0.
+
+Both are discretized in conservative form on the uniform grid, with v the
+turnover averaged over each interval (the mean of its two node samples).
+That stencil is the stationarity condition of the optimizer's rate-space QP,
+so the two routes agree to rounding.  The first is one tridiagonal solve by
+direct elimination (pivot locations are reported on failure, which
+off-the-shelf banded solvers hide); the optimizer's faces run on the same
+elimination.  The second has no phi1 term, so its flux phi1'/v is a
+first-order recurrence: one prefix sum.
 """
 from __future__ import annotations
 
@@ -63,86 +70,42 @@ def _substitute(factors, rhs) -> np.ndarray:
     return np.array(x[:-1])
 
 
-def _solve_bvp(grid: TimeGrid, a, c, rhs, left, right) -> np.ndarray:
-    """phi at every node from phi'' - a phi' - c phi = rhs, phi(0) = left and
-    phi(T) = right, with a, c and rhs given at the nodes.
+def _solve_bvp(grid: TimeGrid, vbar, c, Phi) -> np.ndarray:
+    """phi at every node from (phi'/v)' = c phi, phi(0) = Phi and phi(T) = 0,
+    with vbar the turnover over each interval.
 
-    Interior stencil at node i:
+    The row of interior node i is the conservative stencil scaled by h, the
+    harmonic mean of vbar[i-1] and vbar[i], so that its couplings sum to
+    2/tau^2:
 
-        (phi[i+1] - 2 phi[i] + phi[i-1]) / tau^2
-            - a[i] (phi[i+1] - phi[i-1]) / (2 tau) - c[i] phi[i] = rhs[i].
+        h ((phi[i+1] - phi[i]) / vbar[i] - (phi[i] - phi[i-1]) / vbar[i-1]) / tau^2
+            - c h phi[i] = 0.
 
-    Raises ValueError when a coefficient is not a finite node array or a
-    boundary value is not finite, SolverFailureError (naming the offending
-    node) when elimination meets a vanishing pivot, and
-    ConsistencyError when the back-substituted solution fails the scaled
-    residual check.
+    Raises ValueError when a coefficient is not finite, SolverFailureError
+    (naming the offending node) when elimination meets a vanishing pivot,
+    and ConsistencyError when the solution fails the scaled residual check.
     """
-    n = len(grid)
-    a, c, rhs = (np.asarray(x, dtype=float) for x in (a, c, rhs))
-    for name, arr in (("a", a), ("c", c), ("rhs", rhs)):
-        if arr.shape != (n,):
-            raise ValueError(f"{name} must be a length-{n} node array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite entries")
-    left, right = float(left), float(right)
-    if not (np.isfinite(left) and np.isfinite(right)):
-        raise ValueError(f"boundary values must be finite, got {left} and {right}")
-    tau = grid.tau
-    inv2 = 1.0 / tau**2
-    ai, ci = a[1:-1], c[1:-1]
-    lower = inv2 + ai / (2.0 * tau)
-    diag = -2.0 * inv2 - ci
-    upper = inv2 - ai / (2.0 * tau)
-    b = rhs[1:-1].copy()
-    b[0] -= lower[0] * left
-    b[-1] -= upper[-1] * right
-
-    row_scale = 2.0 * inv2 + np.abs(ai) / tau + np.abs(ci)
+    inv2 = 1.0 / grid.tau**2
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        r = 1.0 / vbar
+        h = 2.0 / (r[:-1] + r[1:])
+        lower, upper = inv2 * (h * r[:-1]), inv2 * (h * r[1:])
+        diag = -2.0 * inv2 - c * h
+    if not all(np.all(np.isfinite(x)) for x in (vbar, lower, diag, upper)):
+        raise ValueError(f"vbar and c = {c} give a non-finite stencil coefficient")
+    row_scale = 2.0 * inv2 + np.abs(diag)
+    b = np.zeros(diag.size)
+    b[0] = -lower[0] * Phi
     x = _substitute(_eliminate(lower, diag, upper, row_scale), b)
-    phi = np.concatenate([[left], x, [right]])
+    phi = np.concatenate([[Phi], x, [0.0]])
 
-    applied = (
-        (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) * inv2
-        - ai * (phi[2:] - phi[:-2]) / (2.0 * tau)
-        - ci * phi[1:-1]
-    )
-    resid = float(np.max(np.abs(applied - rhs[1:-1])))
-    denom = float(np.max(row_scale)) * max(1.0, float(np.max(np.abs(phi)))) + float(
-        np.max(np.abs(rhs))
-    )
+    resid = float(np.max(np.abs(lower * phi[:-2] + diag * phi[1:-1] + upper * phi[2:])))
+    denom = float(np.max(row_scale)) * max(1.0, float(np.max(np.abs(phi))))
     if resid > _RESIDUAL_RTOL * denom:
         raise ConsistencyError(
             f"discrete residual {resid:.3e} exceeds {_RESIDUAL_RTOL:.0e} * {denom:.3e}"
         )
     return phi
-
-
-def matched_log_derivative(v: np.ndarray, tau: float):
-    """Discrete (d/dt log v, v) pair matching the divergence form of the equation.
-
-    The stationarity equation is self-adjoint, (phi'/v)' = (c/v) phi, and the
-    natural conservative stencil uses the turnover averaged over each interval.
-    Rewriting that stencil as phi'' - a phi' - c phi requires
-
-        a[j] = (2/tau) (vbar[j+1/2] - vbar[j-1/2]) / (vbar[j+1/2] + vbar[j-1/2])
-        h[j] = harmonic mean of the two adjacent interval averages,
-
-    both second-order consistent with dlog v/dt and v at node j.  Using them
-    keeps the boundary solve algebraically equivalent to the optimality
-    conditions of the direct quadratic program, so the two routes agree to
-    rounding instead of merely to truncation order (the difference matters for
-    profiles with steep open/close activity).
-    """
-    v = np.asarray(v, dtype=float)
-    vbar = 0.5 * (v[1:] + v[:-1])
-    a = np.zeros(v.size)
-    h = v.copy()
-    with np.errstate(over="ignore"):  # _solve_bvp rejects a non-finite coefficient
-        a[1:-1] = (2.0 / tau) * (vbar[1:] - vbar[:-1]) / (vbar[1:] + vbar[:-1])
-    h[1:-1] = 2.0 / (1.0 / vbar[1:] + 1.0 / vbar[:-1])  # no product to overflow
-    a[0], a[-1] = a[1], a[-2]
-    return a, h
 
 
 def asymptotic_expansion(profile, market, lam, Phi):
@@ -151,43 +114,44 @@ def asymptotic_expansion(profile, market, lam, Phi):
     Returns (strategy, correction_rate): the composite rate
     zeta0 + lam * correction clipped at zero and renormalized, plus the raw
     (unclipped) first-order rate correction so its convergence can be studied
-    directly.  The inventory correction solves
+    directly.  The inventory correction solves (phi1'/v)' =
+    (sigma_tilde^2/kappa_tilde) phi0 with phi1(0) = phi1(T) = 0, phi0 the
+    volume-proportional inventory, in the stencil of _solve_bvp: the exact
+    risk-aversion derivative of the QP's solution family.  With no phi1
+    term, the flux over interval j is the first interval's plus tau
+    sigma_tilde^2/kappa_tilde times the sum of phi0 over the interior nodes
+    up to j, so the interval rates are
 
-        phi1'' - (d/dt log v) phi1' = (sigma_tilde^2/kappa_tilde) v phi0,
-        phi1(0) = phi1(T) = 0,
+        vbar (C - held) tau sigma_tilde^2 / kappa_tilde,
 
-    where phi0 is the volume-proportional inventory.  Coefficients and right
-    side use the same divergence-matched discretization as the boundary-value
-    route, which makes phi1 the exact risk-aversion derivative of the direct
-    quadratic program's solution family; the rate correction is therefore read
-    off as interval differences of phi1 and resampled to the nodes.
+    with held that running sum and C its vbar-weighted mean, so that the
+    correction sells nothing.  They are resampled to the nodes.
     """
     lam = _risk_aversion(lam)
     base = vwap_strategy(profile, Phi)
     phi0 = inventory_from_rate(base).phi
     g = profile.grid
-    a, h = matched_log_derivative(profile.v, g.tau)
-    rhs = (market.sigma_tilde**2 / market.kappa_tilde) * h * phi0
-    phi1 = _solve_bvp(g, a, np.zeros(len(g)), rhs, 0.0, 0.0)
-    zeta1 = interval_rates_to_nodes((phi1[:-1] - phi1[1:]) / g.tau)
-    composite = np.clip(base.zeta + lam * zeta1, 0.0, None)
-    composite *= base.Phi / trapz(composite, g.tau)
+    with np.errstate(over="ignore", invalid="ignore"):  # Strategy rejects a non-finite rate
+        vbar = 0.5 * (profile.v[1:] + profile.v[:-1])
+        # summed from the heaviest interval, where C - held would cancel
+        held = np.concatenate([[0.0], np.cumsum(phi0[1:-1])])
+        held -= held[np.argmax(vbar)]
+        C = np.average(held, weights=vbar / vbar.max())
+        rates = vbar * (C - held) * (g.tau * (market.sigma_tilde**2 / market.kappa_tilde))
+        zeta1 = interval_rates_to_nodes(rates)
+        composite = np.clip(base.zeta + lam * zeta1, 0.0, None)
+        composite *= base.Phi / trapz(composite, g.tau)
     return Strategy(grid=g, zeta=composite, Phi=base.Phi), zeta1
 
 
 def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:
-    """Risk-adjusted inventory from the stationarity equation of the schedule cost.
+    """Risk-adjusted inventory from the Euler-Lagrange equation of the schedule
+    cost, (phi'/v)' = (sigma_tilde^2 lam / kappa_tilde) phi with phi(0) = Phi
+    and phi(T) = 0, by _solve_bvp.
 
-    Solves
-
-        phi'' - (d/dt log v) phi' - (sigma_tilde^2 lam / kappa_tilde) v phi = 0,
-        phi(0) = Phi, phi(T) = 0,
-
-    with the coefficient pair discretized in divergence-matched form (see
-    matched_log_derivative).  The implied rate -phi' is sign-checked and a
-    warning is emitted when it dips negative (large lam, strongly front-loaded
-    profiles); imposing the nonnegativity bound is the constrained optimizer's
-    job, not this solver's.
+    The implied rate -phi' is sign-checked and a warning is emitted when it
+    dips negative (large lam, strongly front-loaded profiles); imposing the
+    nonnegativity bound is the constrained optimizer's job, not this solver's.
     """
     lam = _risk_aversion(lam)
     if lam == 0.0:
@@ -196,10 +160,8 @@ def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:
             "volume-proportional schedule"
         )
     Phi = _block_size(Phi)
-    g = profile.grid
-    a, h = matched_log_derivative(profile.v, g.tau)
-    c = (market.sigma_tilde**2 * lam / market.kappa_tilde) * h
-    phi = _solve_bvp(g, a, c, np.zeros(len(g)), Phi, 0.0)
+    vbar = 0.5 * (profile.v[1:] + profile.v[:-1])
+    phi = _solve_bvp(profile.grid, vbar, market.sigma_tilde**2 * lam / market.kappa_tilde, Phi)
     if np.any(np.diff(phi) > 1e-10 * max(1.0, Phi)):
         warnings.warn(
             "implied execution rate dips below zero; returning the unconstrained solution",

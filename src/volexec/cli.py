@@ -330,7 +330,6 @@ def cmd_solve(args, run: RunConfig) -> int:
 
 
 def cmd_validate(args, run: RunConfig) -> int:
-    out = _out_dir(args, run)
     report = run_validation(
         run.volume,
         run.market,
@@ -340,6 +339,7 @@ def cmd_validate(args, run: RunConfig) -> int:
         seed=run.seed,
         lambdas=run.lambdas,
     )
+    out = _out_dir(args, run)
     _write_json(out / "validation.json", report)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     for name in failed:
@@ -367,12 +367,12 @@ def cmd_expand(args, run: RunConfig) -> int:
 
 
 def cmd_simulate(args, run: RunConfig) -> int:
-    out = _out_dir(args, run)
     solved = list(_solve_sweep(run))
     cfg = SimulationConfig(run.n_paths, run.seed, run.grid, run.market, run.volume)
     # every schedule, at its own correlation, is priced on one pass of draws
     costs = _cost_rows(cfg, [s for _, s in solved], antithetic=run.antithetic,
                        rhos=[entry.get("rho") for entry, _ in solved])
+    out = _out_dir(args, run)
     results = []
     for (entry, _), row in zip(solved, costs):
         kept = {k: entry[k] for k in ("lambda", "rho", "objective", "status") if k in entry}

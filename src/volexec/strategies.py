@@ -5,8 +5,8 @@ Phi shares over the grid horizon (sell-off condition, enforced under the
 composite trapezoid rule).  The constructors here cover the closed-form
 schedules: volume-proportional, harmonic-mean proportional, impact-twisted
 and the constant-turnover risk-averse schedule.  The small-risk-aversion
-expansion around the volume-proportional one solves a boundary problem and
-lives in bvp.
+expansion around the volume-proportional one lives in bvp, beside the
+boundary problem whose first-order correction it is.
 """
 from __future__ import annotations
 

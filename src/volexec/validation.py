@@ -183,7 +183,7 @@ def run_validation(
         worst = 0.0
         bq = {}
         for lam in lambdas:
-            # the rate-space QP against the divergence-matched boundary problem
+            # the rate-space QP against the conservative-form boundary problem
             _, rep = solve_qp_deterministic(p1k, lam, _STRUCTURAL_MARKET, 1.0)
             phi_ode = optimal_inventory_ode(p1k, lam, _STRUCTURAL_MARKET, 1.0).phi
             gap = float(np.max(np.abs(1.0 - g1k.tau * np.cumsum(rep.zeta_intervals) - phi_ode[1:])))

@@ -77,6 +77,10 @@ def test_qp_matches_ode_route(market, arcsine500):
                 _, rep = solve_qp_deterministic(p, lam, market, 1.0)
                 ref = dense_qp_rates(p, lam, market, 1.0)
                 assert np.max(np.abs(rep.zeta_intervals - ref)) <= 1e-10 * np.max(ref)
+                if lam > 0.0 and not rep.active_bounds:
+                    phi = optimal_inventory_ode(p, lam, market, 1.0).phi
+                    ode = (phi[:-1] - phi[1:]) / g.tau
+                    assert np.max(np.abs(ode - ref)) <= 1e-10 * np.max(ref), (n, lam)
 
 
 def test_qp_extreme_risk_aversion(market, arcsine500):
