@@ -14,9 +14,12 @@ Both are discretized in conservative form on the uniform grid, with v the
 turnover averaged over each interval (the mean of its two node samples).
 That stencil is the stationarity condition of the optimizer's rate-space QP,
 so the two routes agree to rounding.  The first is one tridiagonal solve by
-direct elimination (pivot locations are reported on failure, which
-off-the-shelf banded solvers hide); the optimizer's faces run on the same
-elimination.  The second has no phi1 term, so its flux phi1'/v is a
+direct elimination; the optimizer's faces run on the same elimination.  Both
+systems are M-matrices given as positive couplings plus a nonnegative row
+excess (c h here, k W on a face), and the elimination works on those, never
+on a diagonal, so no pivot cancels however far apart the couplings are
+(pivot locations are reported on failure, which off-the-shelf banded
+solvers hide).  The second has no phi1 term, so its flux phi1'/v is a
 first-order recurrence: one prefix sum.
 """
 from __future__ import annotations
@@ -26,7 +29,7 @@ import warnings
 import numpy as np
 
 from .errors import ConsistencyError, SolverFailureError
-from .grids import TimeGrid, interval_rates_to_nodes, trapz
+from .grids import TimeGrid, interval_means, interval_rates_to_nodes, trapz
 from .strategies import (
     InventoryCurve,
     Strategy,
@@ -37,36 +40,45 @@ from .strategies import (
 )
 
 _RESIDUAL_RTOL = 1e-10
-_PIVOT_RTOL = 1e-13
 
 
-def _eliminate(lower, diag, upper, row_scale):
-    """Forward elimination of lower[i] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]
-    on Python floats (rounded as float64 arrays are, indexed several times
-    faster): the factors (multipliers, pivots, upper) that _substitute applies to
-    any rhs; SolverFailureError naming the node (row + 1) of a pivot below
-    1e-13 * row_scale."""
-    diag, upper, row_scale = diag.tolist(), upper.tolist(), row_scale.tolist()
-    mult = [0.0] + lower[1:].tolist()
-    m = len(diag)
-    for i in range(m):
-        if abs(diag[i]) <= _PIVOT_RTOL * row_scale[i]:
+def _eliminate(lower, upper, excess):
+    """Forward elimination of the M-matrix rows
+
+        -lower[i] x[i-1] + (lower[i] + upper[i] + excess[i]) x[i] - upper[i] x[i+1] = rhs[i],
+
+    given as their couplings and row excess, all >= 0, on Python floats
+    (rounded as float64 arrays are, indexed several times faster).  The
+    diagonal is never formed: the excess E is carried down the rows,
+    E[i] = excess[i] + lower[i] E[i-1] / p[i-1], and each pivot is
+    p[i] = upper[i] + E[i], a sum of nonnegative terms that no rounding can
+    cancel (Grassmann, Taksar and Heyman 1985).  Row 0's lower coupling
+    reaches a boundary value, so all of it is excess.  Returns the factors
+    (multipliers, pivots, upper) that _substitute applies to any rhs;
+    SolverFailureError naming the node (row + 1) of a pivot that is not a
+    positive finite number, which only a negative excess or an overflow
+    gives."""
+    # pivot holds each row's excess until its pivot overwrites it
+    mult, pivot, upper = lower.tolist(), excess.tolist(), upper.tolist()
+    inf, carried, p = float("inf"), 1.0, 1.0
+    for i in range(len(pivot)):
+        mult[i] /= p
+        carried = pivot[i] + mult[i] * carried
+        p = pivot[i] = upper[i] + carried
+        if not 0.0 < p < inf:
             raise SolverFailureError(f"tridiagonal elimination hit a vanishing pivot at node {i + 1}")
-        if i + 1 < m:
-            mult[i + 1] /= diag[i]
-            diag[i + 1] -= mult[i + 1] * upper[i]
-    return mult, diag, upper
+    return mult, pivot, upper
 
 
 def _substitute(factors, rhs) -> np.ndarray:
     """x from the factors of _eliminate and one right-hand side."""
-    mult, diag, upper = factors
+    mult, pivot, upper = factors
     b = rhs.tolist()
     for i in range(1, len(b)):
-        b[i] -= mult[i] * b[i - 1]
+        b[i] += mult[i] * b[i - 1]
     x = [0.0] * (len(b) + 1)
     for i in range(len(b) - 1, -1, -1):
-        x[i] = (b[i] - upper[i] * x[i + 1]) / diag[i]
+        x[i] = (b[i] + upper[i] * x[i + 1]) / pivot[i]
     return np.array(x[:-1])
 
 
@@ -76,31 +88,33 @@ def _solve_bvp(grid: TimeGrid, vbar, c, Phi) -> np.ndarray:
 
     The row of interior node i is the conservative stencil scaled by h, the
     harmonic mean of vbar[i-1] and vbar[i], so that its couplings sum to
-    2/tau^2:
+    2/tau^2, and negated, so that they are positive and c h is the row
+    excess:
 
-        h ((phi[i+1] - phi[i]) / vbar[i] - (phi[i] - phi[i-1]) / vbar[i-1]) / tau^2
-            - c h phi[i] = 0.
+        h ((phi[i] - phi[i+1]) / vbar[i] + (phi[i] - phi[i-1]) / vbar[i-1]) / tau^2
+            + c h phi[i] = 0.
 
     Raises ValueError when a coefficient is not finite, SolverFailureError
-    (naming the offending node) when elimination meets a vanishing pivot,
-    and ConsistencyError when the solution fails the scaled residual check.
+    (naming the offending node) when elimination meets a pivot that is not
+    a positive finite number (c < 0, or an overflow), and ConsistencyError
+    when the solution fails the scaled residual check.
     """
     inv2 = 1.0 / grid.tau**2
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         r = 1.0 / vbar
         h = 2.0 / (r[:-1] + r[1:])
-        lower, upper = inv2 * (h * r[:-1]), inv2 * (h * r[1:])
-        diag = -2.0 * inv2 - c * h
-    if not all(np.all(np.isfinite(x)) for x in (vbar, lower, diag, upper)):
+        lower, upper, excess = inv2 * (h * r[:-1]), inv2 * (h * r[1:]), c * h
+    if not all(np.all(np.isfinite(x)) for x in (vbar, lower, upper, excess)):
         raise ValueError(f"vbar and c = {c} give a non-finite stencil coefficient")
-    row_scale = 2.0 * inv2 + np.abs(diag)
-    b = np.zeros(diag.size)
-    b[0] = -lower[0] * Phi
-    x = _substitute(_eliminate(lower, diag, upper, row_scale), b)
+    b = np.zeros(excess.size)
+    b[0] = lower[0] * Phi
+    x = _substitute(_eliminate(lower, upper, excess), b)
     phi = np.concatenate([[Phi], x, [0.0]])
 
-    resid = float(np.max(np.abs(lower * phi[:-2] + diag * phi[1:-1] + upper * phi[2:])))
-    denom = float(np.max(row_scale)) * max(1.0, float(np.max(np.abs(phi))))
+    mid = phi[1:-1]
+    resid = float(np.max(np.abs(lower * (mid - phi[:-2]) + upper * (mid - phi[2:]) + excess * mid)))
+    row_sums = 2.0 * (lower + upper) + np.abs(excess)  # of each row's absolute entries
+    denom = float(np.max(row_sums)) * max(1.0, float(np.max(np.abs(phi))))
     if resid > _RESIDUAL_RTOL * denom:
         raise ConsistencyError(
             f"discrete residual {resid:.3e} exceeds {_RESIDUAL_RTOL:.0e} * {denom:.3e}"
@@ -132,7 +146,7 @@ def asymptotic_expansion(profile, market, lam, Phi):
     phi0 = inventory_from_rate(base).phi
     g = profile.grid
     with np.errstate(over="ignore", invalid="ignore"):  # Strategy rejects a non-finite rate
-        vbar = 0.5 * (profile.v[1:] + profile.v[:-1])
+        vbar = interval_means(profile.v)
         # summed from the heaviest interval, where C - held would cancel
         held = np.concatenate([[0.0], np.cumsum(phi0[1:-1])])
         held -= held[np.argmax(vbar)]
@@ -160,7 +174,7 @@ def optimal_inventory_ode(profile, lam, market, Phi) -> InventoryCurve:
             "volume-proportional schedule"
         )
     Phi = _block_size(Phi)
-    vbar = 0.5 * (profile.v[1:] + profile.v[:-1])
+    vbar = interval_means(profile.v)
     phi = _solve_bvp(profile.grid, vbar, market.sigma_tilde**2 * lam / market.kappa_tilde, Phi)
     if np.any(np.diff(phi) > 1e-10 * max(1.0, Phi)):
         warnings.warn(

@@ -80,6 +80,14 @@ def trapz_weights(n_steps: int, tau: float) -> np.ndarray:
     return w
 
 
+def interval_means(v: np.ndarray) -> np.ndarray:
+    """The mean of each interval's two node samples, each halved before the
+    sum, so it is finite for any finite v: the bits of
+    0.5 * (v[1:] + v[:-1]) wherever the samples, their sums and their means
+    are all normal numbers."""
+    return 0.5 * v[1:] + 0.5 * v[:-1]
+
+
 def interval_rates_to_nodes(rates: np.ndarray) -> np.ndarray:
     """Node samples whose trapezoid integral matches the piecewise-constant one exactly.
 

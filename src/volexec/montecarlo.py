@@ -332,8 +332,12 @@ def moment_estimate(costs: np.ndarray, antithetic: bool = False) -> MomentEstima
     both standard errors come from the independent pairs: the mean's from the
     pair means, the variance's from the pair means of the squared deviations,
     since a path and its mirror carry nearly the same squared deviation.
+    The moments are those of the costs less the first one: identical costs
+    become exact zeros, whose mean cannot round away from them, so a
+    constant row has variance 0.
     """
     n = costs.size
+    shift, costs = costs[0], costs - costs[0]
     variance = float(costs.var(ddof=1))
     if antithetic:
         half = n // 2
@@ -345,7 +349,7 @@ def moment_estimate(costs: np.ndarray, antithetic: bool = False) -> MomentEstima
         m4 = float(np.mean((costs - costs.mean()) ** 4))
         se_var = math.sqrt(max(m4 - variance**2, 0.0) / n)
     return MomentEstimate(
-        mean=mean,
+        mean=float(shift + mean),
         variance=variance,
         std_error_mean=se_mean,
         std_error_variance=se_var,

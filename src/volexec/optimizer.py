@@ -34,7 +34,7 @@ from .cost import (
     _lognormal_variance,
 )
 from .errors import SolverFailureError
-from .grids import TimeGrid, _frozen, cumtrapz, interval_rates_to_nodes, trapz_weights
+from .grids import TimeGrid, _frozen, cumtrapz, interval_means, interval_rates_to_nodes, trapz_weights
 from .strategies import Strategy, _block_size, _risk_aversion
 from .volume import GbmVolumeModel, VolumeProfile, gbm_harmonic_mean
 
@@ -90,18 +90,16 @@ class _RateModel:
         if free.size == 0:
             raise SolverFailureError("all decision variables pinned at zero")
         dfree = self.d[free]
-        # merged node j runs from after free rate j-1 to free rate j; rows are
-        # scaled so that their couplings sum to 2, as in the boundary problem's
-        # stencil, and the small node term of the diagonal survives rounding
-        scale = 2.0 / (dfree[:-1] + dfree[1:])
-        lower, upper = -scale * dfree[:-1], -scale * dfree[1:]
-        diag = 2.0 + scale * self.k * np.add.reduceat(self.w[: free[-1] + 1], free[:-1] + 1)
-        factors = _eliminate(lower, diag, upper, diag + 2.0)
+        # merged node j runs from after free rate j-1 to free rate j: its row
+        # couples it to the nodes on either side by those two rates' d, and
+        # its excess is k times its merged weight
+        excess = self.k * np.add.reduceat(self.w[: free[-1] + 1], free[:-1] + 1)
+        factors = _eliminate(dfree[:-1], dfree[1:], excess)
 
         def solve(b, Phi):
             c = Phi / tau
-            rhs = scale * np.diff(b[free])
-            rhs[:1] -= lower[:1] * c
+            rhs = np.diff(b[free])
+            rhs[:1] += dfree[:1] * c
             x = np.concatenate([[c], _substitute(factors, rhs), [0.0]])
             z = np.zeros(b.size)
             z[free] = x[:-1] - x[1:]
@@ -309,7 +307,7 @@ def solve_qp_deterministic(profile: VolumeProfile, lam, market: MarketParams, Ph
     interval rates.
     """
     grid = profile.grid
-    obj = MeanVarianceObjective(0.5 * (profile.v[1:] + profile.v[:-1]), lam, market, Phi, grid)
+    obj = MeanVarianceObjective(interval_means(profile.v), lam, market, Phi, grid)
     z, iterations, _ = _active_set_qp(obj.quad, np.zeros(grid.n_steps), grid.tau, obj.Phi)
     return _solution(obj, grid, z, iterations)
 
@@ -349,8 +347,9 @@ def _face_newton_step(obj: MeanVarianceObjective, model: _RateModel, hess, z, f,
     pinned rates z == 0, with `hess` the exact Hessian product at z: the bound
     with the most negative multiplier is released first if it outweighs the
     free rates' stationarity residual; the Armijo line search is cut at the
-    first bound the step reaches, which is then pinned.  Returns the new z
-    and its evaluation, (z, f, g, hessian), or None when no step descends."""
+    first bound the step reaches, which is then pinned, and accepts only a
+    point that lowers f.  Returns the new z and its evaluation,
+    (z, f, g, hessian), or None when no step descends."""
     tau = obj.tau
     fixed = z == 0.0
     stationarity, mult = _multipliers(g, fixed, tau)
@@ -367,7 +366,9 @@ def _face_newton_step(obj: MeanVarianceObjective, model: _RateModel, hess, z, f,
         z_new = np.maximum(z + alpha * d, 0.0)
         z_new[falling[reach == alpha]] = 0.0
         evaluation = obj.evaluate(z_new)
-        if evaluation[0] <= f + 1e-4 * alpha * slope:
+        # the Armijo bound rounds to f itself once 1e-4 alpha slope is below
+        # half an ulp of f, so a step must also lower f
+        if evaluation[0] < f and evaluation[0] <= f + 1e-4 * alpha * slope:
             return (z_new, *evaluation)
         alpha *= 0.5
     return None
@@ -404,7 +405,7 @@ def solve_sqp_gbm(model: GbmVolumeModel, lam, market: MarketParams, Phi, grid: T
     "stalled" if no step descends.
     """
     u = gbm_harmonic_mean(model, grid).v
-    obj = MeanVarianceObjective(0.5 * (u[1:] + u[:-1]), lam, market, Phi, grid, model)
+    obj = MeanVarianceObjective(interval_means(u), lam, market, Phi, grid, model)
     tau, H, Phi = grid.tau, obj.quad, obj.Phi
 
     z = obj.xbar * (Phi / (tau * obj.xbar.sum()))

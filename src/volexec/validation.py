@@ -31,7 +31,7 @@ from .cost import (
     mv_gbm,
     mv_gbm_quadrature_check,
 )
-from .grids import TimeGrid, build_grid, trapz_weights
+from .grids import TimeGrid, build_grid, interval_means, trapz_weights
 from .montecarlo import (
     ANTICIPATING_LABEL,
     SimulationConfig,
@@ -75,7 +75,7 @@ def _skip(name, reason):
 def _proportional_gap(rates, grid: TimeGrid, v) -> float:
     """Sup relative gap of interval rates to the rates proportional to the
     interval averages of the turnover v, which sell one share."""
-    vbar = 0.5 * (v[1:] + v[:-1])
+    vbar = interval_means(v)
     ref = vbar / (grid.tau * vbar.sum())
     return float(np.max(np.abs(rates - ref) / ref))
 

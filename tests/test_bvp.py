@@ -1,8 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from volexec.bvp import (
-    _PIVOT_RTOL,
     _eliminate,
     _solve_bvp,
     _substitute,
@@ -93,28 +94,45 @@ def test_pivot_failure_reports_location(grid200):
         _solve_bvp(grid200, np.ones(grid200.n_steps), c, 1.0)
 
 
-def _fused_tridiagonal(lower, diag, upper, rhs, row_scale):
+def _fused_tridiagonal(lower, upper, excess, rhs):
     """Elimination and substitution in one pass over the rows, on Python floats."""
-    lower, diag, upper = lower.tolist(), diag.tolist(), upper.tolist()
-    b, row_scale = rhs.tolist(), row_scale.tolist()
+    lower, upper, excess, b = lower.tolist(), upper.tolist(), excess.tolist(), rhs.tolist()
     m = len(b)
+    pivot = [0.0] * m
+    carried, p = 1.0, 1.0
     for i in range(m):
-        if abs(diag[i]) <= _PIVOT_RTOL * row_scale[i]:
+        w = lower[i] / p
+        carried = excess[i] + w * carried
+        p = pivot[i] = upper[i] + carried
+        if not 0.0 < p < np.inf:
             raise SolverFailureError(f"vanishing pivot at node {i + 1}")
-        if i + 1 < m:
-            w = lower[i + 1] / diag[i]
-            diag[i + 1] -= w * upper[i]
-            b[i + 1] -= w * b[i]
+        if i:
+            b[i] += w * b[i - 1]
     x = [0.0] * (m + 1)
     for i in range(m - 1, -1, -1):
-        x[i] = (b[i] - upper[i] * x[i + 1]) / diag[i]
+        x[i] = (b[i] + upper[i] * x[i + 1]) / pivot[i]
     return np.array(x[:m])
 
 
 def _random_system(rng, m):
-    lower, upper = -rng.random(m), -rng.random(m)
-    diag = 1.0 + rng.random(m) * 2.0
-    return lower, diag, upper, np.abs(lower) + np.abs(diag) + np.abs(upper)
+    """Couplings and a row excess over 16 decades, with some excess exactly 0."""
+    lower, upper = 10.0 ** rng.uniform(-8.0, 8.0, (2, m))
+    excess = np.where(rng.random(m) < 0.3, 0.0, 10.0 ** rng.uniform(-8.0, 8.0, m))
+    return lower, upper, excess
+
+
+def _exact_solution(lower, upper, excess, rhs):
+    """The system's solution in rational arithmetic, rounded once."""
+    lower, upper, excess, b = ([Fraction(v) for v in a.tolist()] for a in (lower, upper, excess, rhs))
+    diag = [lo + up + e for lo, up, e in zip(lower, upper, excess)]
+    for i in range(1, len(b)):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        b[i] += w * b[i - 1]
+    x = [Fraction(0)] * (len(b) + 1)
+    for i in range(len(b) - 1, -1, -1):
+        x[i] = (b[i] + upper[i] * x[i + 1]) / diag[i]
+    return np.array([float(v) for v in x[:-1]])
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 50, 777])
@@ -123,34 +141,52 @@ def test_split_elimination_matches_fused_pass(m):
     a fused elimination-and-substitution pass on each, and leaves its
     factors as they were."""
     rng = np.random.default_rng(m)
-    lower, diag, upper, row_scale = _random_system(rng, m)
-    factors = _eliminate(lower, diag, upper, row_scale)
+    lower, upper, excess = _random_system(rng, m)
+    factors = _eliminate(lower, upper, excess)
     frozen = [list(f) for f in factors]
     for _ in range(3):
         rhs = rng.standard_normal(m) * 10.0 ** rng.integers(-5, 5)
-        ref = _fused_tridiagonal(lower, diag, upper, rhs, row_scale)
+        ref = _fused_tridiagonal(lower, upper, excess, rhs)
         assert np.array_equal(_substitute(factors, rhs), ref)
     assert [list(f) for f in factors] == frozen
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 40])
+def test_elimination_is_accurate_entry_by_entry(m):
+    """Couplings and excess over 16 decades, half the excess exactly 0: no
+    pivot cancels, so every entry of the solution for a nonnegative rhs
+    matches the exact rational solution to a few rounding errors, however
+    small it is.  An elimination that forms the diagonal and subtracts the
+    couplings back out meets vanishing pivots at m = 40, and loses every
+    digit where it does not."""
+    rng = np.random.default_rng(40 + m)
+    for _ in range(20):
+        lower, upper, excess = _random_system(rng, m)
+        excess[rng.random(m) < 0.5] = 0.0
+        rhs = rng.random(m)
+        x = _substitute(_eliminate(lower, upper, excess), rhs)
+        ref = _exact_solution(lower, upper, excess, rhs)
+        assert np.max(np.abs(x - ref) / ref) <= 1e-14
+
+
 @pytest.mark.parametrize("row", [0, 1, 40])
 def test_elimination_reports_vanishing_pivot_row(row):
-    """A pivot that vanishes at `row` raises SolverFailureError naming the
-    same node from the elimination alone as from the fused pass."""
-    rng = np.random.default_rng(row)
-    lower, diag, upper, row_scale = _random_system(rng, 60)
-    if row:
-        # pivot[row] = diag[row] - lower[row] upper[row-1] / pivot[row-1]
-        pivots = _eliminate(lower[:row], diag[:row], upper[:row], row_scale[:row])[1]
-        diag[row] = lower[row] / pivots[-1] * upper[row - 1]
-    else:
-        diag[0] = 0.0
-    with pytest.raises(SolverFailureError) as ref:
-        _fused_tridiagonal(lower, diag, upper, np.ones(60), row_scale)
-    with pytest.raises(SolverFailureError) as err:
-        _eliminate(lower, diag, upper, row_scale)
-    node = f"vanishing pivot at node {row + 1}"
-    assert str(err.value).endswith(node) and str(ref.value).endswith(node)
+    """A pivot that is not a positive finite number, from a negative excess
+    at `row` or one that overflows there, raises SolverFailureError naming
+    the same node from the elimination alone as from the fused pass."""
+    for kind in ("negative", "overflow"):
+        lower, upper, excess = _random_system(np.random.default_rng(row), 60)
+        if kind == "negative":
+            # the excess carried into a row is at most its lower coupling
+            excess[row] = -(lower[row] + upper[row]) - 1.0
+        else:
+            excess[row] = upper[row] = 1.5e308
+        with pytest.raises(SolverFailureError) as ref:
+            _fused_tridiagonal(lower, upper, excess, np.ones(60))
+        with pytest.raises(SolverFailureError) as err:
+            _eliminate(lower, upper, excess)
+        node = f"vanishing pivot at node {row + 1}"
+        assert str(err.value).endswith(node) and str(ref.value).endswith(node), kind
 
 
 def test_solution_stays_in_boundary_range(market):

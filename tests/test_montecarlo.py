@@ -436,6 +436,18 @@ def test_deterministic_rows_have_exact_moments(market_hi, seed):
         assert abs(est.variance - g @ g) <= 3.0 * est.std_error_variance
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("cost", [9.999999999999997e297, 1.0 / 3.0, -2.5e-300])
+def test_constant_row_has_variance_zero(cost, antithetic):
+    """Identical costs have variance 0 and standard errors 0, however their
+    mean rounds: 64 costs of 9.999999999999997e297 average to a different
+    double, whose squared deviations overflow."""
+    est = moment_estimate(np.full(64, cost), antithetic=antithetic)
+    assert est.mean == cost
+    assert est.variance == 0.0
+    assert est.std_error_mean == 0.0 and est.std_error_variance == 0.0
+
+
 def test_exact_variance_tends_to_mv_deterministic(market_hi):
     """|G|^2, the exact variance of a row on the grid, meets the continuous
     sigma_tilde^2 int phi^2 at O(tau^2): each doubling of n cuts the gap

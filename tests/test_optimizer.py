@@ -174,6 +174,42 @@ def test_active_set_water_filling():
     assert stationarity < 1e-12   # free coordinates are stationary
 
 
+def _water_filling(d, b, tau, Phi):
+    """The k = 0 optimum z = max(0, (b - tau nu) / d): the rates with the
+    largest b are free, and nu makes the free rates sell Phi."""
+    order = np.argsort(-b)
+    for m in range(1, b.size + 1):
+        free = order[:m]
+        nu = (np.sum(b[free] / d[free]) - Phi / tau) / (tau * np.sum(1.0 / d[free]))
+        if m == b.size or b[order[m]] <= tau * nu:
+            break
+    return np.maximum(0.0, (b - tau * nu) / d)
+
+
+def test_active_set_water_filling_over_sixteen_decades():
+    """At k = 0 the model is separable, and its optimum is the water-filling
+    closed form.  With d over 16 decades the active set matches it to 1e-12
+    of the largest rate: with b = 0 (the lam = 0 face, no pins) and with b
+    on the scale of the smallest d Phi/tau, as a damped step's b = Hz - g is,
+    where most cases pin.  (b far above that scale is ill-posed for any
+    method: a small-d rate's z then turns on b's last bits.)"""
+    rng = np.random.default_rng(7)
+    pinned_cases = 0
+    for case in range(400):
+        n = int(rng.integers(2, 60))
+        tau = rng.uniform(0.1, 2.0) / n
+        d = tau * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        Phi = 10.0 ** rng.uniform(-2.0, 2.0)
+        b = np.zeros(n)
+        if case % 2 == 0:
+            b = rng.standard_normal(n) * 10.0 ** rng.uniform(0.0, 3.0) * d.min() * Phi / (tau * n)
+        z, _, fixed = _active_set_qp(_RateModel(d, 0.0, trapz_weights(n, tau)), b, tau, Phi)
+        ref = _water_filling(d, b, tau, Phi)
+        assert np.max(np.abs(z - ref)) <= 1e-12 * np.max(ref)
+        pinned_cases += bool(fixed.any())
+    assert pinned_cases > 100
+
+
 def test_active_set_pins_only_the_optimum_bounds():
     """The active set never releases a pin, and needs none: on random models
     (d over 8 decades, k = 0 and k > 0, positive w, any b, Phi > 0) its
@@ -263,36 +299,49 @@ def test_face_reuse_matches_fresh_solves():
 
 
 def test_face_vanishing_pivot_reported_like_solve():
-    """A face whose first merged node has no curvature left fails when it is
-    built, before any right-hand side, and names its node."""
+    """A face whose first merged node has a negative excess k w_1 = -2, which
+    cancels its two unit couplings, fails when it is built, before any
+    right-hand side, and names its node."""
     n = 6
     tau = 1.0 / n
     w = trapz_weights(n, tau)
     d = np.ones(n)
-    k = -2.0 / float(w[1])  # zeroes 2 + k w_1, the first pivot with nothing pinned
+    k = -2.0 / float(w[1])  # zeroes the first pivot 1 + (k w_1 + 1) with nothing pinned
     model = _RateModel(d=d, k=k, w=w)
     fixed = np.zeros(n, dtype=bool)
     with pytest.raises(SolverFailureError, match="vanishing pivot at node 1$"):
         model.face(tau, fixed)
 
 
-@pytest.mark.xfail(strict=True, raises=SolverFailureError,
-                   reason="face elimination cancels a pivot when adjacent turnover differs by 16 decades")
+# turnover that jumps between 1e8 and 1e-8, sampled at grid_n 10
+SIXTEEN_DECADES = np.array([1e8, 1e-8, 1e-8, 1e-8, 1e8, 1e8, 1e-8, 1e-8, 1e-8, 1e8, 1e-8])
+
+
 def test_face_survives_turnover_spread_over_sixteen_decades(market):
     """Turnover that jumps between 1e8 and 1e-8 is a well-posed problem, and
-    at lam = 0 its optimum is volume-proportional.  Today the face's scaled
-    rows cancel a pivot to rounding ("vanishing pivot at node 3") at lam up to
-    1e-3, while lam = 1 solves."""
-    v = np.array([1e8, 1e-8, 1e-8, 1e-8, 1e8, 1e8, 1e-8, 1e-8, 1e-8, 1e8, 1e-8])
+    at lam = 0 its optimum is volume-proportional.  The face's pivots are
+    sums of nonnegative terms, so none cancels at any lam."""
     grid = build_grid(1.0, 10)
-    profile = profile_from_samples(grid, v)
+    profile = profile_from_samples(grid, SIXTEEN_DECADES)
     for lam in (0.0, 1e-6, 1e-3):
         _, rep = solve_qp_deterministic(profile, lam, market, 1.0)
         assert rep.status == "converged", lam
         if lam == 0.0:
-            xbar = _interval_means(v)
+            xbar = _interval_means(SIXTEEN_DECADES)
             ref = xbar / (grid.tau * xbar.sum())
             assert np.max(np.abs(rep.zeta_intervals - ref)) <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-6, 1e-3])
+def test_boundary_route_survives_turnover_spread_over_sixteen_decades(market, lam):
+    """The boundary route eliminates the same kind of rows on the same
+    profile, and its inventory is the QP's to 1e-12 Phi."""
+    grid = build_grid(1.0, 10)
+    profile = profile_from_samples(grid, SIXTEEN_DECADES)
+    phi = optimal_inventory_ode(profile, lam, market, 1.0).phi
+    _, rep = solve_qp_deterministic(profile, lam, market, 1.0)
+    phi_qp = np.concatenate([[1.0], 1.0 - grid.tau * np.cumsum(rep.zeta_intervals)])
+    assert np.max(np.abs(phi - phi_qp)) <= 1e-12
 
 
 def test_report_dict_fields():
@@ -740,22 +789,38 @@ def test_report_describes_the_returned_rates(sigma, rho, lam, market_hi, grid200
 
 def test_sqp_stalls_when_no_damped_step_descends(monkeypatch, market_hi, gbm_model, grid200):
     """With the KKT test switched off, the fig2 model at lam=1 reaches its
-    optimum in two damped steps.  On the third, the predicted decreases are
-    rounding that the objective does not follow, so the shift grows until
-    the step model predicts no descent: the solve ends "stalled" on the same
-    rates, long before the shift reaches 1e12."""
+    optimum in two damped steps, and a third lowers f by rounding.  The
+    fourth is a Newton step that finds no lower f, and a damped step whose
+    predicted decreases are rounding that the objective does not follow, so
+    the shift grows until the step model predicts no descent: the solve ends
+    "stalled" on the optimum's rates, up to the objective's flat direction,
+    long before the shift reaches 1e12."""
     _, done = solve_sqp_gbm(gbm_model, 1.0, market_hi, 1.0, grid200)
     assert (done.status, done.iterations) == ("converged", 2)
-    points = []
-    evaluate = MeanVarianceObjective.evaluate
+    points, newton = [], []
+    evaluate, newton_step = MeanVarianceObjective.evaluate, optimizer._face_newton_step
+
+    def counted_step(*args):
+        start = len(points)
+        step = newton_step(*args)
+        newton.append((start, len(points), step is None))
+        return step
+
     monkeypatch.setattr(optimizer, "_KKT_TOL", 0.0)
     monkeypatch.setattr(MeanVarianceObjective, "evaluate", lambda self, z: points.append(z) or evaluate(self, z))
+    monkeypatch.setattr(optimizer, "_face_newton_step", counted_step)
     _, rep = solve_sqp_gbm(gbm_model, 1.0, market_hi, 1.0, grid200)
-    assert (rep.status, rep.iterations) == ("stalled", 3)
-    assert np.array_equal(rep.zeta_intervals, done.zeta_intervals)
-    # the start and two accepted points, then the third step's rejected
-    # points: the shift needs 34 of them to rise from 1e-8 to 1e12
-    assert len(points) - 3 < 34
+    assert (rep.status, rep.iterations) == ("stalled", 4)
+    assert rep.objective <= done.objective
+    z, ref = rep.zeta_intervals, done.zeta_intervals
+    assert np.max(np.abs(z - ref)) <= 1e-8 * np.max(ref)
+    # a damped step evaluates its first try and at most 34 more as the shift
+    # rises from 1e-8 to 1e12; a Newton search at most 34 step lengths, 1 to
+    # 2^-33.  The start and three damped steps come before the one Newton
+    # step, and the last damped step stops before the shift reaches 1e12
+    [(start, end, failed)] = newton
+    assert failed and end - start <= 34
+    assert start <= 1 + 3 * 35 and len(points) - end < 35
 
 
 # solve-sweep benchmark ops (seed 97 ops 403 and 969, and seed 89 op 119 with
