@@ -1,9 +1,9 @@
 """Monte Carlo validation: joint price/turnover simulation, cost-moment
 estimation, and the optimality-ordering tournament.
 
-Draws are keyed per block of paths (the volume layer's _BLOCK) and driver
-stream with one SFC64 generator per key, and every draw starts on a block,
-so results depend neither on the task split nor on which thread draws a
+Draws are keyed per block of paths (the volume layer's _BLOCK) and stream
+with one SFC64 generator per key, and every draw starts on a block, so
+results depend neither on the task split nor on which thread draws a
 path.  Every estimate runs one pass over the paths, one task per keyed
 block of drawn paths.  One helper thread per further CPU the process may
 run on (os.sched_getaffinity) takes tasks from one shared list at once;
@@ -20,13 +20,21 @@ The pass prices the draws, not the paths: a price path is s0 plus the
 running sum of fixed multiples of the normals (its driver is correlated
 with a lognormal turnover's through the model's rho), so every static row
 is a constant plus the normals contracted with the schedule's weight
-vectors moved onto the increments, and one einsum per driver stream prices
-all of them; an antithetic twin's price terms are the negated ones.  A
-lognormal turnover path is built once per drawn path, as the v0/v its cost
-reads; a twin's path is its draw's reflected through the drift, so its v0/v
-is one division (volume._mirror_ramp); nothing else is mirrored.  Each
-schedule's direct form is checked against its decomposition once, on the
-weights, before any draw (cost._StaticCosts).
+vectors moved onto the increments, W z per driver stream.  A stream that
+only the static rows read (the one stream under deterministic turnover,
+the price-specific one under lognormal turnover unless the per-path
+anticipating row reads it) is drawn in the rows' own space: with
+W = R' Q, Q's rows orthonormal, Q z is standard normal, so the pass draws
+K normals xi per path in its place and prices xi R (_Factor), and
+_joint_block rebuilds a full path from xi and the stream's own keyed
+normals on which each row is a realized cost.  A row then depends on the
+rows listed before it.  Any other stream is contracted as drawn, one
+einsum per stream for all rows; an antithetic twin's price terms are the
+negated ones.  A lognormal turnover path is built once per drawn path, as
+the v0/v its cost reads; a twin's path is its draw's reflected through the
+drift, so its v0/v is one division (volume._mirror_ramp); nothing else is
+mirrored.  Each schedule's direct form is checked against its
+decomposition once, on the weights, before any draw (cost._StaticCosts).
 einsum, unlike a BLAS matmul, gives each entry bits that do not depend on
 the task's size, offset or schedule count.  Under deterministic turnover
 the anticipating schedule is static too; under stochastic turnover its row
@@ -46,11 +54,12 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from .cost import MarketParams, _anticipating_costs, _StaticCosts
+from .cost import MarketParams, _anticipating_costs, _dot, _StaticCosts
 from .grids import TimeGrid, _integral, require_same_grid
 from .strategies import Strategy, expected_vwap_strategy, vwap_strategy
 from .volume import (
     _BLOCK,
+    _FACTOR_STREAM,
     GbmVolumeModel,
     VolumeProfile,
     _inverse_gbm_block,
@@ -100,36 +109,143 @@ class MomentEstimate:
 
 class _Workspace:
     """Buffers one task of the pass fills in place, for one keyed block of
-    drawn paths: the normals of driver stream 0 and, under stochastic
-    turnover, of stream 1 and each path's v0/v, which its mirror's v0/v or
-    else the per-path anticipating row then overwrites."""
+    drawn paths: each driver stream's normals, `widths` of them per path,
+    and, under stochastic turnover, each path's v0/v, which its mirror's
+    v0/v or else the per-path anticipating row then overwrites."""
 
-    def __init__(self, cfg: SimulationConfig, rows: int):
-        n = cfg.grid.n_steps
+    def __init__(self, cfg: SimulationConfig, rows: int, widths: Sequence[int]):
+        self.draws = [np.empty((rows, width)) for width in widths]
         stochastic = isinstance(cfg.volume, GbmVolumeModel)
-        self.z = np.empty((rows, n))
-        self.zw = np.empty((rows, n)) if stochastic else None
-        self.inverse = np.empty((rows, n + 1)) if stochastic else None
+        self.inverse = np.empty((rows, cfg.grid.n_steps + 1)) if stochastic else None
 
 
-def _joint_block(cfg: SimulationConfig, first: int, last: int):
-    """Price and turnover paths for path indices [first, last), from the
-    draws the pass prices: the paths `validate`'s path checks read.
+class _Factor:
+    """One driver stream's price weights W (K, n) as W = R' Q: Q's rows
+    orthonormal or zero and R upper triangular, built row by row in listed
+    order by Gram-Schmidt applied twice (the second pass removes what
+    rounding left of the first), with einsum dots: row-stable, and free of
+    BLAS threads.  Row k of Q and column k of R depend on rows 0..k of W
+    only.  A row that adds no new direction (its residual is exactly zero,
+    or n directions are already found) gets q = 0 and R_kk = 0.
+
+    The stream's normals z reach the rows only as W z = R' (Q z), and Q z
+    is standard normal on the rows of Q that are not zero, so K normals xi
+    per path reproduce the rows' joint law exactly (Glasserman 2003,
+    section 2.3): `terms` prices them, and `rebuild` gives back a full
+    standard-normal z with Q z = xi, on which each row is a realized cost.
+    """
+
+    def __init__(self, w: np.ndarray):
+        k, n = w.shape
+        self.q, self.r = np.zeros((k, n)), np.zeros((k, k))
+        found = 0
+        for i in range(k):
+            v, q = w[i], self.q[:i]
+            for _ in range(2):
+                c = np.einsum("jn,n->j", q, v)
+                v = v - np.einsum("j,jn->n", c, q)
+                self.r[:i, i] += c
+            norm = math.sqrt(_dot(v, v))
+            if norm > 0.0 and found < n:
+                self.q[i], self.r[i, i] = v / norm, norm
+                found += 1
+
+    def terms(self, xi: np.ndarray) -> np.ndarray:
+        """Price terms (rows, K) of the normals xi (rows, K): xi R, summed
+        in listed order, so column k has the bits of a factor of rows 0..k."""
+        terms = xi[:, :1] * self.r[0]
+        for j in range(1, len(self.r)):
+            terms += xi[:, j : j + 1] * self.r[j]
+        return terms
+
+    def rebuild(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """z = Q' xi + (eta - Q' Q eta) in place of eta (rows, n), the
+        stream's own standard normals: xi in Q's span, eta's part
+        orthogonal to it, so z is standard normal and Q z = xi."""
+        eta += np.einsum("ik,kj->ij", xi - np.einsum("ij,kj->ik", eta, self.q), self.q)
+        return eta
+
+
+def _driver_scales(cfg: SimulationConfig, rho) -> tuple:
+    """Scales of the price drivers' standard normals at correlation rho:
+    the price moves by sigma_tilde sqrt(tau) z under deterministic turnover
+    and by sigma_tilde sqrt(tau) (rho z_0 + sqrt(1 - rho^2) z_1) under
+    stochastic turnover."""
+    base = cfg.market.sigma_tilde * math.sqrt(cfg.grid.tau)
+    if isinstance(cfg.volume, GbmVolumeModel):
+        return base * rho, base * math.sqrt(max(0.0, 1.0 - rho**2))
+    return (base,)
+
+
+def _static_rows(cfg: SimulationConfig, statics, anticipating_phi=None, rhos=None):
+    """The static rows of a pass over `statics` (see _cost_rows): the
+    kernel of their distinct (schedule, rho) pairs in listed order, each
+    listed row's index into it, and the driver stream whose normals the
+    pass draws in the rows' own space, with its _Factor: stream 0 under
+    deterministic turnover; stream 1 under stochastic turnover, unless the
+    per-path anticipating row reads it, and then (None, None)."""
+    if not statics:
+        raise ValueError("need at least one static schedule")
+    for s in statics:
+        require_same_grid(s.grid, cfg.grid, "strategy")
+    stochastic = isinstance(cfg.volume, GbmVolumeModel)
+    if anticipating_phi is not None and not stochastic:
+        statics = [vwap_strategy(cfg.volume, anticipating_phi), *statics]
+    rho = cfg.volume.rho if stochastic else None
+    rhos = [rho] * len(statics) if rhos is None or not stochastic else rhos
+    keys = [(s.Phi, s.zeta.tobytes(), r) for s, r in zip(statics, rhos)]
+    unique = dict(zip(keys, statics))  # each schedule at each rho is contracted once
+    slot = [list(unique).index(key) for key in keys]
+    row_scales = np.transpose([_driver_scales(cfg, r) for *_, r in unique])  # (drivers, K)
+    kernel = _StaticCosts(list(unique.values()), cfg.market, row_scales, cfg.volume)
+    if stochastic and anticipating_phi is not None:
+        return kernel, slot, None, None
+    factored = int(stochastic)
+    return kernel, slot, factored, _Factor(kernel.price_w[factored])
+
+
+def _joint_block(
+    cfg: SimulationConfig,
+    first: int,
+    last: int,
+    *,
+    statics: Sequence[Strategy] = (),
+    anticipating_phi: Optional[float] = None,
+    rhos: Optional[Sequence[float]] = None,
+):
+    """Price and turnover paths for path indices [first, last) of a pass
+    over `statics`, with `anticipating_phi` and `rhos` as given to
+    `_cost_rows`: the paths whose realized costs are that pass's rows, the
+    paths `validate`'s path checks read.
 
     Turnover draws come from driver stream 0 and price-specific noise from
     stream 1, combined as rho * z_0 + sqrt(1 - rho^2) * z_1, so the turnover
     paths are bit-identical with and without a correlated price leg; a
     turnover path is v0 over the v0/v the pass prices, from the same kernel.
-    The price increments are summed in place in the paths' own columns.
+    The stream the pass draws in its rows' own space is rebuilt from the
+    same normals xi and its own keyed draws (_Factor.rebuild); with no
+    schedule, every stream is read as drawn.  The price increments are
+    summed in place in the paths' own columns.
     """
     grid, market = cfg.grid, cfg.market
     n = grid.n_steps
-    z = _normal_block(cfg.seed, first, last, stream=0, n=n)
+    factored, factor = (None, None)
+    if statics:
+        factored, factor = _static_rows(cfg, statics, anticipating_phi, rhos)[2:]
+
+    def normals(stream):
+        z = _normal_block(cfg.seed, first, last, stream=stream, n=n)
+        if stream == factored:
+            xi = _normal_block(cfg.seed, first, last, stream=_FACTOR_STREAM, n=len(factor.r))
+            factor.rebuild(xi, z)
+        return z
+
+    z = normals(0)
     if isinstance(cfg.volume, GbmVolumeModel):
         rho = cfg.volume.rho
         vol = _inverse_gbm_block(cfg.volume, grid, z)
         np.divide(cfg.volume.v0, vol, out=vol)
-        zw = _normal_block(cfg.seed, first, last, stream=1, n=n)
+        zw = normals(1)
         zw *= math.sqrt(max(0.0, 1.0 - rho**2))  # the price-specific draws
         z *= rho
         z += zw
@@ -241,6 +357,15 @@ def _cost_rows(
     entry of `rhos` (default, and for the anticipating row, the model's rho).
     cost._StaticCosts prices a static schedule listed twice at one rho once,
     its direct and decomposed weights checked against each other once.
+    A driver stream that only the static rows read reaches them as W z, W
+    their (K, n) price weights on it: stream 0 under deterministic turnover,
+    stream 1 under stochastic turnover when no per-path anticipating row
+    reads it.  The pass draws that stream in the rows' own space, K normals
+    xi per path from volume stream 2, priced as xi R with W = R' Q
+    (_Factor): the rows keep their joint law, each row is the realized cost
+    of the path _joint_block rebuilds from the same schedules, and row k
+    depends on the rows listed before it (and never on those after it).
+    Under deterministic turnover no workspace is n wide.
     With `anticipating_phi` set, row 0 is the anticipating
     turnover-proportional schedule for that order size and the static
     schedules follow.  Under deterministic turnover that schedule is itself
@@ -250,55 +375,52 @@ def _cost_rows(
     drawn paths only: it cannot be antithetic (ValueError).
     With antithetic=True (n_paths must be even) the first n_paths/2 columns
     are the drawn paths and column n_paths/2 + i is the mirror of column i:
-    its price terms are its draw's, negated, and its v0/v the drift ramp
-    over its draw's (volume._mirror_ramp), so it runs no cumsum, no exp.
+    its price terms are its draw's (xi's too), negated, and its v0/v the
+    drift ramp over its draw's (volume._mirror_ramp), so it runs no cumsum,
+    no exp.
     Returns an array of shape (rows, n_paths).
     """
-    if not statics:
-        raise ValueError("need at least one static schedule")
-    for s in statics:
-        require_same_grid(s.grid, cfg.grid, "strategy")
     n = cfg.n_paths
     if antithetic and n % 2:
         raise ValueError(f"antithetic pairing needs an even n_paths, got {n}")
-    grid, market = cfg.grid, cfg.market
+    grid = cfg.grid
     stochastic = isinstance(cfg.volume, GbmVolumeModel)
     per_path = int(anticipating_phi is not None and stochastic)
     if per_path and antithetic:
         raise ValueError("the per-path anticipating row is priced on drawn paths only")
-    rho = cfg.volume.rho if stochastic else None
-    if anticipating_phi is not None and not stochastic:
-        statics = [vwap_strategy(cfg.volume, anticipating_phi), *statics]
-    rhos = [rho] * len(statics) if rhos is None or not stochastic else rhos
-    base = market.sigma_tilde * math.sqrt(grid.tau)
-
-    def scales(r):  # of the price drivers at correlation r
-        return (base * r, base * math.sqrt(max(0.0, 1.0 - r**2))) if stochastic else (base,)
-
+    kernel, slot, factored, factor = _static_rows(cfg, statics, anticipating_phi, rhos)
     ramp = _mirror_ramp(cfg.volume, grid) if stochastic else None
+    model_scales = _driver_scales(cfg, cfg.volume.rho) if per_path else None
     # before the task list: a path count too large to allocate fails here
     # with MemoryError, not after building n / _BLOCK tasks
-    costs = np.empty((per_path + len(statics), n))
-    keys = [(s.Phi, s.zeta.tobytes(), r) for s, r in zip(statics, rhos)]
-    unique = dict(zip(keys, statics))  # each schedule at each rho is contracted once
-    slot = [list(unique).index(key) for key in keys]
-    row_scales = np.transpose([scales(r) for *_, r in unique])  # (drivers, K)
-    kernel = _StaticCosts(list(unique.values()), market, row_scales, cfg.volume)
+    costs = np.empty((per_path + len(slot), n))
     drawn = n // 2 if antithetic else n
     offsets = (0, drawn) if antithetic else (0,)
     tasks = [(first, min(first + _BLOCK, drawn)) for first in range(0, drawn, _BLOCK)]
     # no more than _MAX_THREADS threads; a helper starts beside `alongside`
     count = min(_worker_count(), _MAX_THREADS, len(tasks) + bool(alongside))
-    spaces = [_Workspace(cfg, min(_BLOCK, drawn)) for _ in range(count)]
+    # the driver streams' keys and normals per path: n, or for the stream
+    # drawn in the rows' own space, one per distinct row
+    streams = [0, 1][: 1 + stochastic]
+    widths = [grid.n_steps] * len(streams)
+    if factor is not None:
+        streams[factored], widths[factored] = _FACTOR_STREAM, len(factor.r)
+    spaces = [_Workspace(cfg, min(_BLOCK, drawn), widths) for _ in range(count)]
 
     def price_task(task, ws):
         first, last = task
         m = last - first
         draws = [
-            _normal_block(cfg.seed, first, last, stream=d, n=grid.n_steps, out=out[:m])
-            for d, out in enumerate((ws.z, ws.zw)[: 1 + stochastic])
+            _normal_block(cfg.seed, first, last, stream=stream, n=out.shape[1], out=out[:m])
+            for stream, out in zip(streams, ws.draws)
         ]
-        terms = kernel.contract(draws)
+        if factor is None:
+            terms = kernel.contract(draws)
+        elif factored == 0:
+            terms = factor.terms(draws[0])
+        else:  # stream 0 drawn n wide, stream 1 in the rows' own space
+            terms = kernel.contract(draws[:1])
+            terms += factor.terms(draws[1])
         inverse = None
         if stochastic:
             inverse = _inverse_gbm_block(cfg.volume, grid, draws[0], out=ws.inverse[:m])
@@ -311,7 +433,7 @@ def _cost_rows(
             costs[per_path:, offset + first : offset + last] = kernel.totals(terms, inverse)[slot]
         if per_path:
             costs[0, first:last] = _anticipating_costs(
-                draws, scales(rho), inverse, cfg.volume.v0, anticipating_phi, grid.tau, market
+                draws, model_scales, inverse, cfg.volume.v0, anticipating_phi, grid.tau, cfg.market
             )
 
     _drain(tasks, price_task, spaces, alongside)
@@ -374,6 +496,31 @@ def estimate_cost_moments(
     return (est, costs) if return_costs else est
 
 
+def _tournament(cfg: SimulationConfig, candidates: Dict[str, Strategy]):
+    """The rows of a tournament of `candidates` by name, the static
+    schedules of its pass, listed as the rows after the anticipating one,
+    and their common parent order size Phi."""
+    if not candidates:
+        raise ValueError("need at least one candidate strategy")
+    for label in (ANTICIPATING_LABEL, EXPECTED_VWAP_LABEL):
+        if label in candidates:
+            raise ValueError(f"candidate name {label!r} is reserved")
+    names = sorted(candidates)
+    Phi = None
+    for name in names:
+        s = candidates[name]
+        require_same_grid(s.grid, cfg.grid, f"candidate {name!r}")
+        if Phi is None:
+            Phi = s.Phi
+        elif abs(s.Phi - Phi) > 1e-12 * max(1.0, abs(Phi)):
+            raise ValueError("all candidates must share the same parent order size")
+    statics = [candidates[name] for name in names]
+    if isinstance(cfg.volume, GbmVolumeModel):  # the harmonic-mean row leads the static rows
+        names.insert(0, EXPECTED_VWAP_LABEL)
+        statics.insert(0, expected_vwap_strategy(cfg.volume, cfg.grid, Phi))
+    return [ANTICIPATING_LABEL, *names], statics, Phi
+
+
 def validate_theorem_orderings(
     cfg: SimulationConfig,
     candidates: Dict[str, Strategy],
@@ -395,36 +542,12 @@ def validate_theorem_orderings(
     calling thread runs `alongside` while the pass's helpers price its first
     tasks (see _drain).
     """
-    if not candidates:
-        raise ValueError("need at least one candidate strategy")
-    for label in (ANTICIPATING_LABEL, EXPECTED_VWAP_LABEL):
-        if label in candidates:
-            raise ValueError(f"candidate name {label!r} is reserved")
-    names = sorted(candidates)
-    Phi = None
-    for name in names:
-        s = candidates[name]
-        require_same_grid(s.grid, cfg.grid, f"candidate {name!r}")
-        if Phi is None:
-            Phi = s.Phi
-        elif abs(s.Phi - Phi) > 1e-12 * max(1.0, abs(Phi)):
-            raise ValueError("all candidates must share the same parent order size")
-
-    stochastic = isinstance(cfg.volume, GbmVolumeModel)
-    rows = [ANTICIPATING_LABEL] + ([EXPECTED_VWAP_LABEL] if stochastic else []) + names
-    static = {}
-    if stochastic:
-        static[EXPECTED_VWAP_LABEL] = expected_vwap_strategy(cfg.volume, cfg.grid, Phi)
-    static.update(candidates)
-
-    n = cfg.n_paths
-    statics = [static[name] for name in rows[1:]]
-    matrix = _cost_rows(cfg, statics, anticipating_phi=Phi, alongside=alongside)
-    costs = dict(zip(rows, matrix))
+    rows, statics, Phi = _tournament(cfg, candidates)
+    costs = dict(zip(rows, _cost_rows(cfg, statics, anticipating_phi=Phi, alongside=alongside)))
     by_name = {name: dict(zip(("mean", "se_mean"), _mean_and_se(costs[name]))) for name in rows}
     pairs = [(ANTICIPATING_LABEL, other) for other in rows[1:]]
-    if stochastic:
-        pairs += [(EXPECTED_VWAP_LABEL, name) for name in names]
+    if isinstance(cfg.volume, GbmVolumeModel):
+        pairs += [(EXPECTED_VWAP_LABEL, name) for name in rows[2:]]
     # exact ties (e.g. a candidate that IS the anticipating schedule) leave a
     # systematic residue from accumulated rounding, whose scale is set by the
     # initial mark s0 * Phi rather than by the vanishing standard error
@@ -443,7 +566,7 @@ def validate_theorem_orderings(
             }
         )
     report = {
-        "n_paths": n,
+        "n_paths": cfg.n_paths,
         "seed": cfg.seed,
         "phi": Phi,
         "strategies": by_name,

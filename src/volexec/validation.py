@@ -3,7 +3,8 @@ optimizers, and the Monte Carlo layer to one another.
 
 Statistical checks run on the supplied configuration: the moment checks,
 the orderings and the pathwise cost identity read the tournament's cost
-rows, and the path checks rebuild its first paths from the keyed draws.
+rows, and the path checks rebuild its first paths from the keyed draws
+and its schedules (montecarlo._joint_block).
 Structural checks (discretization agreement, small-risk expansion) run on
 fixed internal fixtures, so their outcome does not depend on the run
 configuration.  The calling thread runs the path and structural checks
@@ -38,6 +39,7 @@ from .montecarlo import (
     _joint_block,
     _mean_and_se,
     _Outcome,
+    _tournament,
     moment_estimate,
     validate_theorem_orderings,
 )
@@ -118,12 +120,20 @@ def run_validation(
     else:
         probes["vwap"] = vwap_strategy(volume, Phi)
     probe_name, probe = next(iter(probes.items()))
+    # one pass draws every path once; the tournament builds its own
+    # anticipating and harmonic-mean rows, so only probes that do not shadow
+    # those reserved names enter, and the moment checks read the same rows
+    entrants = {k: v for k, v in probes.items() if k not in ("expected-vwap",)}
+    _, statics, _ = _tournament(cfg, entrants)
+
+    def rebuilt(last):
+        # the pass builds no price path: its first paths are rebuilt from
+        # the keyed draws and the tournament's schedules, bit for bit
+        return _joint_block(cfg, 0, last, statics=statics, anticipating_phi=Phi)
 
     # --- path checks, turnover model statistics and determinism -----------
     def path_checks():
-        # the pass builds no price path: its first paths are rebuilt from
-        # the keyed draws, bit for bit, for the checks that read paths
-        price, vol = _joint_block(cfg, 0, min(n_paths, 1000))
+        price, vol = rebuilt(min(n_paths, 1000))
         # the per-path volume-proportional schedule: the pass prices it in
         # closed form, unchecked, under stochastic turnover; under
         # deterministic turnover it is one row, shared by every path
@@ -172,7 +182,7 @@ def run_validation(
 
         # the first paths drawn alone against the same rows, listed last
         k = min(len(price), 64)
-        pa, va = _joint_block(cfg, 0, k)
+        pa, va = rebuilt(k)
         det = bool(np.array_equal(pa, price[:k]) and np.array_equal(va, vol[:k]))
         return direct, out, _check("determinism_repeat", det, bitwise_equal=det)
 
@@ -230,10 +240,6 @@ def run_validation(
     paths, structural = _Outcome(path_checks), _Outcome(structural_checks)
 
     # --- moment matching and optimality orderings on common paths --------
-    # one pass draws every path once; the tournament builds its own
-    # anticipating and harmonic-mean rows, so only probes that do not shadow
-    # those reserved names enter, and the moment checks read the same rows
-    entrants = {k: v for k, v in probes.items() if k not in ("expected-vwap",)}
     tournament, rows = validate_theorem_orderings(
         cfg, entrants, return_costs=True, alongside=(paths, structural)
     )

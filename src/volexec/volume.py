@@ -7,11 +7,15 @@ lognormal harmonic mean) evaluate it at the nodes; sampled profiles take the
 values as given.
 
 Random draws are keyed per block of _BLOCK consecutive paths: one SFC64
-generator per (seed, block, stream) fills the block's rows in path order, so
-a path's draws never depend on how the paths are split into tasks, nor on
-which thread draws them: every draw starts on a block, the Monte Carlo pass
+generator per (seed, block, stream) fills the block's rows, so a path's
+draws never depend on how the paths are split into tasks, nor on which
+thread draws them: every draw starts on a block, the Monte Carlo pass
 prices _BLOCK-aligned tasks on every CPU the process may run on, and its
-rows keep their bits on any CPU count.
+rows keep their bits on any CPU count.  Streams 0 and 1 are the price and
+turnover drivers' normals, n per path, filled path by path.  Stream 2
+holds the normals the pass draws in its rows' own space (one per distinct
+static row) and is filled normal by normal across the whole block, so a
+path's k-th normal does not depend on how many are drawn.
 The fills write into caller-owned buffers when given one (`out=`), so a
 worker thread draws without allocating path-sized memory.
 
@@ -30,6 +34,7 @@ import numpy as np
 from .grids import TimeGrid, _frozen
 
 _BLOCK = 256  # paths per keyed generator
+_FACTOR_STREAM = 2  # the normals drawn in the Monte Carlo rows' own space
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,13 @@ def gbm_harmonic_mean(model: GbmVolumeModel, grid: TimeGrid) -> VolumeProfile:
 
 def path_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     """RNG of one block of paths: SFC64 seeded by SeedSequence(seed,
-    spawn_key=(2*block + stream,)), which pads the seed to its full pool
-    before it mixes in the spawn key, so no two keys share a state.
+    spawn_key=key), which pads the seed to its full pool before it mixes in
+    the key's 32-bit words, so no two keys share a state.  The driver
+    streams 0 and 1 have key (2*block + stream,); stream 2 (_FACTOR_STREAM)
+    has (block, 0), whose words end in a zero word after another word, as
+    those of no one-integer key do (an integer's top word is nonzero).  Any
+    other stream is an error: "stream 2" as 2*block + 2 would be stream 0 of
+    the next block.
 
     Draws depend only on the key, so batching/partitioning paths across
     workers cannot change the sampled values.  The seed is one 64-bit word:
@@ -123,7 +133,11 @@ def path_rng(seed: int, block: int, stream: int = 0) -> np.random.Generator:
     seed = int(seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    key = np.random.SeedSequence(seed, spawn_key=(2 * int(block) + int(stream),))
+    block, stream = int(block), int(stream)
+    if stream not in (0, 1, _FACTOR_STREAM):
+        raise ValueError(f"stream must be 0, 1 or {_FACTOR_STREAM}, got {stream}")
+    spawn_key = (block, 0) if stream == _FACTOR_STREAM else (2 * block + stream,)
+    key = np.random.SeedSequence(seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.SFC64(key))
 
 
@@ -131,18 +145,26 @@ def _normal_block(seed: int, first: int, last: int, stream: int, n: int, out=Non
     """Standard-normal draws for paths first..last-1, shape (last - first, n),
     written into `out` (C-contiguous, allocated when None).
 
-    Path k is row k % _BLOCK of block k // _BLOCK.  A block's generator fills
-    its rows in order with one standard_normal call, so the leading rows of a
-    block never depend on how many rows are drawn.  `first` must start a
-    block (ValueError otherwise): the ziggurat sampler consumes a variable
-    number of words per normal, so a generator cannot skip ahead to a row.
+    Path k is row k % _BLOCK of block k // _BLOCK.  A driver stream's
+    generator fills its block's rows in order with one standard_normal call,
+    so the leading rows of a block never depend on how many rows are drawn.
+    Stream 2's generator fills an (n, _BLOCK) array, the whole block's first
+    normals before any second one, of which the rows take their columns: so
+    neither the leading rows nor the leading columns depend on how many are
+    drawn.  `first` must start a block (ValueError otherwise): the ziggurat
+    sampler consumes a variable number of words per normal, so a generator
+    cannot skip ahead to a row.
     """
     if first % _BLOCK:
         raise ValueError(f"draws start on a block of {_BLOCK} paths, got path {first}")
     z = np.empty((last - first, n)) if out is None else out
     for lo in range(first, last, _BLOCK):
         rows = z[lo - first : min(lo + _BLOCK, last) - first]
-        path_rng(seed, lo // _BLOCK, stream=stream).standard_normal(out=rows)
+        rng = path_rng(seed, lo // _BLOCK, stream=stream)
+        if stream == _FACTOR_STREAM:
+            rows[...] = rng.standard_normal((n, _BLOCK))[:, : len(rows)].T
+        else:
+            rng.standard_normal(out=rows)
     return z
 
 

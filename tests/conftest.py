@@ -58,22 +58,23 @@ def twap200(grid200):
     return make_twap(grid200)
 
 
-def joint_paths(cfg):
+def joint_paths(cfg, **schedules):
     """Test oracle: every (price, turnover) path of a simulation config, shape
-    (n_paths, n+1), as the Monte Carlo pass draws them; deterministic
+    (n_paths, n+1), as the Monte Carlo pass over `schedules` (the statics,
+    anticipating_phi and rhos of _cost_rows) draws them; deterministic
     turnover rows are a read-only broadcast of the profile."""
-    return _joint_block(cfg, 0, cfg.n_paths)
+    return _joint_block(cfg, 0, cfg.n_paths, **schedules)
 
 
-def antithetic_paths(cfg):
-    """Test oracle: the paths of an antithetic pass, its n_paths/2 drawn
-    paths followed by their twins, which are built from the same normals
-    negated."""
+def antithetic_paths(cfg, **schedules):
+    """Test oracle: the paths of an antithetic pass over `schedules`, its
+    n_paths/2 drawn paths followed by their twins, which are built from the
+    same normals negated."""
     draw = montecarlo._normal_block
     half = cfg.n_paths // 2
-    price, vol = _joint_block(cfg, 0, half)
+    price, vol = _joint_block(cfg, 0, half, **schedules)
     with mock.patch.object(montecarlo, "_normal_block", lambda *a, **k: -draw(*a, **k)):
-        twin_price, twin_vol = _joint_block(cfg, 0, half)
+        twin_price, twin_vol = _joint_block(cfg, 0, half, **schedules)
     return np.concatenate([price, twin_price]), np.concatenate([vol, twin_vol])
 
 

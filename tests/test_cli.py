@@ -175,11 +175,12 @@ def test_simulate_seed_override_changes_draws(tmp_path):
 
 
 def test_simulate_draws_once_for_every_rho(tmp_path, monkeypatch):
-    """Every (lambda, rho) schedule is priced on one pass of draws, and each
-    entry still holds the moments of a pass of its own."""
+    """Every (lambda, rho) schedule is priced on one pass of draws: each
+    entry holds the moments and costs of a pass over the entries up to it,
+    and the first entry those of a pass of its own."""
     from volexec import volume
     from volexec.cli import _build_run, _solve_sweep, main
-    from volexec.montecarlo import SimulationConfig, estimate_cost_moments
+    from volexec.montecarlo import SimulationConfig, _cost_rows, estimate_cost_moments, moment_estimate
 
     doc = gbm_config(grid_n=40, rhos=(0.0, -0.5), dump=True)
     doc["lambdas"] = [0.0, 0.5, 1.0, 2.0]
@@ -195,20 +196,23 @@ def test_simulate_draws_once_for_every_rho(tmp_path, monkeypatch):
 
     monkeypatch.setattr(volume, "path_rng", counted)
     assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 0
-    # 300 drawn paths span 2 blocks, on 2 driver streams, once for both rhos
+    # 300 drawn paths span 2 blocks, on 2 streams (the turnover driver's and
+    # the normals in the rows' own space), once for both rhos
     assert len(calls) == 2 * 2
     sim = json.loads((out / "simulate.json").read_text())
     run = _build_run(doc)
     solved = list(_solve_sweep(run))
     pairs = [(e["lambda"], e["rho"]) for e, _ in solved]
     assert [(e["lambda"], e["rho"]) for e in sim["results"]] == pairs
-    for entry, (solved_entry, s) in zip(sim["results"], solved):
-        cfg = SimulationConfig(n_paths=600, seed=7, grid=run.grid, market=run.market,
-                               volume=dataclasses.replace(run.volume, rho=solved_entry["rho"]))
-        est, costs = estimate_cost_moments(s, cfg, antithetic=True, return_costs=True)
-        assert entry["moments"] == est.as_dict()
+    cfg = SimulationConfig(n_paths=600, seed=7, grid=run.grid, market=run.market, volume=run.volume)
+    schedules, rhos = [s for _, s in solved], [e["rho"] for e, _ in solved]
+    for k, entry in enumerate(sim["results"]):
+        costs = _cost_rows(cfg, schedules[: k + 1], antithetic=True, rhos=rhos[: k + 1])[k]
+        assert entry["moments"] == moment_estimate(costs, True).as_dict()
         dumped = np.loadtxt(out / entry["costs_file"], delimiter=",", skiprows=1)[:, 1]
         assert np.array_equal(dumped, costs)
+    first = dataclasses.replace(cfg, volume=dataclasses.replace(run.volume, rho=rhos[0]))
+    assert sim["results"][0]["moments"] == estimate_cost_moments(schedules[0], first, antithetic=True).as_dict()
 
 
 def test_simulate_exits_3_when_a_solve_does_not_converge(tmp_path, monkeypatch, capsys):
@@ -324,21 +328,39 @@ def test_validate_catches_seeded_defect(monkeypatch, market, gbm_model, grid200)
     assert not bad["all_passed"]
     failed = [c["name"] for c in bad["checks"] if not c["passed"] and not c.get("skipped")]
     assert failed == ["variance_matches_mv"]
-    # the moment checks read the tournament's pass, the same paths a
-    # standalone estimate draws
-    from volexec.montecarlo import SimulationConfig, estimate_cost_moments
-    from volexec.strategies import expected_vwap_strategy
+    # the moment checks read the tournament's pass: its harmonic-mean row and
+    # the TWAP probe's
+    from volexec.montecarlo import SimulationConfig, moment_estimate, validate_theorem_orderings
 
     cfg = SimulationConfig(n_paths=600, seed=3, grid=grid200, market=market, volume=gbm_model)
     checks = {c["name"]: c["detail"] for c in good["checks"]}
-    probes = {
-        "twap": make_twap(grid200),
-        "expected-vwap": expected_vwap_strategy(gbm_model, grid200, 1.0),
-    }
-    for name, s in probes.items():
-        est = estimate_cost_moments(s, cfg)
+    _, rows = validate_theorem_orderings(cfg, {"twap": make_twap(grid200)}, return_costs=True)
+    for name in ("twap", "expected-vwap"):
+        est = moment_estimate(rows[name])
         assert checks["mean_matches_expected_cost"][name]["mc"] == est.mean
         assert checks["variance_matches_mv"][name]["mc"] == est.variance
+
+
+def test_validate_catches_seeded_defect_on_deterministic_turnover(monkeypatch, market, grid200):
+    """Under deterministic turnover the moment checks read rows drawn in
+    their own space: a variance kernel with sigma_tilde scaled by 1.5 trips
+    exactly variance_matches_mv."""
+    from volexec import validation
+    from volexec.validation import run_validation
+    from volexec.volume import arcsine_profile
+
+    profile = arcsine_profile(grid200)
+    good = run_validation(profile, market, grid200, n_paths=600, seed=3, lambdas=(0.5,))
+    assert good["all_passed"]
+    mv = validation.mv_deterministic
+
+    def scaled(s, volume, lam, m):
+        return mv(s, volume, lam, dataclasses.replace(m, sigma_tilde=1.5 * m.sigma_tilde))
+
+    monkeypatch.setattr(validation, "mv_deterministic", scaled)
+    bad = run_validation(profile, market, grid200, n_paths=600, seed=3, lambdas=(0.5,))
+    failed = [c["name"] for c in bad["checks"] if not c["passed"] and not c.get("skipped")]
+    assert failed == ["variance_matches_mv"]
 
 
 def test_validate_identity_reads_reported_rows(monkeypatch, market):

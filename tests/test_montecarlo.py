@@ -287,12 +287,15 @@ def test_memory_is_bounded_by_batch(market_hi, grid500):
 
 def test_anticipating_row_adds_no_path_memory(monkeypatch, market_hi, grid500):
     """The per-path anticipating row is priced in closed form over its draws'
-    v0/v: with it, an n=500 gbm pass peaks within 1.25x of the same
-    pass without it, so no per-path schedule is built."""
+    v0/v: with it, an n=500 gbm pass peaks within 1.25x of the same pass
+    without it plus the n-wide stream-1 workspaces that the row reads (the
+    pass without it draws stream 1 in its rows' own space), so no per-path
+    schedule is built."""
     model = GbmVolumeModel(1.0, -0.02, 0.2, rho=0.4)
     cfg = _cfg(model, market_hi, grid500, n_paths=4096, seed=14)
     statics = [expected_vwap_strategy(model, grid500, 1.0)]
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    workers = 2
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
     peaks = []
     for phi in (None, 1.0):
         tracemalloc.start()
@@ -301,7 +304,8 @@ def test_anticipating_row_adds_no_path_memory(monkeypatch, market_hi, grid500):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.25 * peaks[0], peaks
+    stream1 = workers * montecarlo._BLOCK * grid500.n_steps * 8
+    assert peaks[1] <= 1.25 * (peaks[0] + stream1), peaks
 
 
 def test_antithetic_reduces_error(market, gbm_model, grid200, twap200):
@@ -378,7 +382,8 @@ def test_cost_rows_match_decompose(market_hi, grid200, kind, antithetic, k):
     statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)[:k]]
     phi = None if kind == "gbm" and antithetic else 1.0
     rows = _cost_rows(cfg, statics, anticipating_phi=phi, antithetic=antithetic)
-    price, vol = antithetic_paths(cfg) if antithetic else joint_paths(cfg)
+    paths = antithetic_paths if antithetic else joint_paths
+    price, vol = paths(cfg, statics=statics, anticipating_phi=phi)
     w = trapz_weights(grid200.n_steps, grid200.tau)
     zeta_paths = vol * (1.0 / (vol @ w))[:, None]
     ref = [decompose(price, vol, zeta_paths, 1.0, grid200.tau, market_hi)[0]] if phi else []
@@ -402,7 +407,8 @@ def test_rows_match_path_oracle(market_hi, grid200, kind, rho, antithetic):
     statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)]
     phi = None if kind == "gbm" and antithetic else 1.0
     rows = _cost_rows(cfg, statics, anticipating_phi=phi, antithetic=antithetic)
-    price, vol = antithetic_paths(cfg) if antithetic else joint_paths(cfg)
+    paths = antithetic_paths if antithetic else joint_paths
+    price, vol = paths(cfg, statics=statics, anticipating_phi=phi)
     w = trapz_weights(grid200.n_steps, grid200.tau)
     zetas = [vol * (1.0 / np.einsum("ij,j->i", vol, w))[:, None]] if phi else []
     zetas += [s.zeta for s in statics]
@@ -588,7 +594,9 @@ def test_failing_pass_raises_the_same_error_on_any_cpu_count(monkeypatch, market
 def test_repeated_schedule_is_priced_once(monkeypatch, market, grid200, twap200):
     """A schedule listed twice (under deterministic turnover the anticipating
     row and the volume-proportional probe) is contracted once and copied:
-    each row has the bits of the schedule priced alone."""
+    the first row has the bits of its schedule priced alone, the second
+    those of a pass over the first two, and the copy those of its first
+    listing."""
     p = arcsine_profile(grid200)
     vwap = vwap_strategy(p, 1.0)
     cfg = _cfg(p, market, grid200, n_paths=700, seed=4)
@@ -603,7 +611,7 @@ def test_repeated_schedule_is_priced_once(monkeypatch, market, grid200, twap200)
     rows = _cost_rows(cfg, [twap200, vwap], 1.0)
     assert built == [2]
     assert np.array_equal(rows[0], _cost_rows(cfg, [vwap])[0])
-    assert np.array_equal(rows[1], _cost_rows(cfg, [twap200])[0])
+    assert np.array_equal(rows[1], _cost_rows(cfg, [vwap, twap200])[1])
     assert np.array_equal(rows[2], rows[0])
 
 
@@ -611,9 +619,11 @@ def test_repeated_schedule_is_priced_once(monkeypatch, market, grid200, twap200)
 @pytest.mark.parametrize("kind", ["arcsine", "gbm"])
 def test_schedules_at_several_rhos_share_one_kernel(monkeypatch, market_hi, grid200, kind, antithetic):
     """One _StaticCosts over schedules at several rho, each with its own
-    driver scales, gives every row the bits of a pass at that rho alone; the
-    anticipating row (not on lognormal mirrors) reads the model's rho, and
-    under deterministic turnover no row reads rho."""
+    driver scales, gives every row the bits of a pass over the rows listed
+    up to it at their rho, and under lognormal turnover the first static
+    row those of a pass at its rho; the anticipating row (not on lognormal
+    mirrors) reads the model's rho, and under deterministic turnover no row
+    reads rho."""
     volume = _volume(kind, grid200, rho=0.2)
     cfg = _cfg(volume, market_hi, grid200, n_paths=600, seed=27)
     statics = [_shaped(grid200, a) for a in (0.0, 1.5, -0.5)]
@@ -629,28 +639,33 @@ def test_schedules_at_several_rhos_share_one_kernel(monkeypatch, market_hi, grid
     phi = None if kind == "gbm" and antithetic else 1.0
     rows = _cost_rows(cfg, statics, phi, antithetic=antithetic, rhos=rhos)
     assert built == [len(statics) + (kind == "arcsine")]  # the volume-proportional row joins
-    if phi is not None:
-        lead, *rows = rows
-        assert np.array_equal(lead, _cost_rows(cfg, statics[:1], phi, antithetic=antithetic)[0])
-    assert len(rows) == len(statics)
-    for row, s, rho in zip(rows, statics, rhos):
-        at_rho = cfg
-        if kind == "gbm":
-            at_rho = dataclasses.replace(cfg, volume=dataclasses.replace(volume, rho=rho))
-        assert np.array_equal(row, _cost_rows(at_rho, [s], antithetic=antithetic)[0])
+    lead = int(phi is not None)  # the anticipating row comes first
+    for k in range(len(statics)):
+        prefix = _cost_rows(cfg, statics[: k + 1], phi, antithetic=antithetic, rhos=rhos[: k + 1])
+        assert np.array_equal(rows[: lead + k + 1], prefix)
+    if kind == "gbm":  # the first static row at its rho is the row of a pass at that rho
+        at_rho = dataclasses.replace(cfg, volume=dataclasses.replace(volume, rho=rhos[0]))
+        assert np.array_equal(rows[lead], _cost_rows(at_rho, statics[:1], phi, antithetic=antithetic)[lead])
 
 
 def test_one_schedule_at_two_rhos_gets_two_rows(market_hi, grid200):
     """A schedule listed at two rho is priced at each: the distinct-schedule
-    key holds rho, so the second entry is not a copy of the first."""
+    key holds rho, so the second entry is not a copy of the first.  The
+    first row has the bits of a pass at its rho alone.  At rho = +-0.5 the
+    price-specific weights of the two rows are equal, so the second row adds
+    no direction but rounding, and it is the pass at its rho alone to
+    rounding."""
     model = GbmVolumeModel(1.0, -0.02, 0.3)
     cfg = _cfg(model, market_hi, grid200, n_paths=600, seed=28)
     s = _shaped(grid200, 1.5)
     rows = _cost_rows(cfg, [s, s], rhos=[-0.5, 0.5])
     assert not np.array_equal(rows[0], rows[1])
-    for row, rho in zip(rows, (-0.5, 0.5)):
-        at_rho = dataclasses.replace(cfg, volume=dataclasses.replace(model, rho=rho))
-        assert np.array_equal(row, _cost_rows(at_rho, [s])[0])
+    alone = [
+        _cost_rows(dataclasses.replace(cfg, volume=dataclasses.replace(model, rho=rho)), [s])[0]
+        for rho in (-0.5, 0.5)
+    ]
+    assert np.array_equal(rows[0], alone[0])
+    assert np.max(np.abs(rows[1] - alone[1]) / np.maximum(1.0, np.abs(alone[1]))) <= 1e-13
 
 
 @pytest.mark.parametrize("n_paths", [64, 3000])
@@ -742,22 +757,22 @@ def test_batching_is_invisible_stochastic_tournament(monkeypatch, market, gbm_mo
 
 
 @pytest.mark.parametrize("kind", ["arcsine", "gbm"])
-def test_rows_equal_one_schedule_passes(monkeypatch, market, grid200, kind):
-    """A shared pass gives each schedule the row a pass of its own gives,
-    bit for bit, on any CPU count, so simulate can price a whole sweep on
-    one set of draws."""
+def test_rows_equal_prefix_passes(monkeypatch, market, grid200, kind):
+    """A shared pass gives row k the bits of a pass over the schedules
+    listed up to it, on any CPU count, and the first schedule the row a
+    pass of its own gives: a row depends on the rows listed before it (they
+    share the factor of the price weights), never on those after it."""
     statics = [_shaped(grid200, a) for a in (0.0, 0.7, 2.0, -0.3)]
     cfg = _cfg(_volume(kind, grid200), market, grid200, n_paths=1030, seed=23)
     for antithetic in (False, True):
-        alone = [
-            estimate_cost_moments(s, cfg, antithetic=antithetic, return_costs=True)[1]
-            for s in statics
-        ]
-        for rows in _on_workers(
-            monkeypatch, (1, 2, 5), lambda: _cost_rows(cfg, statics, antithetic=antithetic)
-        ):
-            for row, expected in zip(rows, alone):
-                assert np.array_equal(row, expected)
+        full = _cost_rows(cfg, statics, antithetic=antithetic)
+        for k in range(len(statics)):
+            for rows in _on_workers(
+                monkeypatch, (1, 2, 5), lambda: _cost_rows(cfg, statics[: k + 1], antithetic=antithetic)
+            ):
+                assert np.array_equal(rows, full[: k + 1])
+        alone = estimate_cost_moments(statics[0], cfg, antithetic=antithetic, return_costs=True)[1]
+        assert np.array_equal(full[0], alone)
 
 
 def test_memory_does_not_grow_with_schedules(market_hi, grid500, arcsine500):
@@ -774,3 +789,94 @@ def test_memory_does_not_grow_with_schedules(market_hi, grid500, arcsine500):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 8e6
+
+
+def test_deterministic_rows_have_the_joint_law(market_hi):
+    """Under deterministic turnover the rows are c + W z with z standard
+    normal, drawn as K normals per path in the rows' own space: over 200k
+    paths their sample means and every entry of their sample covariance
+    match the kernel's total0 and W W' within 3 SE."""
+    grid = build_grid(1.0, 100)
+    profile = arcsine_profile(grid)
+    statics = [vwap_strategy(profile, 1.0), _shaped(grid, 1.5), _shaped(grid, -0.5)]
+    n = 200_000
+    rows = _cost_rows(_cfg(profile, market_hi, grid, n_paths=n, seed=34), statics)
+    kernel = _increment_kernel(statics, profile, market_hi)
+    w = kernel.price_w[0]
+    dev = rows - rows.mean(axis=1, keepdims=True)
+    for j in range(len(statics)):
+        se = rows[j].std(ddof=1) / math.sqrt(n)
+        assert abs(rows[j].mean() - kernel.total0[j]) <= 3.0 * se
+        for k in range(j, len(statics)):
+            prod = dev[j] * dev[k]
+            se = prod.std(ddof=1) / math.sqrt(n)
+            assert abs(prod.sum() / (n - 1) - w[j] @ w[k]) <= 3.0 * se, (j, k)
+
+
+@pytest.mark.parametrize("kind", ["arcsine", "gbm"])
+def test_rebuilt_increments_are_standard_normal(market_hi, kind):
+    """The normals of the stream drawn in the rows' own space, rebuilt into
+    full paths (stream 0 under deterministic turnover; stream 1 under
+    lognormal turnover, here at rho = 0, where the price moves by
+    sigma_tilde sqrt(tau) z_1 alone), are standard normal: along a direction
+    inside the rows' span and one orthogonal to it, z . u has mean 0 and
+    variance 1 within 3 SE."""
+    grid = build_grid(1.0, 100)
+    cfg = _cfg(_volume(kind, grid, rho=0.0), market_hi, grid, n_paths=20_000, seed=35)
+    statics = [_shaped(grid, a) for a in (0.0, 1.5, -0.5)]
+    price, _ = joint_paths(cfg, statics=statics)
+    z = np.diff(price, axis=1) / (market_hi.sigma_tilde * math.sqrt(grid.tau))
+    kernel, _, factored, _ = montecarlo._static_rows(cfg, statics)
+    w = kernel.price_w[factored]
+    span, _ = np.linalg.qr(w.T)
+    other = np.cos(0.37 * np.arange(grid.n_steps))
+    other -= span @ (span.T @ other)
+    for u in (w[1], other):
+        x = z @ (u / np.linalg.norm(u))
+        assert abs(x.mean()) <= 3.0 * x.std(ddof=1) / math.sqrt(x.size)
+        sq = (x - x.mean()) ** 2
+        assert abs(x.var(ddof=1) - 1.0) <= 3.0 * sq.std(ddof=1) / math.sqrt(x.size)
+
+
+@pytest.mark.parametrize(
+    "kind, rhos", [("arcsine", None), ("gbm", [-0.5, 0.5, 1.0, -1.0])], ids=["arcsine", "gbm"]
+)
+def test_rows_that_add_no_direction_are_realized_costs(market_hi, kind, rhos):
+    """Rows whose price weights add no new direction to the factor: four
+    schedules on two price increments under deterministic turnover (more
+    rows than increments), and under lognormal turnover one schedule at
+    rho = -0.5 and 0.5 (equal price-specific weights) and at rho = +-1 (none).
+    Each row is still the shortfall evaluated from its definition on the
+    rebuilt paths at its rho."""
+    grid = build_grid(1.0, 2) if kind == "arcsine" else build_grid(1.0, 50)
+    volume = _volume(kind, grid)
+    cfg = _cfg(volume, market_hi, grid, n_paths=600, seed=37)
+    statics = [_shaped(grid, a) for a in (0.0, 1.5, -0.5, 3.0)] if rhos is None else [_shaped(grid, 1.5)] * 4
+    rows = _cost_rows(cfg, statics, rhos=rhos)
+    for k, (row, s) in enumerate(zip(rows, statics)):
+        at_rho = cfg
+        if rhos is not None:
+            at_rho = dataclasses.replace(cfg, volume=dataclasses.replace(volume, rho=rhos[k]))
+        price, vol = joint_paths(at_rho, statics=statics, rhos=rhos)
+        ref = _independent_direct_cost(price, vol, s.zeta, s.Phi, grid.tau, market_hi)
+        assert np.all(np.abs(row - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), k
+
+
+def test_deterministic_pass_has_no_path_wide_workspace(monkeypatch, market_hi):
+    """Under deterministic turnover the pass draws K normals per path, not n,
+    so no workspace is n wide: on two threads its traced peak at n = 4000 is
+    within 10 % of its peak at n = 500.  Two n-wide workspaces of 256 paths
+    would add 16 MB at n = 4000 to a peak of a few MB."""
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    peaks = []
+    for n in (500, 4000):
+        grid = build_grid(1.0, n)
+        cfg = _cfg(arcsine_profile(grid), market_hi, grid, n_paths=200_000, seed=36)
+        statics = [make_twap(grid)]
+        tracemalloc.start()
+        try:
+            _cost_rows(cfg, statics, 1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks

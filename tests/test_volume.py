@@ -3,6 +3,8 @@ import pytest
 
 from volexec.grids import build_grid, cumtrapz, trapz
 from volexec.volume import (
+    _BLOCK,
+    _FACTOR_STREAM,
     GbmVolumeModel,
     _inverse_gbm_block,
     _normal_block,
@@ -184,5 +186,43 @@ def test_path_rng_draws_are_pinned():
     np.testing.assert_allclose(
         path_rng(2**64 - 1, 3, stream=1).standard_normal(4),
         [0.26611537924973383, -0.32866726326535484, 0.33126348204586276, -0.32901832229832695],
+        rtol=1e-14,
+    )
+
+
+def test_factor_stream_key_aliases_no_driver_key():
+    # stream 2 has the key (block, 0): not "2 * block + 2", which is stream 0
+    # of the next block, nor any other driver key at the word edges
+    for seed in (0, 2**32, 2**64 - 1):
+        for block in (0, 1, 2**31, 2**32 + 5):
+            factor = path_rng(seed, block, stream=_FACTOR_STREAM).standard_normal(8)
+            for other in (block, block + 1, 2 * block, 2 * block + 1):
+                for stream in (0, 1):
+                    assert not np.array_equal(factor, path_rng(seed, other, stream=stream).standard_normal(8))
+    for stream in (-1, 3, 4):
+        with pytest.raises(ValueError, match="stream"):
+            path_rng(0, 0, stream=stream)
+
+
+def test_factor_stream_columns_do_not_depend_on_width():
+    """Stream 2 fills its block normal by normal: the first k + 1 normals of
+    every path have the same bits whether k + 1 or more are drawn, over a
+    ragged range too, and a range's rows are the slice of a longer draw."""
+    wide = _normal_block(5, 0, 700, stream=_FACTOR_STREAM, n=6)
+    for k in range(6):
+        assert np.array_equal(_normal_block(5, 0, 700, stream=_FACTOR_STREAM, n=k + 1), wide[:, : k + 1])
+    for first, last in ((0, 1), (256, 300), (512, 700)):
+        assert np.array_equal(_normal_block(5, first, last, stream=_FACTOR_STREAM, n=6), wide[first:last])
+    # the block's first normals come first, path by path
+    block = path_rng(5, 0, stream=_FACTOR_STREAM).standard_normal(2 * _BLOCK)
+    assert np.array_equal(wide[:_BLOCK, :2], block.reshape(2, _BLOCK).T)
+
+
+def test_factor_stream_draws_are_pinned():
+    # the normals the Monte Carlo pass draws in its rows' own space; a change
+    # of their key must be made on purpose
+    np.testing.assert_allclose(
+        path_rng(0, 0, stream=_FACTOR_STREAM).standard_normal(4),
+        [0.44910368521775595, -0.9300081152403062, -0.7069444728572523, -1.116520311522898],
         rtol=1e-14,
     )
